@@ -4,6 +4,9 @@ The second-stage block codes are realized by Lagrangian Lloyd descent:
 assignment minimizes distortion + lambda * length / n, centroids are updated
 under the clipped metric (with a guard so the training Lagrangian never
 increases), and real-valued codeword lengths track the empirical usage.
+Each Lloyd iteration computes one (blocks x codewords) distortion matrix,
+after its centroid step; that matrix gives the iteration's objective and the
+next iteration's assignment.  The centroid step updates all cells at once.
 After convergence the lengths are rounded to an integer prefix code by the
 canonical-Kraft procedure, and the normalized-length cap 2*rho_max/lambda is
 enforced constructively.
@@ -77,6 +80,9 @@ def rho_n(spec: DistortionSpec, x, xhat) -> float:
     return float(np.mean(np.minimum(d, spec.rho_max)))
 
 
+_CHUNK_ELEMS = 1 << 16   # 512 KiB of float64 per broadcast chunk
+
+
 def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
                         spec: DistortionSpec) -> np.ndarray:
     """rho_n between every block and every codevector, shape (T, K)."""
@@ -85,16 +91,20 @@ def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
     T, K = X.shape[0], C.shape[0]
     n = X.shape[1]
     out = np.empty((T, K))
-    # chunk over blocks to keep the broadcast buffer modest
-    step = max(1, int(2e7 // max(1, K * n)))
+    # chunks of blocks small enough that the broadcast buffer, reused for
+    # every chunk, stays in a core's cache across the passes over it
+    step = max(1, _CHUNK_ELEMS // max(1, K * n))
+    buf = np.empty((min(step, T), K) + X.shape[1:])
     for lo in range(0, T, step):
         hi = min(T, lo + step)
-        diff = X[lo:hi, None, ...] - C[None, :, ...]
+        d = np.subtract(X[lo:hi, None, ...], C[None, :, ...], out=buf[:hi - lo])
         if X.ndim == 2:
-            d = np.abs(diff)
+            np.abs(d, out=d)
         else:
-            d = np.linalg.norm(diff, axis=-1)
-        out[lo:hi] = np.mean(np.minimum(d, spec.rho_max), axis=-1)
+            d = np.linalg.norm(d, axis=-1)
+        np.minimum(d, spec.rho_max, out=d)
+        np.add.reduce(d, axis=-1, out=out[lo:hi])
+    out /= n    # the mean over letters, as np.mean divides its sum
     return out
 
 
@@ -181,21 +191,47 @@ class Codebook:
                    codes=tuple(canonical_code(lengths)), lam=lam, spec=spec)
 
 
-def _cell_centroid(cell: np.ndarray, old: np.ndarray, spec: DistortionSpec):
-    """Median under the clipped absolute metric, mean when the cap never
-    binds in the cell; only accepted if it does not raise the cell cost."""
-    if cell.ndim == 2:
-        clipped = np.any(np.abs(cell - old[None, :]) >= spec.rho_max)
-        cand = (np.median(cell, axis=0) if clipped else np.mean(cell, axis=0))
-        old_cost = np.mean(np.minimum(np.abs(cell - old[None, :]), spec.rho_max))
-        new_cost = np.mean(np.minimum(np.abs(cell - cand[None, :]), spec.rho_max))
-    else:
-        cand = np.mean(cell, axis=0)
-        old_cost = np.mean(np.minimum(
-            np.linalg.norm(cell - old[None, ...], axis=-1), spec.rho_max))
-        new_cost = np.mean(np.minimum(
-            np.linalg.norm(cell - cand[None, ...], axis=-1), spec.rho_max))
-    return cand if new_cost <= old_cost else old
+def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
+                   spec: DistortionSpec) -> None:
+    """Guarded centroid update of every cell, in place on C.
+
+    A scalar-letter cell moves to its median under the clipped metric, or to
+    its mean when the cap never binds in it; a vector-letter cell moves to
+    its mean.  The move is kept only if it does not raise the cell cost.
+    Cells of equal size are stacked and reduced together along the stacking
+    axis, so each cell goes through exactly the reductions it would alone
+    (np.mean, and np.median's partition and middle mean, over its rows; the
+    cost mean over its contiguous letters) and the result is bitwise that of
+    a per-cell loop.
+    """
+    def letter_dist(diff):
+        return np.abs(diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
+
+    sizes = np.bincount(assign, minlength=C.shape[0])
+    rows = np.argsort(assign, kind="stable")
+    Xs, cell_of = X[rows], assign[rows]   # cells contiguous, rows in order
+    d_old = letter_dist(Xs - C[cell_of])
+    clipped = np.zeros(C.shape[0], dtype=bool)
+    if X.ndim == 2:
+        clipped[cell_of[np.any(d_old >= spec.rho_max, axis=1)]] = True
+    cost_old = np.minimum(d_old, spec.rho_max)
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        cells = np.flatnonzero(sizes == size)
+        at = starts[cells, None] + np.arange(size)   # (cells, size) into Xs
+        G = Xs[at]
+        cand = np.add.reduce(G, axis=1) / size       # np.mean's own steps
+        med = clipped[cells]
+        if med.any():
+            # np.median's steps: partition, then mean of the middle one or two
+            lo, hi = (size - 1) // 2, size // 2
+            part = np.partition(G[med], (lo, hi), axis=1)
+            cand[med] = np.add.reduce(part[:, lo:hi + 1], axis=1) / (hi - lo + 1)
+        new = np.minimum(letter_dist(G - cand[:, None]), spec.rho_max)
+        m = new[0].size
+        keep = (np.add.reduce(new.reshape(len(cells), m), axis=1) / m
+                <= np.add.reduce(cost_old[at].reshape(len(cells), m), axis=1) / m)
+        C[cells[keep]] = cand[keep]
 
 
 def _round_lengths(usage: np.ndarray, cap_bits: int) -> np.ndarray:
@@ -240,24 +276,17 @@ def ecvq_design(training, lam: float, initial_size: int, spec: DistortionSpec,
         raise ValueError("training blocks contain non-finite values")
     best = best_J = None
     for r in range(restarts):
-        book = _design_once(X, lam, initial_size, spec, seed + 1_000_003 * r,
-                            tolerance, max_iter)
-        J = _training_lagrangian(book, X, lam, spec)
+        book, J = _design_once(X, lam, initial_size, spec, seed + 1_000_003 * r,
+                               tolerance, max_iter)
         if best is None or J < best_J:
             best, best_J = book, J
     return best
 
 
-def _training_lagrangian(book: Codebook, X: np.ndarray, lam: float,
-                         spec: DistortionSpec) -> float:
-    cost = pairwise_distortion(X, book.codevectors, spec) \
-        + lam * np.asarray(book.lengths)[None, :] / book.n
-    return float(np.mean(np.min(cost, axis=1)))
-
-
 def _design_once(X: np.ndarray, lam: float, initial_size: int,
                  spec: DistortionSpec, seed: int, tolerance: float,
-                 max_iter: int) -> Codebook:
+                 max_iter: int) -> tuple[Codebook, float]:
+    """One Lloyd run; returns the book and its training Lagrangian."""
     T, n = X.shape[0], X.shape[1]
 
     rng = rng_for(seed, 0)
@@ -269,19 +298,18 @@ def _design_once(X: np.ndarray, lam: float, initial_size: int,
 
     history = []
     prev_J = np.inf
+    # dist always holds rho_n against the current codevectors: computed once
+    # per iteration, after the centroid step, it serves both that iteration's
+    # objective and the next iteration's assignment
+    dist = pairwise_distortion(X, C, spec)
     for _ in range(max_iter):
-        cost = pairwise_distortion(X, C, spec) + lam * lengths[None, :] / n
-        assign = np.argmin(cost, axis=1)
+        assign = np.argmin(dist + lam * lengths[None, :] / n, axis=1)
         # prune unused codevectors
         used, assign = np.unique(assign, return_inverse=True)
         C = C[used]
         lengths = lengths[used]
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
-        # centroid step (guarded: never raises the cell cost)
-        for j in range(C.shape[0]):
-            cell = X[assign == j]
-            if cell.shape[0]:
-                C[j] = _cell_centroid(cell, C[j], spec)
+        _centroid_step(X, C, assign, spec)
         # length step: ideal lengths from empirical usage
         lengths = -np.log2(counts / T)
         dist = pairwise_distortion(X, C, spec)
@@ -299,16 +327,19 @@ def _design_once(X: np.ndarray, lam: float, initial_size: int,
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
         keep = np.sort(np.argsort(-counts, kind="stable")[:max_size])
         C = C[keep]
-        cost = pairwise_distortion(X, C, spec)
-        assign = np.argmin(cost, axis=1)
+        dist = dist[:, keep]
+        assign = np.argmin(dist, axis=1)
         used, assign = np.unique(assign, return_inverse=True)
         C = C[used]
+        dist = dist[:, used]
     counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
     int_lengths = _round_lengths(counts, cap_bits)
     codes = canonical_code(int_lengths)
-    return Codebook(n=n, codevectors=C, lengths=int_lengths,
+    book = Codebook(n=n, codevectors=C, lengths=int_lengths,
                     codes=tuple(codes), lam=lam, spec=spec,
                     training_lagrangians=tuple(history))
+    J = float(np.mean(np.min(dist + lam * int_lengths[None, :] / n, axis=1)))
+    return book, J
 
 
 def ecvq_encode(book: Codebook, x, lam: float | None = None,
@@ -351,8 +382,11 @@ def lagrangian_eval(book: Codebook, family: SourceFamily, theta,
     family.validate(theta)
     rng = rng_for(seed, TAG_EVAL)
     X = family.sample_paths(theta, book.n, num_blocks, rng)
-    idx = book.encode_many(X)
     dists = pairwise_distortion(X, book.codevectors, spec)
+    # blocks are coded under the book's spec; callers usually measure with it
+    coded = dists if spec == book.spec else \
+        pairwise_distortion(X, book.codevectors, book.spec)
+    idx = np.argmin(coded + book.lam * np.asarray(book.lengths) / book.n, axis=1)
     d_vals = dists[np.arange(num_blocks), idx]
     r_vals = np.asarray(book.lengths)[idx] / book.n
     d_se = float(np.std(d_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0

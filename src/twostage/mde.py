@@ -106,7 +106,7 @@ def set_probability(family: SourceFamily, theta_ref, yset: YatracosSet,
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     t_ref = tuple(family.validate(theta_ref))
-    key = (family.tag, t_ref, yset.theta, yset.theta_prime, n, num_samples, seed)
+    key = (family.key, t_ref, yset.theta, yset.theta_prime, n, num_samples, seed)
     with _prob_lock:
         if key in _prob_cache:
             return _prob_cache[key]
@@ -138,7 +138,7 @@ _model_freq_cache: dict = {}
 def _model_pair_frequencies(family, candidates: CandidateSet, theta: tuple,
                             n: int, mc_budget: int, seed: int) -> np.ndarray:
     """Cached MC estimate of P^n_theta(A_ab) for all ordered candidate pairs."""
-    key = (family.tag, candidates.thetas, theta, n, mc_budget, seed)
+    key = (family.key, candidates.thetas, theta, n, mc_budget, seed)
     with _prob_lock:
         cached = _model_freq_cache.get(key)
     if cached is not None:

@@ -79,6 +79,12 @@ class SourceFamily:
     mixing: MixingDescriptor
     letter_dim: int = 1          # d; letters live in R^d
 
+    @property
+    def key(self) -> tuple:
+        """Hashable spec of everything that sets samples and densities; the
+        caches key on it, since families sharing a tag can differ."""
+        return (self.tag, self.letter_dim)
+
     def validate(self, theta) -> np.ndarray:
         raise NotImplementedError
 
@@ -154,6 +160,10 @@ class GaussianAR(SourceFamily):
         self.p = p
         self.k = p
         self.mixing = MixingDescriptor("exponential", mixing_C, mixing_gamma)
+
+    @property
+    def key(self) -> tuple:
+        return (self.tag, self.letter_dim, self.p)
 
     def validate(self, theta) -> np.ndarray:
         t = as_theta(theta)
@@ -268,6 +278,11 @@ class HiddenMarkov(SourceFamily):
         self.stds = stds
         self.letter_dim = means.shape[1]
         self.mixing = MixingDescriptor("exponential", mixing_C, mixing_gamma)
+
+    @property
+    def key(self) -> tuple:
+        return (self.tag, self.letter_dim, self.M, self.a0,
+                tuple(self.means.ravel()), tuple(self.stds.ravel()))
 
     def validate(self, theta) -> np.ndarray:
         t = as_theta(theta)

@@ -226,7 +226,7 @@ def provision_codebook(config: SchemeConfig, family: SourceFamily,
     t = tuple(family.validate(theta_hat))
     key = (config.code_seed, config.n, config.lam, config.rho_max,
            config.train_blocks, config.rate_target, config.max_initial_size,
-           config.design_restarts, family.tag, t, index)
+           config.design_tol, config.design_restarts, family.key, t, index)
     with _book_lock:
         book = _book_cache.get(key)
     if book is not None:
@@ -260,6 +260,8 @@ def encode_block(config: SchemeConfig, db: Database, history, current,
     cur = current.values if isinstance(current, SampleBlock) else np.asarray(current)
     if cur.shape[0] != config.n:
         raise ValueError(f"current block must have n={config.n} letters")
+    if not (np.all(np.isfinite(hist)) and np.all(np.isfinite(cur))):
+        raise ValueError("history and current block must be finite")
     Z = layout.extract_z(hist)
     if candidates is None:
         candidates = candidate_set(config, db)
@@ -291,6 +293,11 @@ def decode_block(config: SchemeConfig, db: Database, stream: BitString,
         b = reader.read_bit()
         if b == 0:
             T = reader.read_gamma()
+            if T > config.i_max:
+                # no encoder emits it; refusing bounds the books a stream
+                # can make the decoder design
+                raise MalformedStreamError(
+                    f"waiting time {T} exceeds i_max={config.i_max}")
             theta_hat = db.point(T)
             idx_for_book = T
             radius = waiting_tolerance(config, family)

@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from twostage import ecvq
 from twostage.distances import variational_mc
 from twostage.ecvq import (Codebook, DistortionSpec, LagrangianReport,
                            canonical_code, ecvq_design, ecvq_encode,
                            lagrangian_eval, pairwise_distortion, rho_n)
-from twostage.models import GaussianIID
-from twostage.rand import rng_for
+from twostage.models import GaussianIID, HiddenMarkov
+from twostage.rand import TAG_EVAL, rng_for
 
 SPEC = DistortionSpec(rho_max=1.0)
 GAUSS = GaussianIID()
@@ -120,7 +123,42 @@ class TestEncode:
             assert bits == book.codes[idx]
 
 
+class TestPairwiseDistortion:
+    @pytest.mark.parametrize("base", ["absolute-difference", "euclidean"])
+    def test_chunked_equals_unchunked(self, base):
+        spec = DistortionSpec(rho_max=1.0, base=base)
+        K, n = 16, 8
+        step = ecvq._CHUNK_ELEMS // (K * n)
+        T = 3 * step + 5     # three full chunks and a partial one
+        shape = (n,) if base == "absolute-difference" else (n, 2)
+        rng = rng_for(30, 0)
+        X = rng.normal(size=(T,) + shape)
+        C = rng.normal(size=(K,) + shape)
+        diff = X[:, None, ...] - C[None, :, ...]
+        d = np.abs(diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
+        want = np.mean(np.minimum(d, spec.rho_max), axis=-1)
+        assert np.array_equal(pairwise_distortion(X, C, spec), want)
+
+
 class TestLagrangianEval:
+    @pytest.mark.parametrize("rho_max", [1.0, 0.5])
+    def test_matches_encode_then_measure(self, rho_max):
+        # the encoder's choice (book.encode_many) measured under the
+        # caller's spec, as two separate distortion matrices
+        X = GAUSS.sample_paths((0.0, 1.0), 4, 256, rng_for(31, 0))
+        book = ecvq_design(X, lam=0.5, initial_size=16, spec=SPEC, seed=31)
+        spec = DistortionSpec(rho_max=rho_max)
+        got = lagrangian_eval(book, GAUSS, (0.0, 1.0), 0.5, spec, 700, seed=32)
+        Y = GAUSS.sample_paths((0.0, 1.0), 4, 700, rng_for(32, TAG_EVAL))
+        idx = book.encode_many(Y)
+        d = pairwise_distortion(Y, book.codevectors, spec)[np.arange(700), idx]
+        r = np.asarray(book.lengths)[idx] / book.n
+        want = LagrangianReport.build(
+            np.mean(d), np.mean(r), 0.5,
+            distortion_se=np.std(d, ddof=1) / np.sqrt(700),
+            rate_se=np.std(r, ddof=1) / np.sqrt(700))
+        assert got == want
+
     def test_report_identity(self):
         rep = LagrangianReport.build(0.1, 0.5, 0.3)
         assert rep.lagrangian == pytest.approx(0.25)
@@ -179,3 +217,50 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="version-1"):
             Codebook.from_bytes(b"JUNKxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
+
+
+# SHA-256 of the corpus below as designed by a per-cell centroid loop with
+# two distortion matrices per Lloyd iteration; the design must not move it.
+CORPUS_SHA256 = "9c61702bf7b8239e2e9a72cf62dab464f4e316376cce6ac00bdc346bdd9d23c0"
+
+
+def test_design_corpus_bytes_unchanged():
+    assert _corpus_digest() == CORPUS_SHA256
+
+
+def _corpus_designs():
+    """Seeded designs covering every branch of the Lloyd loop: clipped
+    (median) and unclipped (mean) scalar cells, vector letters, one-letter
+    blocks, restarts, and the post-loop trim to the length cap."""
+    for s in range(50):
+        X = GAUSS.sample_paths((0.0, 1.0), 6, 256, rng_for(100 + s, 0))
+        for lam in (0.2, 0.5, 1.0):
+            yield ecvq_design(X, lam=lam, initial_size=32, spec=SPEC, seed=s)
+    wide = DistortionSpec(rho_max=8.0)
+    for s in range(4):
+        X = GAUSS.sample_paths((0.0, 1.0), 4, 200, rng_for(400 + s, 0))
+        yield ecvq_design(X, lam=0.3, initial_size=16, spec=wide, seed=s,
+                          restarts=2)
+    for s in range(3):
+        X = GAUSS.sample_paths((0.5, 2.0), 1, 300, rng_for(500 + s, 0))
+        yield ecvq_design(X, lam=0.1, initial_size=16, spec=SPEC, seed=s)
+    for s in range(3):
+        X = GAUSS.sample_paths((0.0, 1.0), 2, 300, rng_for(600 + s, 0))
+        yield ecvq_design(X, lam=1.0, initial_size=64, spec=SPEC, seed=s,
+                          max_iter=1)
+    hmm = HiddenMarkov(M=2, a0=0.05,
+                       emission_means=[[1.0, 0.0], [-1.0, 0.5]],
+                       emission_stds=[[1.0, 0.5], [0.7, 1.0]])
+    euclid = DistortionSpec(rho_max=1.0, base="euclidean")
+    for s in range(4):
+        X = hmm.sample_paths((0.8, 0.2, 0.3, 0.7), 4, 200, rng_for(700 + s, 0))
+        yield ecvq_design(X, lam=0.3, initial_size=16, spec=euclid, seed=s,
+                          restarts=2)
+
+
+def _corpus_digest() -> str:
+    h = hashlib.sha256()
+    for book in _corpus_designs():
+        h.update(book.to_bytes())
+        h.update(repr(book.training_lagrangians).encode())
+    return h.hexdigest()

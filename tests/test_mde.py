@@ -157,3 +157,35 @@ class TestVcBounds:
     def test_expectation_bound_knob(self):
         assert vc_expectation_bound(100, 60.0, c=2.0) == \
             pytest.approx(2 * math.sqrt(60 * math.log(100) / 100))
+
+
+class TestCacheKeys:
+    """Families that share a tag but differ in emissions must not share
+    cached model-side probabilities."""
+
+    THETA = (0.8, 0.2, 0.3, 0.7)
+
+    @staticmethod
+    def _hmm(means):
+        return HiddenMarkov(M=2, a0=0.05, emission_means=means,
+                            emission_stds=[1.0, 1.0])
+
+    def test_set_probability_keys_on_emissions(self):
+        near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
+        yset = YatracosSet.of(self.THETA, (0.3, 0.7, 0.6, 0.4))
+        clear_probability_cache()
+        fresh = set_probability(far, self.THETA, yset, 3, 2000, seed=9)
+        clear_probability_cache()
+        set_probability(near, self.THETA, yset, 3, 2000, seed=9)
+        assert set_probability(far, self.THETA, yset, 3, 2000, seed=9) == fresh
+
+    def test_u_statistic_keys_on_emissions(self):
+        near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
+        cands = CandidateSet.build(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
+        Z = far.sample_paths(self.THETA, 3, 40, rng_for(10, 0))
+        clear_probability_cache()
+        fresh = u_statistic_all(far, Z, cands, 1500, seed=11)
+        clear_probability_cache()
+        u_statistic_all(near, Z, cands, 1500, seed=11)
+        assert np.array_equal(u_statistic_all(far, Z, cands, 1500, seed=11),
+                              fresh)

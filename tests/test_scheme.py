@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
-from twostage.bitcode import BitString
-from twostage.models import GaussianAR, GaussianIID
+from twostage import scheme
+from twostage.bitcode import BitString, elias_encode
+from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.scheme import (Database, MalformedStreamError, SchemeConfig,
                              blocking_bound, candidate_set,
                              clear_codebook_cache, decode_block,
                              delta_schedule, encode_block, memory_layout,
-                             sample_scene, waiting_time, waiting_tolerance)
+                             provision_codebook, sample_scene, waiting_time,
+                             waiting_tolerance)
 
 GAUSS = GaussianIID()
 
@@ -206,6 +208,27 @@ class TestRoundTrip:
         assert enc.total_bits == len(enc.stream())
         assert enc.total_bits == 1 + len(enc.first_stage.s1) + len(enc.s2)
 
+    def test_waiting_time_beyond_i_max_rejected_before_design(self):
+        cfg = small_config()
+        db = Database(family=GAUSS, seed=cfg.database_seed)
+        clear_codebook_cache()
+        stream = BitString([0]) + elias_encode(cfg.i_max + 1)
+        with pytest.raises(MalformedStreamError, match="i_max"):
+            decode_block(cfg, db, stream)
+        assert len(scheme._book_cache) == 0
+
+    def test_non_finite_input_rejected(self):
+        cfg = small_config()
+        db = Database(family=GAUSS, seed=cfg.database_seed)
+        hist, cur = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=108)
+        bad_cur, bad_hist = cur.copy(), hist.copy()
+        bad_cur[1] = np.nan
+        bad_hist[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            encode_block(cfg, db, hist, bad_cur)
+        with pytest.raises(ValueError, match="finite"):
+            encode_block(cfg, db, bad_hist, cur)
+
     def test_wrong_block_length_rejected(self):
         cfg = small_config()
         db = Database(family=GAUSS, seed=cfg.database_seed)
@@ -247,3 +270,45 @@ class TestMisc:
             SchemeConfig(n=4, lam=0.0)
         with pytest.raises(ValueError):
             SchemeConfig(n=4, lam=1.0, delta_mode="loose")
+
+
+class TestCodebookCacheKey:
+    """A cached book is reused only where the same design would run."""
+
+    THETA = (0.8, 0.2, 0.3, 0.7)
+
+    def test_hmm_emissions_get_their_own_book(self):
+        cfg = small_config()
+        near = HiddenMarkov(M=2, a0=0.05, emission_means=[-0.2, 0.2],
+                            emission_stds=[1.0, 1.0])
+        far = HiddenMarkov(M=2, a0=0.05, emission_means=[-3.0, 3.0],
+                           emission_stds=[1.0, 1.0])
+        clear_codebook_cache()
+        fresh = provision_codebook(cfg, far, self.THETA, 1)
+        clear_codebook_cache()
+        provision_codebook(cfg, near, self.THETA, 1)
+        assert provision_codebook(cfg, far, self.THETA, 1).to_bytes() == \
+            fresh.to_bytes()
+
+    def test_vector_letters_get_a_vector_book(self):
+        cfg = small_config()
+        scalar = HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 1.0],
+                              emission_stds=[1.0, 1.0])
+        vector = HiddenMarkov(M=2, a0=0.05,
+                              emission_means=[[-1.0, 0.0], [1.0, 0.0]],
+                              emission_stds=[[1.0, 1.0], [1.0, 1.0]])
+        clear_codebook_cache()
+        provision_codebook(cfg, scalar, self.THETA, 1)
+        book = provision_codebook(cfg, vector, self.THETA, 1)
+        assert book.codevectors.shape[1:] == (cfg.n, 2)
+        assert book.spec.base == "euclidean"
+
+    def test_design_tolerance_is_part_of_the_key(self):
+        loose, tight = small_config(design_tol=1.0), small_config(design_tol=1e-9)
+        clear_codebook_cache()
+        fresh = provision_codebook(tight, GAUSS, (0.0, 1.0), 1)
+        clear_codebook_cache()
+        provision_codebook(loose, GAUSS, (0.0, 1.0), 1)
+        book = provision_codebook(tight, GAUSS, (0.0, 1.0), 1)
+        assert book.training_lagrangians == fresh.training_lagrangians
+        assert len(book.training_lagrangians) > 2
