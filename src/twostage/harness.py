@@ -136,34 +136,38 @@ REDUNDANCY_HEADER = [
 ]
 
 
+def _oracle_report(cfg: ExperimentConfig, family, sc, eval_seed):
+    """Lagrangian of the oracle: a codebook trained on theta0 itself."""
+    theta0 = np.asarray(cfg.theta0)
+    book = scheme.provision_codebook(
+        dataclasses.replace(sc, train_blocks=cfg.oracle_train_blocks),
+        family, theta0, 0)
+    return ecvq.lagrangian_eval(book, family, theta0, sc.lam,
+                                sc.distortion_spec(family), cfg.eval_blocks,
+                                eval_seed)
+
+
 def _redundancy_trial(cfg: ExperimentConfig, family, db, sc, candidates,
                       oracle_rep, eval_seed, n, trial):
     trial_seed = derive_seed(cfg.seed, TAG_TRIAL, n, trial)
     if cfg.per_trial_code_seed:
         sc = dataclasses.replace(sc, code_seed=derive_seed(trial_seed, 7))
     if oracle_rep is None:
-        oracle_book = scheme.provision_codebook(
-            _replace_train(sc, cfg.oracle_train_blocks), family,
-            np.asarray(cfg.theta0), 0)
-        oracle_rep = ecvq.lagrangian_eval(oracle_book, family,
-                                          np.asarray(cfg.theta0), sc.lam,
-                                          sc.distortion_spec(family),
-                                          cfg.eval_blocks, eval_seed)
+        oracle_rep = _oracle_report(cfg, family, sc, eval_seed)
     history, current = scheme.sample_scene(family, np.asarray(cfg.theta0), sc,
                                            trial_seed)
     enc = scheme.encode_block(sc, db, history, current, candidates=candidates)
-    book = scheme.provision_codebook(
-        sc, family, np.asarray(enc.theta_hat),
-        enc.waiting_time if enc.waiting_time is not None else 1)
+    book = scheme.provision_codebook(sc, family, np.asarray(enc.theta_hat),
+                                     scheme.book_index(enc.waiting_time))
     spec = sc.distortion_spec(family)
     rep = ecvq.lagrangian_eval(book, family, np.asarray(cfg.theta0), sc.lam,
                                spec, cfg.eval_blocks, eval_seed)
     first_bits = 1 + len(enc.first_stage.s1)
     l_star = rep.lagrangian + sc.lam * first_bits / n
-    d_hat = scheme.identify_report(np.asarray(cfg.theta0),
-                                   np.asarray(enc.theta_hat), family, n,
-                                   cfg.identify_mc,
-                                   derive_seed(trial_seed, TAG_TRIAL))
+    d_hat = distances.variational_mc(family, np.asarray(cfg.theta0),
+                                     np.asarray(enc.theta_hat), n,
+                                     cfg.identify_mc,
+                                     derive_seed(trial_seed, TAG_TRIAL)).value
     return {
         "n": n, "trial": trial, "lagrangian_star": l_star,
         "lagrangian_oracle": oracle_rep.lagrangian,
@@ -181,12 +185,10 @@ def _redundancy_trial(cfg: ExperimentConfig, family, db, sc, candidates,
 def _run_grid(cfg: ExperimentConfig, worker, threads: int):
     """Run worker(n, trial) over the whole grid, deterministic order."""
     jobs = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: worker(*j), jobs))
-    else:
-        results = [worker(*j) for j in jobs]
-    return results
+    if threads <= 1:
+        return [worker(*j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda j: worker(*j), jobs))
 
 
 def _fit_slope(xs, ys):
@@ -205,24 +207,15 @@ def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
     baseline on a grid of block lengths; returns a summary dict and writes
     one CSV row per trial plus median/slope summary rows."""
     family = cfg.family()
-    theta0 = np.asarray(cfg.theta0)
     db = cfg.database(family)
     per_n = {}
     for n in cfg.n_grid:
         sc = cfg.scheme_config(n)
         candidates = scheme.candidate_set(sc, db)
         eval_seed = derive_seed(cfg.seed, TAG_TRIAL, n)
-        if cfg.per_trial_code_seed:
-            oracle_rep = None   # provisioned inside each trial
-        else:
-            oracle_cfg = sc if cfg.oracle_train_blocks == sc.train_blocks \
-                else _replace_train(sc, cfg.oracle_train_blocks)
-            oracle_book = scheme.provision_codebook(oracle_cfg, family,
-                                                    theta0, 0)
-            oracle_rep = ecvq.lagrangian_eval(oracle_book, family, theta0,
-                                              sc.lam,
-                                              sc.distortion_spec(family),
-                                              cfg.eval_blocks, eval_seed)
+        # with per-trial code seeds each trial provisions its own oracle
+        oracle_rep = None if cfg.per_trial_code_seed else \
+            _oracle_report(cfg, family, sc, eval_seed)
         per_n[n] = (sc, candidates, oracle_rep, eval_seed)
 
     def worker(n, trial):
@@ -250,11 +243,6 @@ def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
             "x_values": dict(zip(cfg.n_grid, xs)), "slope": slope}
 
 
-def _replace_train(sc: scheme.SchemeConfig, train_blocks: int):
-    from dataclasses import replace
-    return replace(sc, train_blocks=train_blocks)
-
-
 IDENTIFY_HEADER = [
     "kind", "n", "trial", "d_theta0_theta_hat", "d_theta0_theta_tilde",
     "d_theta_tilde_theta_hat", "tol", "b_flag", "waiting_time",
@@ -278,28 +266,22 @@ def run_identification_experiment(cfg: ExperimentConfig, out_path: str,
         sc, candidates = per_n[n]
         trial_seed = derive_seed(cfg.seed, TAG_TRIAL, n, trial)
         if cfg.per_trial_code_seed:
+            # the code seed also seeds the waiting-time distance probes
             sc = dataclasses.replace(sc, code_seed=derive_seed(trial_seed, 7))
-        history, current = scheme.sample_scene(family, theta0, sc, trial_seed)
-        enc = scheme.encode_block(sc, db, history, current,
-                                  candidates=candidates)
-        tt = np.asarray(enc.theta_tilde)
-        th = np.asarray(enc.theta_hat)
-        est0h = distances.variational_mc(family, theta0, th, n,
-                                         cfg.identify_mc,
-                                         derive_seed(trial_seed, 1))
-        est0t = distances.variational_mc(family, theta0, tt, n,
-                                         cfg.identify_mc,
-                                         derive_seed(trial_seed, 2))
-        estth = distances.variational_mc(family, tt, th, n, cfg.identify_mc,
-                                         derive_seed(trial_seed, 3))
+        history, _ = scheme.sample_scene(family, theta0, sc, trial_seed)
+        T, tt, th = scheme.identify(sc, db, history, candidates=candidates)
+        est0h, est0t, estth = (
+            distances.variational_mc(family, p, q, n, cfg.identify_mc,
+                                     derive_seed(trial_seed, k))
+            for k, (p, q) in enumerate([(theta0, th), (theta0, tt), (tt, th)], 1))
         return {
             "n": n, "trial": trial,
             "d_theta0_theta_hat": est0h.value,
             "d_theta0_theta_tilde": est0t.value,
             "d_theta_tilde_theta_hat": estth.value,
             "tol": scheme.waiting_tolerance(sc, family),
-            "b_flag": enc.first_stage.b,
-            "waiting_time": enc.waiting_time if enc.waiting_time is not None else -1,
+            "b_flag": int(T is None),
+            "waiting_time": -1 if T is None else T,
             "d_se": est0h.standard_error + est0t.standard_error + estth.standard_error,
             "x_value": _x_value(family, n), "seed": trial_seed,
         }

@@ -9,11 +9,11 @@ log space, with exact ties excluded from membership.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .lru import LruCache
 from .models import SampleBlock, SourceFamily
 from .rand import TAG_PROB, rng_for
 
@@ -84,14 +84,16 @@ def yatracos_member(family: SourceFamily, yset: YatracosSet, block) -> bool:
     return bool(lp > lq)
 
 
-_prob_cache: dict = {}
-_prob_lock = threading.Lock()
+# a seed-0 unit of an acceptance-grid experiment holds 72 frequency tables
+PROB_CACHE_BOUND = 1024
+MODEL_FREQ_CACHE_BOUND = 256
+_prob_cache = LruCache(PROB_CACHE_BOUND)
+_model_freq_cache = LruCache(MODEL_FREQ_CACHE_BOUND)
 
 
 def clear_probability_cache() -> None:
-    with _prob_lock:
-        _prob_cache.clear()
-        _model_freq_cache.clear()
+    _prob_cache.clear()
+    _model_freq_cache.clear()
 
 
 def _model_samples(family, theta_ref, n, num_samples, seed):
@@ -107,18 +109,15 @@ def set_probability(family: SourceFamily, theta_ref, yset: YatracosSet,
         raise ValueError("num_samples must be >= 1")
     t_ref = tuple(family.validate(theta_ref))
     key = (family.key, t_ref, yset.theta, yset.theta_prime, n, num_samples, seed)
-    with _prob_lock:
-        if key in _prob_cache:
-            return _prob_cache[key]
-    x = _model_samples(family, t_ref, n, num_samples, seed)
-    lp = family.log_density_batch(np.asarray(yset.theta), x)
-    lq = family.log_density_batch(np.asarray(yset.theta_prime), x)
-    member = lp > lq
-    p = float(np.mean(member))
-    se = float(np.sqrt(p * (1 - p) / num_samples))
-    with _prob_lock:
-        _prob_cache[key] = (p, se)
-    return p, se
+
+    def estimate():
+        x = _model_samples(family, t_ref, n, num_samples, seed)
+        lp = family.log_density_batch(np.asarray(yset.theta), x)
+        lq = family.log_density_batch(np.asarray(yset.theta_prime), x)
+        p = float(np.mean(lp > lq))
+        return p, float(np.sqrt(p * (1 - p) / num_samples))
+
+    return _prob_cache.get_or_make(key, estimate)
 
 
 def _membership_tensor(family, candidates: CandidateSet, X: np.ndarray):
@@ -132,22 +131,13 @@ def _pair_frequencies(logdens: np.ndarray) -> np.ndarray:
     return np.mean(logdens[:, None, :] > logdens[None, :, :], axis=2)
 
 
-_model_freq_cache: dict = {}
-
-
 def _model_pair_frequencies(family, candidates: CandidateSet, theta: tuple,
                             n: int, mc_budget: int, seed: int) -> np.ndarray:
     """Cached MC estimate of P^n_theta(A_ab) for all ordered candidate pairs."""
     key = (family.key, candidates.thetas, theta, n, mc_budget, seed)
-    with _prob_lock:
-        cached = _model_freq_cache.get(key)
-    if cached is not None:
-        return cached
-    Y = _model_samples(family, theta, n, mc_budget, seed)
-    freq = _pair_frequencies(_membership_tensor(family, candidates, Y))
-    with _prob_lock:
-        _model_freq_cache[key] = freq
-    return freq
+    return _model_freq_cache.get_or_make(key, lambda: _pair_frequencies(
+        _membership_tensor(family, candidates,
+                           _model_samples(family, theta, n, mc_budget, seed))))
 
 
 def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,

@@ -380,11 +380,6 @@ def log_density(family: SourceFamily, theta, block) -> float:
     return float(family.log_density_batch(theta, values[None, ...])[0])
 
 
-def mixing_bound(family: SourceFamily, theta, k: int) -> float:
-    """Upper bound on the k-th beta-mixing coefficient (0 for i.i.d.)."""
-    return family.mixing_bound(theta, k)
-
-
 def make_family(spec: dict) -> SourceFamily:
     """Build a family from a plain config mapping (see harness docs)."""
     kind = spec.get("kind")

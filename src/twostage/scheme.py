@@ -13,8 +13,7 @@ Wire format per block, bit exact:
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
 from .distances import variational_mc
 from .ecvq import (Codebook, DistortionSpec, ecvq_design, ecvq_decode_index,
                    ecvq_encode)
+from .lru import LruCache
 from .mde import CandidateSet, mde_estimate, vc_bound
 from .models import SampleBlock, SourceFamily
 from .rand import TAG_DATABASE, TAG_DISTANCE, TAG_MDE, TAG_SAMPLE, TAG_TRAINING, rng_for
@@ -210,13 +210,19 @@ def waiting_time(db: Database, theta_tilde, tol: float, n: int,
     return None
 
 
-_book_cache: dict = {}
-_book_lock = threading.Lock()
+# a seed-0 unit of the acceptance-grid redundancy experiment holds 16 books
+BOOK_CACHE_BOUND = 128
+_book_cache = LruCache(BOOK_CACHE_BOUND)
 
 
 def clear_codebook_cache() -> None:
-    with _book_lock:
-        _book_cache.clear()
+    _book_cache.clear()
+
+
+def book_index(T: int | None) -> int:
+    """Database index of theta_hat and seed index of its codebook: the
+    waiting time T, or 1 when the search was exhausted (flag b=1)."""
+    return 1 if T is None else T
 
 
 def provision_codebook(config: SchemeConfig, family: SourceFamily,
@@ -227,20 +233,17 @@ def provision_codebook(config: SchemeConfig, family: SourceFamily,
     key = (config.code_seed, config.n, config.lam, config.rho_max,
            config.train_blocks, config.rate_target, config.max_initial_size,
            config.design_tol, config.design_restarts, family.key, t, index)
-    with _book_lock:
-        book = _book_cache.get(key)
-    if book is not None:
-        return book
-    rng = rng_for(config.code_seed, TAG_TRAINING, index)
-    X = family.sample_paths(np.asarray(t), config.n, config.train_blocks, rng)
-    book = ecvq_design(X, config.lam, config.initial_size(),
-                       config.distortion_spec(family),
-                       seed=derive_seed(config.code_seed, TAG_TRAINING, index),
-                       tolerance=config.design_tol,
-                       restarts=config.design_restarts)
-    with _book_lock:
-        _book_cache[key] = book
-    return book
+
+    def design():
+        rng = rng_for(config.code_seed, TAG_TRAINING, index)
+        X = family.sample_paths(np.asarray(t), config.n, config.train_blocks, rng)
+        return ecvq_design(X, config.lam, config.initial_size(),
+                           config.distortion_spec(family),
+                           seed=derive_seed(config.code_seed, TAG_TRAINING, index),
+                           tolerance=config.design_tol,
+                           restarts=config.design_restarts)
+
+    return _book_cache.get_or_make(key, design)
 
 
 def candidate_set(config: SchemeConfig, db: Database) -> CandidateSet:
@@ -250,36 +253,44 @@ def candidate_set(config: SchemeConfig, db: Database) -> CandidateSet:
     return CandidateSet.build(db.family, cands)
 
 
+def identify(config: SchemeConfig, db: Database, history,
+             family: SourceFamily | None = None,
+             candidates: CandidateSet | None = None):
+    """First stage: the MDE estimate theta_tilde from the memory's
+    estimation blocks, then the waiting-time search for it in the database.
+    Returns (T, theta_tilde, theta_hat); T is None for the b=1 flag."""
+    family = family or db.family
+    hist = history.values if isinstance(history, SampleBlock) else np.asarray(history)
+    if not np.all(np.isfinite(hist)):
+        raise ValueError("history must be finite")
+    Z = memory_layout(config).extract_z(hist)
+    if candidates is None:
+        candidates = candidate_set(config, db)
+    theta_tilde = mde_estimate(family, Z, candidates, config.mde_mc,
+                               derive_seed(config.database_seed, TAG_MDE))
+    T = waiting_time(db, theta_tilde, waiting_tolerance(config, family),
+                     config.n, config.distance_mc, config.code_seed,
+                     config.i_max)
+    return T, theta_tilde, db.point(book_index(T))
+
+
 def encode_block(config: SchemeConfig, db: Database, history, current,
                  family: SourceFamily | None = None,
                  candidates: CandidateSet | None = None) -> EncodedBlock:
     """Full first+second stage encoding of one n-block given its memory."""
     family = family or db.family
-    layout = memory_layout(config)
-    hist = history.values if isinstance(history, SampleBlock) else np.asarray(history)
     cur = current.values if isinstance(current, SampleBlock) else np.asarray(current)
     if cur.shape[0] != config.n:
         raise ValueError(f"current block must have n={config.n} letters")
-    if not (np.all(np.isfinite(hist)) and np.all(np.isfinite(cur))):
-        raise ValueError("history and current block must be finite")
-    Z = layout.extract_z(hist)
-    if candidates is None:
-        candidates = candidate_set(config, db)
-    theta_tilde = mde_estimate(family, Z, candidates, config.mde_mc,
-                               derive_seed(config.database_seed, TAG_MDE))
-    tol = waiting_tolerance(config, family)
-    T = waiting_time(db, theta_tilde, tol, config.n, config.distance_mc,
-                     config.code_seed, config.i_max)
-    if T is None:
-        b, s1, idx_for_book = 1, BitString(), 1
-        theta_hat = db.point(1)
-    else:
-        b, s1, idx_for_book = 0, elias_encode(T), T
-        theta_hat = db.point(T)
-    book = provision_codebook(config, family, theta_hat, idx_for_book)
+    if not np.all(np.isfinite(cur)):
+        raise ValueError("current block must be finite")
+    T, theta_tilde, theta_hat = identify(config, db, history, family, candidates)
+    book = provision_codebook(config, family, theta_hat, book_index(T))
     cw_idx, s2 = ecvq_encode(book, cur)
-    return EncodedBlock(first_stage=FirstStageDescription(b=b, s1=s1), s2=s2,
-                        waiting_time=T, theta_tilde=tuple(theta_tilde),
+    first = FirstStageDescription(b=1, s1=BitString()) if T is None else \
+        FirstStageDescription(b=0, s1=elias_encode(T))
+    return EncodedBlock(first_stage=first, s2=s2, waiting_time=T,
+                        theta_tilde=tuple(theta_tilde),
                         theta_hat=tuple(theta_hat), codeword_index=cw_idx)
 
 
@@ -290,34 +301,21 @@ def decode_block(config: SchemeConfig, db: Database, stream: BitString,
     family = family or db.family
     reader = BitReader(stream, cursor)
     try:
-        b = reader.read_bit()
-        if b == 0:
-            T = reader.read_gamma()
-            if T > config.i_max:
-                # no encoder emits it; refusing bounds the books a stream
-                # can make the decoder design
-                raise MalformedStreamError(
-                    f"waiting time {T} exceeds i_max={config.i_max}")
-            theta_hat = db.point(T)
-            idx_for_book = T
-            radius = waiting_tolerance(config, family)
-        else:
-            theta_hat = db.point(1)
-            idx_for_book = 1
-            radius = float("nan")
-        book = provision_codebook(config, family, theta_hat, idx_for_book)
+        T = reader.read_gamma() if reader.read_bit() == 0 else None
+        if T is not None and T > config.i_max:
+            # no encoder emits it; refusing bounds the books a stream can
+            # make the decoder design
+            raise MalformedStreamError(
+                f"waiting time {T} exceeds i_max={config.i_max}")
+        theta_hat = db.point(book_index(T))
+        radius = float("nan") if T is None else waiting_tolerance(config, family)
+        book = provision_codebook(config, family, theta_hat, book_index(T))
         cw = ecvq_decode_index(book, reader)
     except TruncatedStreamError as exc:
         raise MalformedStreamError(str(exc)) from exc
     xhat = SampleBlock(values=book.codevectors[cw].copy(), n=config.n)
     return DecodedBlock(xhat=xhat, theta_hat=np.asarray(theta_hat),
                         radius=radius, bits_consumed=reader.cursor - cursor)
-
-
-def identify_report(theta0, theta_hat, family: SourceFamily, n: int,
-                    mc_budget: int, seed: int) -> float:
-    """Estimated d_n between the true and the decoder-identified marginal."""
-    return variational_mc(family, theta0, theta_hat, n, mc_budget, seed).value
 
 
 def blocking_bound(family: SourceFamily, theta, layout: MemoryLayout) -> float:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from twostage import mde
 from twostage.distances import variational_mc
+from twostage.lru import LruCache
 from twostage.mde import (CandidateSet, TooFewCandidatesError, YatracosSet,
                           clear_probability_cache, mde_estimate,
                           set_probability, u_statistic, u_statistic_all,
@@ -189,3 +191,22 @@ class TestCacheKeys:
         u_statistic_all(near, Z, cands, 1500, seed=11)
         assert np.array_equal(u_statistic_all(far, Z, cands, 1500, seed=11),
                               fresh)
+
+
+class TestBoundedCaches:
+    def test_pair_frequency_cache_stays_within_bound(self, monkeypatch):
+        cands = CandidateSet.build(GAUSS, [(m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0)])
+        Z = GAUSS.sample_paths((0.0, 1.0), 4, 32, rng_for(12, 0))
+        fresh = u_statistic_all(GAUSS, Z, cands, 500, seed=13)
+        monkeypatch.setattr(mde, "_model_freq_cache", LruCache(2))
+        for _ in range(2):
+            assert np.array_equal(u_statistic_all(GAUSS, Z, cands, 500, seed=13),
+                                  fresh)
+            assert len(mde._model_freq_cache) == 2
+
+    def test_probability_cache_stays_within_bound(self, monkeypatch):
+        monkeypatch.setattr(mde, "_prob_cache", LruCache(1))
+        first = set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 500, seed=1)
+        set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 500, seed=2)
+        assert len(mde._prob_cache) == 1
+        assert set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 500, seed=1) == first

@@ -6,8 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
-                             InvalidParameterError, log_density, mixing_bound,
-                             sample_path)
+                             InvalidParameterError, log_density, sample_path)
 from twostage.rand import rng_for
 
 
@@ -60,7 +59,7 @@ class TestGaussianIID:
 
     def test_mixing_zero(self, gauss):
         for k in (1, 5, 100):
-            assert mixing_bound(gauss, (0.0, 1.0), k) == 0.0
+            assert gauss.mixing_bound((0.0, 1.0), k) == 0.0
 
 
 class TestGaussianAR:
@@ -114,8 +113,8 @@ class TestGaussianAR:
 
     def test_mixing_exponential(self):
         ar = GaussianAR(p=1, mixing_C=1.0, mixing_gamma=0.5)
-        assert mixing_bound(ar, [-0.5], 3) == pytest.approx(0.125)
-        bounds = [mixing_bound(ar, [-0.5], k) for k in range(1, 101)]
+        assert ar.mixing_bound([-0.5], 3) == pytest.approx(0.125)
+        bounds = [ar.mixing_bound([-0.5], k) for k in range(1, 101)]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 

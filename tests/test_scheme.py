@@ -1,18 +1,22 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
 from twostage import scheme
 from twostage.bitcode import BitString, elias_encode
+from twostage.lru import LruCache
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.scheme import (Database, MalformedStreamError, SchemeConfig,
-                             blocking_bound, candidate_set,
+                             blocking_bound, book_index, candidate_set,
                              clear_codebook_cache, decode_block,
-                             delta_schedule, encode_block, memory_layout,
-                             provision_codebook, sample_scene, waiting_time,
-                             waiting_tolerance)
+                             delta_schedule, encode_block, identify,
+                             memory_layout, provision_codebook, sample_scene,
+                             waiting_time, waiting_tolerance)
 
 GAUSS = GaussianIID()
 
@@ -312,3 +316,111 @@ class TestCodebookCacheKey:
         book = provision_codebook(tight, GAUSS, (0.0, 1.0), 1)
         assert book.training_lagrangians == fresh.training_lagrangians
         assert len(book.training_lagrangians) > 2
+
+
+class TestIdentify:
+    def test_first_stage_of_the_encoder_without_a_codebook(self):
+        cfg = small_config()
+        db = Database(family=GAUSS, seed=cfg.database_seed)
+        hist, cur = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=109)
+        T, theta_tilde, theta_hat = identify(cfg, db, hist)
+        assert len(scheme._book_cache) == 0
+        enc = encode_block(cfg, db, hist, cur)
+        assert T == enc.waiting_time
+        assert tuple(theta_tilde) == enc.theta_tilde
+        assert tuple(theta_hat) == enc.theta_hat
+
+    def test_exhausted_search_identifies_index_one(self):
+        cfg = small_config(c_delta=1e-9, i_max=3, n_candidates=0,
+                           anchors=((50.0, 1.0),))
+        db = Database(family=GAUSS, seed=cfg.database_seed)
+        hist, _ = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=104)
+        T, _, theta_hat = identify(cfg, db, hist)
+        assert T is None and book_index(T) == 1
+        assert np.array_equal(theta_hat, db.point(1))
+        assert book_index(7) == 7
+
+    def test_non_finite_history_rejected(self):
+        cfg = small_config()
+        db = Database(family=GAUSS, seed=cfg.database_seed)
+        hist, _ = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=108)
+        hist[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            identify(cfg, db, hist)
+
+
+class TestBoundedCaches:
+    def test_lru_drops_the_least_recently_used(self):
+        cache, made = LruCache(2), []
+
+        def get(key):
+            return cache.get_or_make(key, lambda: made.append(key) or key)
+
+        for key in ("a", "b", "a", "c", "a", "b"):
+            assert get(key) == key
+            assert len(cache) <= 2
+        # "a" stayed cached by use; "b" was dropped for "c" and made again
+        assert made == ["a", "b", "c", "b"]
+
+    def test_threads_share_a_bounded_cache(self):
+        cache, wrong = LruCache(2), []
+
+        def work(offset):
+            try:
+                for i in range(20_000):
+                    key = (offset + i) % 5
+                    if cache.get_or_make(key, lambda: key * 10) != key * 10:
+                        wrong.append(key)
+            except Exception as exc:   # a torn table raises in the thread
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and len(cache) == 2
+
+    def test_evicted_book_is_redesigned_byte_identical(self, monkeypatch):
+        monkeypatch.setattr(scheme, "_book_cache", LruCache(2))
+        cfg = small_config()
+        first = provision_codebook(cfg, GAUSS, (0.0, 1.0), 1)
+        for index in (2, 3, 4):
+            provision_codebook(cfg, GAUSS, (0.0, 1.0), index)
+            assert len(scheme._book_cache) <= 2
+        again = provision_codebook(cfg, GAUSS, (0.0, 1.0), 1)
+        assert again is not first
+        assert again.to_bytes() == first.to_bytes()
+
+    def test_default_book_bound_holds(self):
+        assert scheme._book_cache.bound == scheme.BOOK_CACHE_BOUND
+        cfg = small_config(train_blocks=16, max_initial_size=4)
+        for index in range(1, scheme.BOOK_CACHE_BOUND + 3):
+            provision_codebook(cfg, GAUSS, (0.0, 1.0), index)
+        assert len(scheme._book_cache) == scheme.BOOK_CACHE_BOUND
+
+
+FUZZ_CONFIG = small_config(n=2, i_max=4, train_blocks=16, max_initial_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=24))
+def test_decoder_is_total(bits):
+    """Any bitstring decodes or raises MalformedStreamError, and all of them
+    together make the decoder design at most i_max books."""
+    db = Database(family=GAUSS, seed=FUZZ_CONFIG.database_seed)
+    try:
+        dec = decode_block(FUZZ_CONFIG, db, BitString(bits))
+    except MalformedStreamError:
+        pass
+    else:
+        assert dec.bits_consumed <= len(bits)
+        assert dec.xhat.values.shape[0] == FUZZ_CONFIG.n
+    # caches are emptied once per test, so this counts over every example
+    assert len(scheme._book_cache) <= FUZZ_CONFIG.i_max
