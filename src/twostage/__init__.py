@@ -8,7 +8,7 @@ from .distances import (DistanceEstimate, kl_gaussian_iid, smoothness_check,
 from .ecvq import (Codebook, DistortionSpec, LagrangianReport, ecvq_design,
                    ecvq_encode, lagrangian_eval, rho_n)
 from .mde import (CandidateSet, VcBoundReport, YatracosSet, mde_estimate,
-                  set_probability, u_statistic, vc_bound, vc_deviation_bound,
+                  set_probability, vc_bound, vc_deviation_bound,
                   yatracos_member)
 from .models import (GaussianAR, GaussianIID, HiddenMarkov,
                      InvalidParameterError, SampleBlock, SourceFamily,

@@ -4,9 +4,11 @@ The second-stage block codes are realized by Lagrangian Lloyd descent:
 assignment minimizes distortion + lambda * length / n, centroids are updated
 under the clipped metric (with a guard so the training Lagrangian never
 increases), and real-valued codeword lengths track the empirical usage.
-Each Lloyd iteration computes one (blocks x codewords) distortion matrix,
-after its centroid step; that matrix gives the iteration's objective and the
-next iteration's assignment.  The centroid step updates all cells at once.
+The iterations are incremental: the centroid step updates only the dirty
+cells (those that gained or lost blocks, or whose codevector moved in the
+previous step), all at once, and the (blocks x codewords) distortion matrix
+is refreshed only in the columns of codevectors that moved.  That matrix
+gives each iteration's objective and the next iteration's assignment.
 After convergence the lengths are rounded to an integer prefix code by the
 canonical-Kraft procedure, and the normalized-length cap 2*rho_max/lambda is
 enforced constructively.
@@ -14,6 +16,7 @@ enforced constructively.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -151,6 +154,11 @@ class Codebook:
     def size(self) -> int:
         return self.codevectors.shape[0]
 
+    @functools.cached_property
+    def decode_table(self) -> dict:
+        """Codeword bits -> index, built on the first decode."""
+        return {bs.bits: j for j, bs in enumerate(self.codes)}
+
     def kraft_sum(self) -> float:
         return float(np.sum(2.0 ** -np.asarray(self.lengths, dtype=float)))
 
@@ -192,8 +200,9 @@ class Codebook:
 
 
 def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
-                   spec: DistortionSpec) -> None:
-    """Guarded centroid update of every cell, in place on C.
+                   spec: DistortionSpec, dirty: np.ndarray) -> np.ndarray:
+    """Guarded centroid update of the dirty cells, in place on C; returns
+    the mask of cells whose codevector changed, compared bit for bit.
 
     A scalar-letter cell moves to its median under the clipped metric, or to
     its mean when the cap never binds in it; a vector-letter cell moves to
@@ -202,22 +211,27 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
     axis, so each cell goes through exactly the reductions it would alone
     (np.mean, and np.median's partition and middle mean, over its rows; the
     cost mean over its contiguous letters) and the result is bitwise that of
-    a per-cell loop.
+    a per-cell loop.  A clean cell, with the members and the codevector of
+    the previous step, would be mapped to its own codevector again.
     """
     def letter_dist(diff):
         return np.abs(diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
 
-    sizes = np.bincount(assign, minlength=C.shape[0])
-    rows = np.argsort(assign, kind="stable")
-    Xs, cell_of = X[rows], assign[rows]   # cells contiguous, rows in order
+    K = C.shape[0]
+    sizes = np.bincount(assign, minlength=K)
+    mine = np.flatnonzero(dirty[assign])
+    rows = mine[np.argsort(assign[mine], kind="stable")]
+    Xs, cell_of = X[rows], assign[rows]   # dirty cells contiguous, rows in order
     d_old = letter_dist(Xs - C[cell_of])
-    clipped = np.zeros(C.shape[0], dtype=bool)
+    clipped = np.zeros(K, dtype=bool)
     if X.ndim == 2:
         clipped[cell_of[np.any(d_old >= spec.rho_max, axis=1)]] = True
     cost_old = np.minimum(d_old, spec.rho_max)
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
-        cells = np.flatnonzero(sizes == size)
+    span = np.where(dirty, sizes, 0)
+    starts = np.cumsum(span) - span
+    moved = np.zeros(K, dtype=bool)
+    for size in np.unique(sizes[dirty]):
+        cells = np.flatnonzero(dirty & (sizes == size))
         at = starts[cells, None] + np.arange(size)   # (cells, size) into Xs
         G = Xs[at]
         cand = np.add.reduce(G, axis=1) / size       # np.mean's own steps
@@ -231,7 +245,10 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
         m = new[0].size
         keep = (np.add.reduce(new.reshape(len(cells), m), axis=1) / m
                 <= np.add.reduce(cost_old[at].reshape(len(cells), m), axis=1) / m)
+        differs = cand.view(np.uint64) != C[cells].view(np.uint64)
+        moved[cells] = keep & differs.reshape(len(cells), -1).any(axis=1)
         C[cells[keep]] = cand[keep]
+    return moved
 
 
 def _round_lengths(usage: np.ndarray, cap_bits: int) -> np.ndarray:
@@ -298,21 +315,32 @@ def _design_once(X: np.ndarray, lam: float, initial_size: int,
 
     history = []
     prev_J = np.inf
-    # dist always holds rho_n against the current codevectors: computed once
-    # per iteration, after the centroid step, it serves both that iteration's
-    # objective and the next iteration's assignment
+    # dist always holds rho_n against the current codevectors.  Computed in
+    # full once, it is then pruned with C and refreshed only in the columns
+    # of codevectors the centroid step moved; it serves each iteration's
+    # objective and the next iteration's assignment.
     dist = pairwise_distortion(X, C, spec)
+    assign = None
+    moved = np.ones(K, dtype=bool)    # every cell is dirty at first
     for _ in range(max_iter):
-        assign = np.argmin(dist + lam * lengths[None, :] / n, axis=1)
+        new = np.argmin(dist + lam * lengths[None, :] / n, axis=1)
+        # a cell is dirty if it gained or lost rows, or if its codevector
+        # moved in the last step (which can flip it between median and mean)
+        dirty = moved
+        if assign is not None:
+            flip = new != assign
+            dirty[new[flip]] = dirty[assign[flip]] = True
         # prune unused codevectors
-        used, assign = np.unique(assign, return_inverse=True)
-        C = C[used]
-        lengths = lengths[used]
+        used, assign = np.unique(new, return_inverse=True)
+        if used.size < C.shape[0]:
+            C, lengths, dist = C[used], lengths[used], dist[:, used]
+            dirty = dirty[used]
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
-        _centroid_step(X, C, assign, spec)
+        moved = _centroid_step(X, C, assign, spec, dirty)
         # length step: ideal lengths from empirical usage
         lengths = -np.log2(counts / T)
-        dist = pairwise_distortion(X, C, spec)
+        if moved.any():
+            dist[:, moved] = pairwise_distortion(X, C[moved], spec)
         J = float(np.mean(dist[np.arange(T), assign]
                           + lam * lengths[assign] / n))
         history.append(J)
@@ -359,7 +387,7 @@ def ecvq_encode(book: Codebook, x, lam: float | None = None,
 
 def ecvq_decode_index(book: Codebook, reader: BitReader) -> int:
     """Read one codeword off the stream; atomic (raises on truncation)."""
-    table = {bs.bits: j for j, bs in enumerate(book.codes)}
+    table = book.decode_table
     # zero-length code: single-codeword book consumes no bits
     if () in table and book.size == 1:
         return table[()]

@@ -164,20 +164,6 @@ def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,
     return out
 
 
-def u_statistic(family: SourceFamily, theta, blocks, candidates: CandidateSet,
-                mc_budget: int, seed: int) -> float:
-    """U statistic of a single parameter against the blocks' empirical law."""
-    if len(candidates) < 2:
-        raise TooFewCandidatesError("need >= 2 candidates for the Yatracos class")
-    X = _blocks_matrix(blocks)
-    n = X.shape[1]
-    emp = _pair_frequencies(_membership_tensor(family, candidates, X))
-    Y = _model_samples(family, family.validate(theta), n, mc_budget, seed)
-    model = _pair_frequencies(_membership_tensor(family, candidates, Y))
-    mask = ~np.eye(len(candidates), dtype=bool)
-    return float(np.max(np.abs(model - emp)[mask]))
-
-
 def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,
                  mc_budget: int, seed: int,
                  return_u: bool = False):

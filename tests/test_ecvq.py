@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from twostage import ecvq
+from twostage.bitcode import BitReader
 from twostage.distances import variational_mc
 from twostage.ecvq import (Codebook, DistortionSpec, LagrangianReport,
-                           canonical_code, ecvq_design, ecvq_encode,
-                           lagrangian_eval, pairwise_distortion, rho_n)
+                           canonical_code, ecvq_decode_index, ecvq_design,
+                           ecvq_encode, lagrangian_eval, pairwise_distortion,
+                           rho_n)
 from twostage.models import GaussianIID, HiddenMarkov
 from twostage.rand import TAG_EVAL, rng_for
 
@@ -139,6 +141,26 @@ class TestPairwiseDistortion:
         want = np.mean(np.minimum(d, spec.rho_max), axis=-1)
         assert np.array_equal(pairwise_distortion(X, C, spec), want)
 
+    @pytest.mark.parametrize("base", ["absolute-difference", "euclidean"])
+    @pytest.mark.parametrize("n", [1, 4, 8, 16, 32])
+    def test_column_subset_equals_full_columns(self, base, n):
+        # the Lloyd loop refreshes only the columns of moved codevectors,
+        # so a column must not depend on which others are computed with it
+        spec = DistortionSpec(rho_max=1.0, base=base)
+        K = 48
+        T = 3 * (ecvq._CHUNK_ELEMS // (K * n)) + 5   # full K spans 4 chunks
+        shape = (n,) if base == "absolute-difference" else (n, 2)
+        rng = rng_for(33, n)
+        X = rng.normal(size=(T,) + shape)
+        C = rng.normal(size=(K,) + shape)
+        full = pairwise_distortion(X, C, spec)
+        picks = [np.array([0]), np.array([K - 1]), np.arange(0, K, 7),
+                 np.sort(rng.choice(K, size=K - 1, replace=False)),
+                 rng.random(K) < 0.5]
+        for cols in picks:
+            assert np.array_equal(pairwise_distortion(X, C[cols], spec),
+                                  full[:, cols])
+
 
 class TestLagrangianEval:
     @pytest.mark.parametrize("rho_max", [1.0, 0.5])
@@ -214,6 +236,22 @@ class TestSerialization:
         assert np.array_equal(back.lengths, book.lengths)
         assert back.codes == book.codes
 
+    def test_every_codeword_decodes_to_its_index(self):
+        books = [ecvq_design(GAUSS.sample_paths((0.0, 1.0), 6, 256,
+                                                rng_for(100 + s, 0)),
+                             lam=lam, initial_size=32, spec=SPEC, seed=s)
+                 for s, lam in ((0, 0.2), (1, 0.5), (2, 1.0))]
+        books.append(Codebook(n=2, codevectors=np.array([[0.0, 0.0]]),
+                              lengths=np.array([0]),
+                              codes=tuple(canonical_code([0])), lam=0.5,
+                              spec=SPEC))
+        for book in books:
+            for j, bits in enumerate(book.codes):
+                reader = BitReader(bits)
+                assert ecvq_decode_index(book, reader) == j
+                assert reader.remaining() == 0
+            assert book.decode_table is book.decode_table   # built once
+
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="version-1"):
             Codebook.from_bytes(b"JUNKxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
@@ -264,3 +302,26 @@ def _corpus_digest() -> str:
         h.update(book.to_bytes())
         h.update(repr(book.training_lagrangians).encode())
     return h.hexdigest()
+
+
+# Designs on which a dirty-cell rule that only tracks membership changes
+# (and ignores codevectors moved in the previous centroid step) goes wrong:
+# a moved centroid can flip its cell between median and mean with the same
+# members.  Each tuple is (data and design seed, block length, lambda) on
+# GaussianIID (0, 1), 256 blocks, initial_size 64, rho_max 1; digests of
+# to_bytes() + repr(training_lagrangians) as designed by full recomputation.
+DIRTY_RULE_DESIGNS = [
+    (30, 4, 0.05, "cd5ea1b0542d3e1f614dee2d34849ecdce7d61c6dc01bc4a955a1b28d006b89c"),
+    (49, 4, 0.02, "9c8521b37ff5b6b33bddb44dfecde71961c54c3e7546a0b41b19801db73514e1"),
+    (50, 4, 0.02, "282b77eaad3a84f9d4850da56cef4b32226dbb697a4fc0a3f70e0dfcbc7152c8"),
+]
+
+
+@pytest.mark.parametrize("seed,n,lam,sha", DIRTY_RULE_DESIGNS,
+                         ids=[f"seed{d[0]}" for d in DIRTY_RULE_DESIGNS])
+def test_design_revisits_cells_whose_codevector_moved(seed, n, lam, sha):
+    X = GAUSS.sample_paths((0.0, 1.0), n, 256, rng_for(9000 + seed, n))
+    book = ecvq_design(X, lam=lam, initial_size=64, spec=SPEC, seed=seed)
+    h = hashlib.sha256(book.to_bytes())
+    h.update(repr(book.training_lagrangians).encode())
+    assert h.hexdigest() == sha

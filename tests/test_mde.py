@@ -9,7 +9,7 @@ from twostage.distances import variational_mc
 from twostage.lru import LruCache
 from twostage.mde import (CandidateSet, TooFewCandidatesError, YatracosSet,
                           clear_probability_cache, mde_estimate,
-                          set_probability, u_statistic, u_statistic_all,
+                          set_probability, u_statistic_all,
                           vc_bound, vc_deviation_bound, vc_expectation_bound,
                           yatracos_member)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
@@ -64,20 +64,20 @@ class TestUStatistic:
     def test_range(self):
         cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0), (0.0, 2.0)])
         Z = GAUSS.sample_paths((0.0, 1.0), 4, 32, rng_for(6, 0))
-        u = u_statistic(GAUSS, (0.0, 1.0), Z, cands, 2000, seed=6)
+        u = u_statistic_all(GAUSS, Z, cands, 2000, seed=6)[0]
         assert 0.0 <= u <= 1.0
 
     def test_consistency_under_true_parameter(self):
         cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (2.0, 1.0)])
         Z = GAUSS.sample_paths((0.0, 1.0), 4, 2000, rng_for(7, 0))
-        u = u_statistic(GAUSS, (0.0, 1.0), Z, cands, 20_000, seed=7)
+        u = u_statistic_all(GAUSS, Z, cands, 20_000, seed=7)[0]
         # MC noise + empirical deviation only
         assert u < 0.05
 
     def test_too_few_candidates(self):
         with pytest.raises(TooFewCandidatesError):
-            u_statistic(GAUSS, (0.0, 1.0), np.zeros((2, 3)),
-                        CandidateSet.build(GAUSS, [(0.0, 1.0)]), 100, seed=0)
+            u_statistic_all(GAUSS, np.zeros((2, 3)),
+                            CandidateSet.build(GAUSS, [(0.0, 1.0)]), 100, seed=0)
 
 
 class TestMDE:
