@@ -12,7 +12,7 @@ from .mde import (CandidateSet, VcBoundReport, YatracosSet, mde_estimate,
                   yatracos_member)
 from .models import (GaussianAR, GaussianIID, HiddenMarkov,
                      InvalidParameterError, SampleBlock, SourceFamily,
-                     log_density, make_family, sample_path)
+                     log_density, make_family)
 from .scheme import (Database, EncodedBlock, MalformedStreamError,
                      MemoryLayout, SchemeConfig, decode_block, delta_schedule,
                      encode_block, identify, memory_layout, waiting_time)

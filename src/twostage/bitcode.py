@@ -117,23 +117,6 @@ def elias_decode(stream: BitString, cursor: int = 0) -> tuple[int, int]:
     return value, end
 
 
-def encode_sequence(values) -> BitString:
-    """Concatenate gamma codewords for a sequence of positive integers."""
-    bits = []
-    for v in values:
-        bits.extend(elias_encode(v).bits)
-    return BitString(bits)
-
-
-def decode_sequence(stream: BitString, count: int, cursor: int = 0):
-    """Decode ``count`` consecutive gamma codewords."""
-    out = []
-    for _ in range(count):
-        v, cursor = elias_decode(stream, cursor)
-        out.append(v)
-    return out, cursor
-
-
 class BitReader:
     """Single-threaded cursor over a BitString."""
 

@@ -2,7 +2,8 @@
 
 Two routes to the variational distance d_n between block marginals:
 
-* an exact 1-d route (adaptive quadrature of |p - q|, Gaussian i.i.d. only),
+* an exact 1-d route (adaptive quadrature of |p - q|, Gaussian i.i.d. only;
+  it loads SciPy on its first call),
 * a Monte-Carlo route valid for any family and block length, based on
   d_n = 2 * E_P[(1 - q/p)_+] with the ratio evaluated in log space.
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .models import GaussianIID, SourceFamily, as_theta
 from .rand import TAG_DISTANCE, rng_for
@@ -40,6 +40,7 @@ class DistanceEstimate:
 
 def variational_exact_1d(family: SourceFamily, theta, theta_prime) -> DistanceEstimate:
     """d(P_theta, P_theta') for one letter by adaptive integration of |p - q|."""
+    from scipy.integrate import quad
     if not isinstance(family, GaussianIID):
         raise UnsupportedFamilyError(
             f"exact 1-d integration supports gaussian-iid only, got {family.tag}")

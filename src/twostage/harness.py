@@ -108,7 +108,7 @@ def build_config(raw: dict) -> ExperimentConfig:
     try:
         fam = cfg.family()
         fam.validate(cfg.theta0)
-        cfg.scheme_config(cfg.n_grid[0])
+        scheme.waiting_tolerance(cfg.scheme_config(cfg.n_grid[0]), fam)
     except Exception as exc:
         raise ConfigError(f"config semantic error: {exc}") from exc
     return cfg

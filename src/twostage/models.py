@@ -13,7 +13,8 @@ Three families are provided:
 
 Densities are with respect to Lebesgue measure and are evaluated in log
 space throughout (the HMM via the forward recursion), so underflow cannot
-occur.
+occur.  The AR and HMM methods import SciPy where they call it, so the
+Gaussian i.i.d. path never loads it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_discrete_lyapunov
-from scipy.special import logsumexp
-
-from .rand import TAG_SAMPLE, rng_for
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -190,6 +187,7 @@ class GaussianAR(SourceFamily):
 
     def stationary_cov(self, theta) -> np.ndarray:
         """Yule-Walker covariance of p consecutive letters."""
+        from scipy.linalg import solve_discrete_lyapunov
         a = self.validate(theta)
         F = self._companion(a)
         E = np.zeros((self.p, self.p))
@@ -197,14 +195,18 @@ class GaussianAR(SourceFamily):
         G = solve_discrete_lyapunov(F, E)
         return 0.5 * (G + G.T)
 
+    def _head_cholesky(self, a: np.ndarray, q: int) -> np.ndarray:
+        """Lower Cholesky factor of the covariance of the first q letters."""
+        from scipy.linalg import cholesky
+        return cholesky(self.stationary_cov(a)[:q, :q], lower=True)
+
     def sample_paths(self, theta, n, count, rng):
         a = self.validate(theta)
         p = self.p
         x = np.empty((count, n))
         q = min(p, n)
-        G = self.stationary_cov(a)[:q, :q]
-        L = cholesky(G, lower=True)
-        # state ordering in G is (X_t,...,X_{t-p+1}); reverse to time order
+        L = self._head_cholesky(a, q)
+        # L orders the state (X_t,...,X_{t-p+1}); reverse to time order
         init = rng.standard_normal((count, q)) @ L.T
         x[:, :q] = init[:, ::-1]
         if n > p:
@@ -222,9 +224,8 @@ class GaussianAR(SourceFamily):
         count, n = x.shape
         p = self.p
         q = min(p, n)
-        G = self.stationary_cov(a)[:q, :q]
-        L = cholesky(G, lower=True)
-        head = x[:, :q][:, ::-1]  # match state ordering of G
+        L = self._head_cholesky(a, q)
+        head = x[:, :q][:, ::-1]  # match the state ordering of L
         z = np.linalg.solve(L, head.T).T
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         out = -0.5 * np.sum(z * z, axis=1) - 0.5 * (q * LOG_2PI + logdet)
@@ -337,6 +338,7 @@ class HiddenMarkov(SourceFamily):
         return x
 
     def log_density_batch(self, theta, blocks):
+        from scipy.special import logsumexp
         A = self.transition_matrix(theta)
         pi = self.stationary_dist(theta)
         x = np.asarray(blocks, dtype=float)
@@ -359,17 +361,6 @@ class HiddenMarkov(SourceFamily):
             A = rng.dirichlet(np.full(self.M, conc), size=self.M)
             if np.all(A > self.a0):
                 return A.reshape(-1)
-
-
-def sample_path(family: SourceFamily, theta, length: int, seed: int) -> SampleBlock:
-    """One stationary path of ``length`` letters; pure in (family, theta,
-    length, seed)."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    family.validate(theta)
-    rng = rng_for(seed, TAG_SAMPLE)
-    values = family.sample_paths(theta, length, 1, rng)[0]
-    return SampleBlock(values=values, n=length)
 
 
 def log_density(family: SourceFamily, theta, block) -> float:

@@ -61,6 +61,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="semantic"):
             build_config(tiny_raw(theta0=[0.0, -1.0]))
 
+    def test_block_length_one_rejected(self):
+        # the tolerance schedule needs n >= 2; n_grid is increasing, so
+        # checking its first entry covers the grid
+        with pytest.raises(ConfigError, match="semantic"):
+            build_config(tiny_raw(n_grid=[1, 4]))
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "ok.json"
         p.write_text(json.dumps(tiny_raw()))
@@ -139,6 +145,14 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         rc = cli.main(["redundancy", "--config", str(p),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_block_length_one_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "n1.json"
+        p.write_text(json.dumps(tiny_raw(n_grid=[1, 4])))
+        rc = cli.main(["identify", "--config", str(p),
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err

@@ -6,8 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
-                             InvalidParameterError, log_density, sample_path)
-from twostage.rand import rng_for
+                             InvalidParameterError, log_density)
+from twostage.rand import TAG_SAMPLE, rng_for
 
 
 @pytest.fixture
@@ -37,11 +37,13 @@ def brute_force_hmm_logdensity(hmm, theta, x):
 
 class TestGaussianIID:
     def test_sampling_deterministic(self, gauss):
-        a = sample_path(gauss, (0.0, 1.0), 3, 1234)
-        b = sample_path(gauss, (0.0, 1.0), 3, 1234)
-        assert np.array_equal(a.values, b.values)
-        c = sample_path(gauss, (0.0, 1.0), 3, 1235)
-        assert not np.array_equal(a.values, c.values)
+        def path(seed):
+            return gauss.sample_paths((0.0, 1.0), 3, 1, rng_for(seed, TAG_SAMPLE))[0]
+        a = path(1234)
+        b = path(1234)
+        assert np.array_equal(a, b)
+        c = path(1235)
+        assert not np.array_equal(a, c)
 
     def test_log_density_closed_form(self, gauss):
         got = log_density(gauss, (0.0, 1.0), np.array([0.0]))
@@ -160,11 +162,6 @@ class TestHiddenMarkov:
         assert X.shape == (3, 4, 2)
         ld = hmm.log_density_batch(theta, X)
         assert ld.shape == (3,) and np.all(np.isfinite(ld))
-
-
-def test_sample_path_validates_length(gauss=GaussianIID()):
-    with pytest.raises(ValueError):
-        sample_path(gauss, (0.0, 1.0), 0, 1)
 
 
 def test_log_density_rejects_nonfinite(gauss=GaussianIID()):
