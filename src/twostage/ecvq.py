@@ -291,23 +291,24 @@ def ecvq_design(training, lam: float, initial_size: int, spec: DistortionSpec,
         raise ValueError("training set is empty")
     if not np.all(np.isfinite(X)):
         raise ValueError("training blocks contain non-finite values")
+    distinct = np.unique(X.reshape(len(X), -1), axis=0).reshape((-1,) + X.shape[1:])
     best = best_J = None
     for r in range(restarts):
-        book, J = _design_once(X, lam, initial_size, spec, seed + 1_000_003 * r,
-                               tolerance, max_iter)
+        book, J = _design_once(X, distinct, lam, initial_size, spec,
+                               seed + 1_000_003 * r, tolerance, max_iter)
         if best is None or J < best_J:
             best, best_J = book, J
     return best
 
 
-def _design_once(X: np.ndarray, lam: float, initial_size: int,
-                 spec: DistortionSpec, seed: int, tolerance: float,
-                 max_iter: int) -> tuple[Codebook, float]:
-    """One Lloyd run; returns the book and its training Lagrangian."""
+def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
+                 initial_size: int, spec: DistortionSpec, seed: int,
+                 tolerance: float, max_iter: int) -> tuple[Codebook, float]:
+    """One Lloyd run from codevectors drawn among the distinct training
+    blocks; returns the book and its training Lagrangian."""
     T, n = X.shape[0], X.shape[1]
 
     rng = rng_for(seed, 0)
-    distinct = np.unique(X.reshape(T, -1), axis=0).reshape((-1,) + X.shape[1:])
     K = min(initial_size, distinct.shape[0])
     pick = rng.choice(distinct.shape[0], size=K, replace=False)
     C = distinct[pick].copy()

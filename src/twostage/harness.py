@@ -101,14 +101,17 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config is missing required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field invalid: {exc}") from exc
-    if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
+    for name in ("trials", "eval_blocks", "oracle_train_blocks", "identify_mc"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1")
     if list(cfg.n_grid) != sorted(set(cfg.n_grid)) or len(cfg.n_grid) == 0:
         raise ConfigError("n_grid must be non-empty and strictly increasing")
     try:
         fam = cfg.family()
         fam.validate(cfg.theta0)
-        scheme.waiting_tolerance(cfg.scheme_config(cfg.n_grid[0]), fam)
+        sc = cfg.scheme_config(cfg.n_grid[0])
+        scheme.waiting_tolerance(sc, fam)
+        scheme.candidate_set(sc, cfg.database(fam))
     except Exception as exc:
         raise ConfigError(f"config semantic error: {exc}") from exc
     return cfg

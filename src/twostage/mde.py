@@ -2,9 +2,12 @@
 VC-bound calculators.
 
 The supremum defining the U statistic runs over the finite Yatracos class
-induced by ordered pairs of a candidate list; model-side set probabilities
-come from seeded, cached Monte-Carlo.  All log-density comparisons happen in
-log space, with exact ties excluded from membership.
+induced by ordered pairs of a candidate list: A_ab is the set of blocks whose
+log-density under candidate a is strictly larger than under b, so exact ties
+are out.  Model-side set probabilities come from seeded, cached Monte-Carlo.
+Membership needs only the order of the candidates' log-densities on each
+block, which a family may supply from cheaper values with an error bound;
+blocks the bound cannot settle fall back to the exact kernel.
 """
 
 from __future__ import annotations
@@ -20,20 +23,6 @@ from .rand import TAG_PROB, rng_for
 
 class TooFewCandidatesError(ValueError):
     """The estimator needs at least one candidate, the U statistic two."""
-
-
-@dataclass(frozen=True)
-class YatracosSet:
-    """Decision region {x^n : p_theta(x^n) > p_theta'(x^n)} for an ordered
-    parameter pair."""
-
-    theta: tuple
-    theta_prime: tuple
-
-    @classmethod
-    def of(cls, theta, theta_prime) -> "YatracosSet":
-        return cls(tuple(np.asarray(theta, dtype=float)),
-                   tuple(np.asarray(theta_prime, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -75,24 +64,12 @@ def _blocks_matrix(blocks) -> np.ndarray:
                      for b in blocks])
 
 
-def yatracos_member(family: SourceFamily, yset: YatracosSet, block) -> bool:
-    """True iff the block's log-density is strictly larger under theta than
-    under theta'; exact ties are out by convention."""
-    x = _blocks_matrix([block])
-    lp = family.log_density_batch(np.asarray(yset.theta), x)[0]
-    lq = family.log_density_batch(np.asarray(yset.theta_prime), x)[0]
-    return bool(lp > lq)
-
-
 # a seed-0 unit of an acceptance-grid experiment holds 72 frequency tables
-PROB_CACHE_BOUND = 1024
 MODEL_FREQ_CACHE_BOUND = 256
-_prob_cache = LruCache(PROB_CACHE_BOUND)
 _model_freq_cache = LruCache(MODEL_FREQ_CACHE_BOUND)
 
 
 def clear_probability_cache() -> None:
-    _prob_cache.clear()
     _model_freq_cache.clear()
 
 
@@ -101,34 +78,26 @@ def _model_samples(family, theta_ref, n, num_samples, seed):
     return family.sample_paths(np.asarray(theta_ref), n, num_samples, rng)
 
 
-def set_probability(family: SourceFamily, theta_ref, yset: YatracosSet,
-                    n: int, num_samples: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo P^n_theta_ref(A) with standard error; cached per
-    (family, theta_ref, set, n, budget, seed)."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    t_ref = tuple(family.validate(theta_ref))
-    key = (family.key, t_ref, yset.theta, yset.theta_prime, n, num_samples, seed)
-
-    def estimate():
-        x = _model_samples(family, t_ref, n, num_samples, seed)
-        lp = family.log_density_batch(np.asarray(yset.theta), x)
-        lq = family.log_density_batch(np.asarray(yset.theta_prime), x)
-        p = float(np.mean(lp > lq))
-        return p, float(np.sqrt(p * (1 - p) / num_samples))
-
-    return _prob_cache.get_or_make(key, estimate)
-
-
 def _membership_tensor(family, candidates: CandidateSet, X: np.ndarray):
-    """Log-densities of every candidate on every block, shape (C, B)."""
-    return np.stack([family.log_density_batch(np.asarray(t), X)
-                     for t in candidates.thetas])
+    """Per block, values that order the candidates exactly as their
+    ``log_density_batch`` values do, ties included; shape (C, B), C >= 2.
+
+    Where the family's bound cannot separate two neighbours (the smallest
+    gap is not above twice the bound, which NaN fails too), the block's
+    column is replaced by the exact log-densities."""
+    vals, bound = family.log_density_bounds(candidates.thetas, X)
+    gap = np.min(np.diff(np.sort(vals, axis=0), axis=0), axis=0)
+    redo = ~(gap > 2.0 * bound)
+    if redo.any():
+        vals[:, redo] = np.stack([family.log_density_batch(np.asarray(t), X[redo])
+                                  for t in candidates.thetas])
+    return vals
 
 
 def _pair_frequencies(logdens: np.ndarray) -> np.ndarray:
     """F[a, b] = fraction of columns where candidate a beats candidate b."""
-    return np.mean(logdens[:, None, :] > logdens[None, :, :], axis=2)
+    return np.count_nonzero(logdens[:, None, :] > logdens[None, :, :],
+                            axis=2) / logdens.shape[1]
 
 
 def _model_pair_frequencies(family, candidates: CandidateSet, theta: tuple,

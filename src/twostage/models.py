@@ -94,6 +94,14 @@ class SourceFamily:
         """log p_theta^n(x^n) for each row of ``blocks``."""
         raise NotImplementedError
 
+    def log_density_bounds(self, thetas, blocks: np.ndarray):
+        """(values, bound): values[a, j] lies within bound[j] of
+        ``log_density_batch(thetas[a], blocks)[j]``, shape (C, B) and (B,).
+        Here the values are exactly that stack, with bound 0."""
+        vals = np.stack([self.log_density_batch(np.asarray(t), blocks)
+                         for t in thetas])
+        return vals, np.zeros(vals.shape[1])
+
     def prior_draw(self, rng: np.random.Generator, prior: dict | None = None) -> np.ndarray:
         """One draw from the database prior W (positive continuous density)."""
         raise NotImplementedError
@@ -133,6 +141,50 @@ class GaussianIID(SourceFamily):
         n = x.shape[1]
         z = (x - m) / s
         return -0.5 * np.sum(z * z, axis=1) - n * (0.5 * LOG_2PI + np.log(s))
+
+    def log_density_bounds(self, thetas, blocks):
+        """All candidates at once from the block sums S1 = sum x,
+        S2 = sum x^2 and A1 = sum |x|: the values are
+        -0.5 S2 / s^2 + (m / s^2) S1 + (-0.5 n m^2 / s^2 - K), with K the
+        float ``log_density_batch`` subtracts."""
+        ms = np.array(thetas, dtype=float)
+        if ms.shape[1:] != (2,) or not np.all(np.isfinite(ms)) \
+                or np.any(ms[:, 1] <= 0):
+            for t in thetas:
+                self.validate(t)            # raises with the reason
+        x = np.atleast_2d(np.asarray(blocks, dtype=float))
+        B, n = x.shape
+        ones = np.ones(n)
+        S1, S2, A1 = x @ ones, (x * x) @ ones, np.abs(x) @ ones
+        m, s2 = ms[:, 0], ms[:, 1] * ms[:, 1]
+        K = np.array([n * (0.5 * LOG_2PI + np.log(s)) for s in ms[:, 1]])
+        nm2 = n * m * m / s2
+        # one product against the rows [S2, S1, A1, 1]: the first C rows are
+        # the values, the last C the scales M_a + |K_a| of the bound below
+        C = len(ms)
+        coef = np.zeros((2 * C, 4))
+        coef[:C, 0], coef[:C, 1], coef[:C, 3] = -0.5 / s2, m / s2, -0.5 * nm2 - K
+        coef[C:, 0], coef[C:, 2], coef[C:, 3] = 1.0 / s2, 2.0 * np.abs(m) / s2, nm2 + np.abs(K)
+        out = coef @ np.stack((S2, S1, A1, np.ones(B)))
+        # Error bound, u = 2^-53, v the real value -Q - K with
+        # Q = sum (x_i - m)^2 / (2 s^2) and M = (S2 + 2|m| A1 + n m^2) / s^2,
+        # so that Q <= M / 2:
+        # * log_density_batch: each ((x_i - m) / s)^2 is within 5u of its real
+        #   value, the nonnegative sum adds (n-1)u (any summation order does
+        #   no worse), the final subtraction rounds once: within
+        #   (n+5)u M/2 + u|K| of v.
+        # * here: S1 is within (n-1)u A1 of its real value and S2 within
+        #   n u S2 (any order, so BLAS may sum); the coefficients carry a
+        #   few u of their own terms; the 4-term product rounds at most 3
+        #   times: within (n/2+5)u M + 4u|K| of v.
+        # Together under (n+10)u (M + |K|); the factor 8 covers second-order
+        # terms, the rounded sums and products inside the scale and the
+        # rounding of this bound.  Flooring the scale at the smallest normal
+        # float covers the absolute errors of underflowing products (under
+        # 3n+10 of them, each at most 2^-1075).  Overflow gives inf or NaN,
+        # which no ordering test passes.
+        scale = np.maximum(np.max(out[C:], axis=0), np.finfo(float).tiny)
+        return out[:C], 8.0 * (n + 10) * 2.0 ** -53 * scale
 
     def prior_draw(self, rng, prior=None):
         prior = prior or {}

@@ -59,8 +59,26 @@ class SchemeConfig:
     l_cap: int | None = None        # desk-scale clamp on the gap length
 
     def __post_init__(self):
-        if self.n < 1 or self.lam <= 0 or self.i_max < 1 or self.eta <= 0:
-            raise ValueError("need n >= 1, lambda > 0, i_max >= 1, eta > 0")
+        # written so that NaN fails every check
+        checks = {
+            "n >= 1": self.n >= 1, "lambda > 0": self.lam > 0,
+            "i_max >= 1": self.i_max >= 1, "eta > 0": self.eta > 0,
+            "r > 0": self.r > 0, "c_delta >= 0": self.c_delta >= 0,
+            "n_candidates >= 0": self.n_candidates >= 0,
+            "at least one MDE candidate (n_candidates or anchors)":
+                self.n_candidates + len(self.anchors) >= 1,
+            "rho_max > 0": self.rho_max > 0,
+            "distance_mc >= 1": self.distance_mc >= 1,
+            "mde_mc >= 1": self.mde_mc >= 1,
+            "train_blocks >= 1": self.train_blocks >= 1,
+            "design_restarts >= 1": self.design_restarts >= 1,
+            "rate_target >= 0": self.rate_target >= 0,
+            "max_initial_size >= 1": self.max_initial_size >= 1,
+            "l_cap >= 0": self.l_cap is None or self.l_cap >= 0,
+        }
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            raise ValueError("need " + ", ".join(failed))
         if self.delta_mode not in ("practical", "paper"):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
 

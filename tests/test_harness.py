@@ -28,6 +28,29 @@ def tiny_raw(**kw):
     return raw
 
 
+# fields that passed build_config and then failed the run with a traceback
+BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
+              ("n_candidates", -1), ("n_candidates", 0), ("rho_max", 0.0),
+              ("train_blocks", 0), ("design_restarts", 0),
+              ("max_initial_size", 0), ("rate_target", -1.0), ("r", 0.0),
+              ("l_cap", -1), ("anchors", [[0.0, -1.0]])]
+BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0)]
+
+
+def bad_raw(where, field, value):
+    raw = tiny_raw()
+    if where == "top":
+        raw[field] = value
+    else:   # l_cap applies only to a finite mixing exponent r
+        raw["scheme"].update({field: value, "r": 2.0} if field == "l_cap"
+                             else {field: value})
+    return raw
+
+
+BAD_CONFIGS = [pytest.param("scheme", f, v, id=f"{f}={v}") for f, v in BAD_SCHEME] + \
+    [pytest.param("top", f, v, id=f"{f}={v}") for f, v in BAD_TOP]
+
+
 class TestConfig:
     def test_malformed_json_reports_position(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -66,6 +89,16 @@ class TestConfig:
         # checking its first entry covers the grid
         with pytest.raises(ConfigError, match="semantic"):
             build_config(tiny_raw(n_grid=[1, 4]))
+
+    @pytest.mark.parametrize("where,field,value", BAD_CONFIGS)
+    def test_unrunnable_field_rejected(self, where, field, value):
+        with pytest.raises(ConfigError):
+            build_config(bad_raw(where, field, value))
+
+    def test_anchors_alone_are_candidates(self):
+        raw = tiny_raw()
+        raw["scheme"].update(n_candidates=0, anchors=[[0.0, 1.0]])
+        assert build_config(raw).scheme["n_candidates"] == 0
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "ok.json"
@@ -153,6 +186,16 @@ class TestCli:
         p = tmp_path / "n1.json"
         p.write_text(json.dumps(tiny_raw(n_grid=[1, 4])))
         rc = cli.main(["identify", "--config", str(p),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where,field,value", BAD_CONFIGS)
+    def test_unrunnable_field_exit_two(self, tmp_path, capsys, where, field, value):
+        # the redundancy runner reaches every field; on each it raised
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad_raw(where, field, value)))
+        rc = cli.main(["redundancy", "--config", str(p),
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err

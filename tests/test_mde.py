@@ -7,57 +7,104 @@ from scipy.stats import norm
 from twostage import mde
 from twostage.distances import variational_mc
 from twostage.lru import LruCache
-from twostage.mde import (CandidateSet, TooFewCandidatesError, YatracosSet,
-                          clear_probability_cache, mde_estimate,
-                          set_probability, u_statistic_all,
-                          vc_bound, vc_deviation_bound, vc_expectation_bound,
-                          yatracos_member)
+from twostage.mde import (CandidateSet, TooFewCandidatesError,
+                          _membership_tensor, _model_pair_frequencies,
+                          _pair_frequencies, clear_probability_cache,
+                          mde_estimate, u_statistic_all, vc_bound,
+                          vc_deviation_bound, vc_expectation_bound)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.rand import rng_for
 
 GAUSS = GaussianIID()
-PAIR = YatracosSet.of((0.0, 1.0), (1.0, 1.0))
+PAIR = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0)])
+
+
+def membership(family, cands, X):
+    """F[a, b]: fraction of the blocks in candidate a's Yatracos set
+    against b."""
+    return _pair_frequencies(_membership_tensor(family, cands, np.asarray(X)))
+
+
+def exact_membership(family, cands, X):
+    return _pair_frequencies(np.stack([family.log_density_batch(np.asarray(t), X)
+                                       for t in cands.thetas]))
 
 
 class TestMembership:
     def test_dominance(self):
         # x near theta's mean, theta' mean far away
-        yset = YatracosSet.of((0.0, 1.0), (8.0, 1.0))
-        assert yatracos_member(GAUSS, yset, np.array([0.1]))
+        cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (8.0, 1.0)])
+        assert membership(GAUSS, cands, [[0.1]])[0, 1] == 1.0
 
     def test_complementary_except_ties(self):
-        rng = rng_for(1, 0)
-        flipped = YatracosSet.of((1.0, 1.0), (0.0, 1.0))
-        for _ in range(200):
-            x = rng.normal(size=2)
-            a = yatracos_member(GAUSS, PAIR, x)
-            b = yatracos_member(GAUSS, flipped, x)
-            assert a != b or not (a or b)
+        X = rng_for(1, 0).normal(size=(200, 2))
+        vals = _membership_tensor(GAUSS, PAIR, X)
+        assert not np.any((vals[0] > vals[1]) & (vals[1] > vals[0]))
+        F = membership(GAUSS, PAIR, X)
+        assert F[0, 1] + F[1, 0] <= 1.0
 
-    def test_tie_is_false(self):
-        # N(0,1) and N(1,1) densities cross exactly at x = 1/2
-        assert not yatracos_member(GAUSS, PAIR, np.array([0.5]))
-        assert not yatracos_member(GAUSS, YatracosSet.of((1.0, 1.0), (0.0, 1.0)),
-                                   np.array([0.5]))
+    def test_tie_is_false(self, monkeypatch):
+        # N(0,1) and N(1,1) densities cross exactly at x = 1/2; the sums give
+        # a tie too, so the block goes back to the exact kernel
+        calls = []
+        exact = GaussianIID.log_density_batch
+
+        def counting(self, theta, x):
+            calls.append(len(x))
+            return exact(self, theta, x)
+
+        monkeypatch.setattr(GaussianIID, "log_density_batch", counting)
+        F = membership(GAUSS, PAIR, [[0.5]])
+        assert F[0, 1] == 0.0 and F[1, 0] == 0.0
+        assert calls == [1, 1]
+
+    def test_order_exact_on_corpus(self):
+        # the tables from the block sums equal the exact stack bit for bit:
+        # scales far apart, mirrored (+-m, s) pairs on blocks summing to
+        # about 0, and data and means on a 0.1 grid to force exact ties
+        rng = rng_for(2026, 0)
+        for n in (1, 2, 3, 4, 7, 8, 9, 16, 31, 32, 64):
+            for m_scale in (0.01, 1.0, 50.0):
+                for s_scale in (0.05, 1.0, 2.0):
+                    C = int(rng.integers(2, 24))
+                    m = rng.normal(0.0, m_scale, C)
+                    s = np.exp(rng.normal(0.0, s_scale, C))
+                    half = C // 2
+                    m[half:2 * half] = -m[:half]
+                    s[half:2 * half] = s[:half]
+                    if rng.random() < 0.5:
+                        m, s = np.round(m, 1), np.exp2(np.round(np.log2(s)))
+                    thetas = np.column_stack([m, s])
+                    cands = CandidateSet(tuple(map(tuple, thetas)))
+                    src = thetas[rng.integers(C, size=300)]
+                    X = src[:, :1] + src[:, 1:] * rng.standard_normal((300, n))
+                    X[100:200, n // 2:2 * (n // 2)] = -X[100:200, :n // 2]
+                    X[100:200, 2 * (n // 2):] = 0.0
+                    X[200:] = np.round(X[200:], 1)
+                    assert np.array_equal(membership(GAUSS, cands, X),
+                                          exact_membership(GAUSS, cands, X)), \
+                        (n, m_scale, s_scale)
 
 
 class TestSetProbability:
+    """Model-side probabilities P^n_theta(A_ab) of the Yatracos sets."""
+
     def test_crossing_probability(self):
-        p, se = set_probability(GAUSS, (0.0, 1.0), PAIR, 1, 50_000, seed=3)
+        p = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 1, 50_000, seed=3)[0, 1]
+        se = math.sqrt(p * (1 - p) / 50_000)
         assert abs(p - norm.cdf(0.5)) <= 3 * se
 
     def test_complement_sums_to_one(self):
-        flipped = YatracosSet.of((1.0, 1.0), (0.0, 1.0))
-        p, se1 = set_probability(GAUSS, (0.0, 1.0), PAIR, 1, 50_000, seed=4)
-        q, se2 = set_probability(GAUSS, (0.0, 1.0), flipped, 1, 50_000, seed=4)
-        assert abs(p + q - 1.0) <= 3 * (se1 + se2) + 1e-12
+        F = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 1, 50_000, seed=4)
+        se1, se2 = (math.sqrt(p * (1 - p) / 50_000) for p in (F[0, 1], F[1, 0]))
+        assert abs(F[0, 1] + F[1, 0] - 1.0) <= 3 * (se1 + se2) + 1e-12
 
     def test_in_unit_interval_and_cached(self):
         clear_probability_cache()
-        a = set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 1000, seed=5)
-        b = set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 1000, seed=5)
-        assert a == b
-        assert 0.0 <= a[0] <= 1.0
+        a = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 1000, seed=5)
+        b = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 1000, seed=5)
+        assert b is a and len(mde._model_freq_cache) == 1
+        assert np.all((0.0 <= a) & (a <= 1.0))
 
 
 class TestUStatistic:
@@ -174,12 +221,13 @@ class TestCacheKeys:
 
     def test_set_probability_keys_on_emissions(self):
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
-        yset = YatracosSet.of(self.THETA, (0.3, 0.7, 0.6, 0.4))
+        cands = CandidateSet.build(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
         clear_probability_cache()
-        fresh = set_probability(far, self.THETA, yset, 3, 2000, seed=9)
+        fresh = _model_pair_frequencies(far, cands, self.THETA, 3, 2000, seed=9)
         clear_probability_cache()
-        set_probability(near, self.THETA, yset, 3, 2000, seed=9)
-        assert set_probability(far, self.THETA, yset, 3, 2000, seed=9) == fresh
+        _model_pair_frequencies(near, cands, self.THETA, 3, 2000, seed=9)
+        assert np.array_equal(
+            _model_pair_frequencies(far, cands, self.THETA, 3, 2000, seed=9), fresh)
 
     def test_u_statistic_keys_on_emissions(self):
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
@@ -205,8 +253,9 @@ class TestBoundedCaches:
             assert len(mde._model_freq_cache) == 2
 
     def test_probability_cache_stays_within_bound(self, monkeypatch):
-        monkeypatch.setattr(mde, "_prob_cache", LruCache(1))
-        first = set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 500, seed=1)
-        set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 500, seed=2)
-        assert len(mde._prob_cache) == 1
-        assert set_probability(GAUSS, (0.0, 1.0), PAIR, 2, 500, seed=1) == first
+        monkeypatch.setattr(mde, "_model_freq_cache", LruCache(1))
+        first = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 500, seed=1)
+        _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 500, seed=2)
+        assert len(mde._model_freq_cache) == 1
+        again = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 500, seed=1)
+        assert again is not first and np.array_equal(again, first)
