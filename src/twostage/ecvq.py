@@ -5,10 +5,10 @@ assignment minimizes distortion + lambda * length / n, centroids are updated
 under the clipped metric (with a guard so the training Lagrangian never
 increases), and real-valued codeword lengths track the empirical usage.
 The iterations are incremental: the centroid step updates only the dirty
-cells (those that gained or lost blocks, or whose codevector moved in the
-previous step), all at once, and the (blocks x codewords) distortion matrix
-is refreshed only in the columns of codevectors that moved.  That matrix
-gives each iteration's objective and the next iteration's assignment.
+cells (those that gained or lost blocks or whose codevector last moved), with
+one sort per cell-width class for the medians and a keep test certified by a
+rounding bound; the distortion matrix, refreshed only in moved columns, gives
+each iteration's objective and the next iteration's assignment.
 After convergence the lengths are rounded to an integer prefix code by the
 canonical-Kraft procedure, and the normalized-length cap 2*rho_max/lambda is
 enforced constructively.
@@ -207,17 +207,18 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
     A scalar-letter cell moves to its median under the clipped metric, or to
     its mean when the cap never binds in it; a vector-letter cell moves to
     its mean.  The move is kept only if it does not raise the cell cost.
-    Cells of equal size are stacked and reduced together along the stacking
-    axis, so each cell goes through exactly the reductions it would alone
-    (np.mean, and np.median's partition and middle mean, over its rows; the
-    cost mean over its contiguous letters) and the result is bitwise that of
-    a per-cell loop.  A clean cell, with the members and the codevector of
-    the previous step, would be mapped to its own codevector again.
+    Bitwise as a per-cell loop: one sort per width class gives all medians
+    (each (cell, letter) padded with +inf to the next power of two of the
+    cell size), kept by reordered cost sums that differ beyond a rounding
+    bound.  Mean cells, zero median letters (np.partition orders -0.0 and
+    0.0 its own way) and open keep tests are stacked by size and reduced
+    along the stacking axis, each cell by exactly its own reductions.  A
+    clean cell (same members and codevector) maps to its codevector again.
     """
     def letter_dist(diff):
         return np.abs(diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
 
-    K = C.shape[0]
+    K, n = C.shape[0], X.shape[1]
     sizes = np.bincount(assign, minlength=K)
     mine = np.flatnonzero(dirty[assign])
     rows = mine[np.argsort(assign[mine], kind="stable")]
@@ -230,8 +231,40 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
     span = np.where(dirty, sizes, 0)
     starts = np.cumsum(span) - span
     moved = np.zeros(K, dtype=bool)
-    for size in np.unique(sizes[dirty]):
-        cells = np.flatnonzero(dirty & (sizes == size))
+    exact, f = dirty & ~clipped, np.flatnonzero(clipped)
+    if f.size:
+        cnt = sizes[f]
+        w = np.ones_like(cnt) << np.frexp(cnt - 1)[1]    # >= cnt, a power of 2
+        order = np.argsort(w, kind="stable")
+        base = (np.cumsum(n * w[order]) - n * w[order])[np.argsort(order)]
+        slot = base[:, None] + w[:, None] * np.arange(n)  # (cell f[i], letter j)
+        fr, k = np.flatnonzero(clipped[cell_of]), np.repeat(np.arange(f.size), cnt)
+        buf, xf = np.full(int(n * w.sum()), np.inf), Xs[fr]
+        buf[slot[k] + (fr - starts[f][k])[:, None]] = xf
+        for width in np.unique(w):                # each class is one run
+            lo, hi = base[w == width].min(), base[w == width].max() + n * width
+            buf[lo:hi].reshape(-1, width).sort(axis=1)
+        lo, hi = slot + ((cnt - 1) // 2)[:, None], slot + (cnt // 2)[:, None]
+        cand = np.where(lo == hi, buf[lo], (buf[lo] + buf[hi]) / 2)   # np.median's
+        new = np.abs(np.subtract(xf, cand[k], out=xf), out=xf)   # in place: a
+        np.minimum(new, spec.rho_max, out=new)          # smaller peak RSS
+        s_new, s_old = (np.add.reduceat(np.add.reduce(c, axis=1), np.cumsum(cnt) - cnt)
+                        for c in (new, cost_old[fr]))
+        # keep is s_new/m <= s_old/m on the exact path's sums of these m
+        # non-negative terms.  Any order of the sum is within (m-1)u/(1-(m-1)u)
+        # of the real one, u = 2^-53 (Higham, Accuracy and Stability, §4.2):
+        # for m u < 0.01 the paths' differences part by under 2.03(m-1)u(s_new
+        # + s_old), and division by m keeps a strict order past u(s_new + s_old)
+        # + m 2^-1074 (subnormal quotients).  Rounding here adds a few u.
+        m, diff = cnt * n, s_new - s_old
+        bound = 4.0 * ((m + 2) * 2.0 ** -53 * (s_new + s_old) + m * 2.0 ** -1074)
+        same = np.all(cand.view(np.uint64) == C[f].view(np.uint64), axis=1)
+        sure = ~np.any(cand == 0, axis=1) & (same | (np.abs(diff) > bound))
+        keep = sure & (diff < 0)                  # never a cell that is same
+        C[f[keep]], moved[f[keep]] = cand[keep], True
+        exact[f[~sure]] = True
+    for size in np.unique(sizes[exact]):
+        cells = np.flatnonzero(exact & (sizes == size))
         at = starts[cells, None] + np.arange(size)   # (cells, size) into Xs
         G = Xs[at]
         cand = np.add.reduce(G, axis=1) / size       # np.mean's own steps

@@ -111,7 +111,9 @@ def build_config(raw: dict) -> ExperimentConfig:
         fam.validate(cfg.theta0)
         sc = cfg.scheme_config(cfg.n_grid[0])
         scheme.waiting_tolerance(sc, fam)
-        scheme.candidate_set(sc, cfg.database(fam))
+        scheme.candidate_set(sc, db := cfg.database(fam))
+        for i in range(1, len(db.planted) + 2):   # every planted point, one draw
+            fam.validate(db.point(i))
     except Exception as exc:
         raise ConfigError(f"config semantic error: {exc}") from exc
     return cfg

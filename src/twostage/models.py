@@ -292,12 +292,13 @@ class GaussianAR(SourceFamily):
         prior = prior or {}
         lo = prior.get("low", -1.5)
         hi = prior.get("high", 1.5)
-        while True:
+        for _ in range(10_000):      # a prior with no stable mass fails
             cand = rng.uniform(lo, hi, size=self.p)
             try:
                 return self.validate(cand)
             except InvalidParameterError:
                 continue
+        raise ValueError("no stable AR parameter in 10,000 prior draws")
 
 
 class HiddenMarkov(SourceFamily):
@@ -409,10 +410,11 @@ class HiddenMarkov(SourceFamily):
     def prior_draw(self, rng, prior=None):
         prior = prior or {}
         conc = prior.get("concentration", 1.0)
-        while True:
+        for _ in range(10_000):      # as for GaussianAR
             A = rng.dirichlet(np.full(self.M, conc), size=self.M)
             if np.all(A > self.a0):
                 return A.reshape(-1)
+        raise ValueError("no transition matrix above a0 in 10,000 prior draws")
 
 
 def log_density(family: SourceFamily, theta, block) -> float:

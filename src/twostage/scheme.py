@@ -59,22 +59,25 @@ class SchemeConfig:
     l_cap: int | None = None        # desk-scale clamp on the gap length
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        checks = {
-            "n >= 1": self.n >= 1, "lambda > 0": self.lam > 0,
-            "i_max >= 1": self.i_max >= 1, "eta > 0": self.eta > 0,
+        def whole(v):   # a non-integer, or a bool, becomes NaN
+            return v if type(v) is int or isinstance(v, np.integer) else math.nan
+        checks = {   # written so that NaN fails every check
+            "integer n >= 1": whole(self.n) >= 1, "lambda > 0": self.lam > 0,
+            "integer i_max >= 1": whole(self.i_max) >= 1, "eta > 0": self.eta > 0,
             "r > 0": self.r > 0, "c_delta >= 0": self.c_delta >= 0,
-            "n_candidates >= 0": self.n_candidates >= 0,
+            "integer n_candidates >= 0": whole(self.n_candidates) >= 0,
             "at least one MDE candidate (n_candidates or anchors)":
                 self.n_candidates + len(self.anchors) >= 1,
             "rho_max > 0": self.rho_max > 0,
-            "distance_mc >= 1": self.distance_mc >= 1,
-            "mde_mc >= 1": self.mde_mc >= 1,
-            "train_blocks >= 1": self.train_blocks >= 1,
-            "design_restarts >= 1": self.design_restarts >= 1,
+            "integer distance_mc >= 1": whole(self.distance_mc) >= 1,
+            "integer mde_mc >= 1": whole(self.mde_mc) >= 1,
+            "integer train_blocks >= 1": whole(self.train_blocks) >= 1,
+            "finite design_tol >= 0": isinstance(self.design_tol, (int, float))
+                and 0 <= self.design_tol < math.inf,
+            "integer design_restarts >= 1": whole(self.design_restarts) >= 1,
             "rate_target >= 0": self.rate_target >= 0,
-            "max_initial_size >= 1": self.max_initial_size >= 1,
-            "l_cap >= 0": self.l_cap is None or self.l_cap >= 0,
+            "integer max_initial_size >= 1": whole(self.max_initial_size) >= 1,
+            "integer l_cap >= 0": self.l_cap is None or whole(self.l_cap) >= 0,
         }
         failed = [name for name, ok in checks.items() if not ok]
         if failed:

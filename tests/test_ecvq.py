@@ -325,3 +325,88 @@ def test_design_revisits_cells_whose_codevector_moved(seed, n, lam, sha):
     h = hashlib.sha256(book.to_bytes())
     h.update(repr(book.training_lagrangians).encode())
     assert h.hexdigest() == sha
+
+
+def _reference_centroid_step(X, C, assign, spec, dirty):
+    """The centroid step before the width-class sort: every dirty cell, one
+    size at a time, through np.mean's and np.median's own reductions."""
+    def letter_dist(diff):
+        return np.abs(diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
+
+    K = C.shape[0]
+    sizes = np.bincount(assign, minlength=K)
+    mine = np.flatnonzero(dirty[assign])
+    rows = mine[np.argsort(assign[mine], kind="stable")]
+    Xs, cell_of = X[rows], assign[rows]
+    d_old = letter_dist(Xs - C[cell_of])
+    clipped = np.zeros(K, dtype=bool)
+    if X.ndim == 2:
+        clipped[cell_of[np.any(d_old >= spec.rho_max, axis=1)]] = True
+    cost_old = np.minimum(d_old, spec.rho_max)
+    span = np.where(dirty, sizes, 0)
+    starts = np.cumsum(span) - span
+    moved = np.zeros(K, dtype=bool)
+    for size in np.unique(sizes[dirty]):
+        cells = np.flatnonzero(dirty & (sizes == size))
+        at = starts[cells, None] + np.arange(size)
+        G = Xs[at]
+        cand = np.add.reduce(G, axis=1) / size
+        med = clipped[cells]
+        if med.any():
+            lo, hi = (size - 1) // 2, size // 2
+            part = np.partition(G[med], (lo, hi), axis=1)
+            cand[med] = np.add.reduce(part[:, lo:hi + 1], axis=1) / (hi - lo + 1)
+        new = np.minimum(letter_dist(G - cand[:, None]), spec.rho_max)
+        m = new[0].size
+        keep = (np.add.reduce(new.reshape(len(cells), m), axis=1) / m
+                <= np.add.reduce(cost_old[at].reshape(len(cells), m), axis=1) / m)
+        differs = cand.view(np.uint64) != C[cells].view(np.uint64)
+        moved[cells] = keep & differs.reshape(len(cells), -1).any(axis=1)
+        C[cells[keep]] = cand[keep]
+    return moved
+
+
+def _step_case(rng, kind):
+    """Seeded inputs of one centroid step: every cell holds a row, most are
+    dirty, and codevectors sit on rows, on medians or off the data, so that
+    many keep tests compare equal real costs."""
+    n = 1 if kind == "n1" else int(rng.integers(2, 6))
+    T = int(rng.integers(8, 160))
+    K = T // 2 + 1 if kind == "single-rows" else int(rng.integers(2, 20))
+    raw = rng.integers(0, K, T)
+    if kind == "one-big-cell":
+        raw[rng.random(T) < 0.8] = 0
+    _, assign = np.unique(raw, return_inverse=True)
+    K = int(assign.max()) + 1
+    shape = (T, n, 2) if kind == "euclidean" else (T, n)
+    X = rng.normal(scale=float(rng.choice([0.3, 1.0, 3.0])), size=shape)
+    if kind == "grid":
+        X = np.round(X * 10) / 10
+        X[rng.random(shape) < 0.3] = 0.0
+        X = np.where(rng.random(shape) < 0.5, X, -X)   # zeros of both signs
+    C = np.stack([X[rng.choice(np.flatnonzero(assign == j))] for j in range(K)])
+    pick = rng.random(K)
+    for j in np.flatnonzero(pick < 0.4):
+        C[j] = np.median(X[assign == j], axis=0)
+    C[pick > 0.9] += rng.normal(size=C[pick > 0.9].shape)
+    if kind == "grid":
+        C[rng.random(C.shape) < 0.1] = -0.0
+    base = "euclidean" if kind == "euclidean" else "absolute-difference"
+    spec = DistortionSpec(rho_max=float(rng.choice([0.2, 0.5, 1.0, 4.0])),
+                          base=base)
+    return X, C, assign, spec, rng.random(K) < 0.85
+
+
+STEP_KINDS = ["grid", "one-big-cell", "single-rows", "n1", "euclidean"]
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_centroid_step_matches_per_size_reference(kind):
+    rng = rng_for(77, STEP_KINDS.index(kind))
+    for _ in range(400):
+        X, C, assign, spec, dirty = _step_case(rng, kind)
+        C_ref = C.copy()
+        moved_ref = _reference_centroid_step(X, C_ref, assign, spec, dirty.copy())
+        moved = ecvq._centroid_step(X, C, assign, spec, dirty.copy())
+        assert np.array_equal(moved, moved_ref)
+        assert C.tobytes() == C_ref.tobytes()

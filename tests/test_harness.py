@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twostage import cli
 from twostage.harness import (ConfigError, build_config, format_report,
@@ -33,17 +35,23 @@ BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               ("n_candidates", -1), ("n_candidates", 0), ("rho_max", 0.0),
               ("train_blocks", 0), ("design_restarts", 0),
               ("max_initial_size", 0), ("rate_target", -1.0), ("r", 0.0),
-              ("l_cap", -1), ("anchors", [[0.0, -1.0]])]
+              ("l_cap", -1), ("anchors", [[0.0, -1.0]]), ("design_tol", None),
+              ("i_max", 2.5), ("prior", {"m_scale": -1.0})]
 BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0)]
+
+
+# what a field needs to reach the run: l_cap a finite mixing exponent r; a
+# prior no database candidates (they draw from it while the config builds)
+# and an anchor far from theta0, so that the search draws past index 1
+NEEDS = {"l_cap": {"r": 2.0}, "prior": {"n_candidates": 0, "anchors": [[5.0, 1.0]]}}
 
 
 def bad_raw(where, field, value):
     raw = tiny_raw()
     if where == "top":
         raw[field] = value
-    else:   # l_cap applies only to a finite mixing exponent r
-        raw["scheme"].update({field: value, "r": 2.0} if field == "l_cap"
-                             else {field: value})
+    else:
+        raw["scheme"].update({field: value, **NEEDS.get(field, {})})
     return raw
 
 
@@ -217,3 +225,58 @@ class TestCli:
                        "--seed", "78", "--delta-mode", "practical"])
         assert rc == 0
         assert "identification distance" in capsys.readouterr().out
+
+
+# Hypothesis over the fields a config can get wrong: mostly runnable configs
+# with up to two fields drawn from odd values (non-integers, non-finite,
+# wrong types), so that both outcomes are common.
+ODD = st.sampled_from([None, True, 2.5, 3.0, math.nan, math.inf, -1, "2", [1]])
+INTEGER = st.one_of(st.integers(0, 5), ODD)
+FIELDS = {
+    **{f: INTEGER for f in ("i_max", "n_candidates", "distance_mc", "mde_mc",
+                            "train_blocks", "design_restarts",
+                            "max_initial_size", "l_cap")},
+    "design_tol": st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                            ODD),
+    "prior": st.one_of(ODD, st.dictionaries(
+        st.sampled_from(["m_loc", "m_scale", "log_sigma_loc",
+                         "log_sigma_scale", "low", "high", "concentration"]),
+        st.one_of(st.floats(-3.0, 3.0), ODD), max_size=2)),
+    "r": st.sampled_from([None, 2.0, 0.5]),
+}
+FAMILIES = [
+    ({"kind": "gaussian-iid"}, [0.0, 1.0]),
+    ({"kind": "gaussian-ar", "p": 1}, [0.5]),
+    ({"kind": "hmm", "M": 2, "a0": 0.05, "emission_means": [1.0, -1.0],
+      "emission_stds": [1.0, 1.0]}, [0.8, 0.2, 0.3, 0.7]),
+    ({"kind": "gaussian-ar", "p": 2}, [0.5]),
+    ({"kind": "hmm", "M": 2, "a0": 0.6, "emission_means": [1.0, -1.0],
+      "emission_stds": [1.0, 1.0]}, [0.8, 0.2, 0.3, 0.7]),
+    ({"kind": "laplace"}, [0.0, 1.0]),
+]
+PLANT = st.lists(st.one_of(st.lists(st.floats(-1.0, 1.0), max_size=4),
+                           st.lists(st.one_of(st.floats(-1.0, 1.0), ODD),
+                                    max_size=4), ODD), max_size=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st.sampled_from(FAMILIES[:3] * 2 + FAMILIES[3:]),
+       fields=st.lists(st.sampled_from(sorted(FIELDS)).flatmap(
+           lambda f: st.tuples(st.just(f), FIELDS[f])), max_size=2),
+       plant=st.one_of(st.none(), st.none(), PLANT),
+       command=st.sampled_from(["redundancy", "identify"]))
+def test_config_either_rejected_or_runs(tmp_path, family, fields, plant, command):
+    raw = tiny_raw(family=family[0], theta0=family[1], n_grid=[4], trials=1)
+    raw["scheme"].update(fields)
+    if plant is not None:
+        raw["plant"] = plant
+    try:
+        build_config(raw)
+        runs = True
+    except ConfigError:
+        runs = False
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o.csv")])
+    assert rc == (0 if runs else 2)
