@@ -22,7 +22,7 @@ print("lambda sweep (same training set):")
 print("  lambda   size   rate[b/l]   distortion   D + lambda*R")
 for lam in (0.05, 0.2, 0.8, 3.0):
     book = ecvq_design(train, lam, 64, spec, seed=11)
-    rep = lagrangian_eval(book, gauss, (0.0, 1.0), lam, spec, 4000, seed=12)
+    rep = lagrangian_eval(book, gauss, (0.0, 1.0), 4000, seed=12)
     print(f"  {lam:6.2f} {book.size:6d} {rep.rate:11.4f} {rep.distortion:12.4f}"
           f" {rep.lagrangian:13.4f}")
 

@@ -3,7 +3,7 @@
 Subcommands:
     redundancy  --config PATH --out PATH   Lagrangian redundancy experiment
     identify    --config PATH --out PATH   source-identification experiment
-    invariants  [--config PATH]            cross-module invariant matrix
+    invariants  [--seed N]                 cross-module invariant matrix
 
 Exit status: 0 success, 1 check failure, 2 config error.
 """
@@ -33,8 +33,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--delta-mode", choices=["paper", "practical"],
                         default=None, help="override the tolerance schedule")
     si = sub.add_parser("invariants", help="run the invariant test matrix")
-    si.add_argument("--config", default=None, help="unused placeholder; the "
-                    "matrix is self-contained")
     si.add_argument("--seed", type=int, default=20240)
     return p
 

@@ -8,7 +8,8 @@ Two routes to the variational distance d_n between block marginals:
   d_n = 2 * E_P[(1 - q/p)_+] with the ratio evaluated in log space.
 
 Plus the closed-form normalized KL for Gaussian i.i.d. pairs and an
-empirical check of the sqrt(n)-normalized smoothness of the parametrization.
+empirical check of the sqrt(n)-normalized smoothness of the Gaussian i.i.d.
+parametrization.
 """
 
 from __future__ import annotations
@@ -112,15 +113,6 @@ def kl_gaussian_iid(theta, theta_prime, n: int = 1) -> float:
     return float(np.log(s2 / s1) + (s1 ** 2 + (m1 - m2) ** 2) / (2 * s2 ** 2) - 0.5)
 
 
-def kl_bound_gaussian(theta, theta_prime) -> float:
-    """Quadratic upper bound (1 + s'/s)^2 ||dtheta||^2 / (2 s'^2) on the
-    normalized KL for Gaussian i.i.d. pairs."""
-    m1, s1 = as_theta(theta)
-    m2, s2 = as_theta(theta_prime)
-    gap = float(np.hypot(m1 - m2, s1 - s2))
-    return (1 + s2 / s1) ** 2 * gap ** 2 / (2 * s2 ** 2)
-
-
 @dataclass(frozen=True)
 class SmoothnessRow:
     n: int
@@ -141,25 +133,18 @@ def gaussian_smoothness_constant(theta, delta: float) -> float:
 
 
 def smoothness_check(family: SourceFamily, theta, delta_grid, n_grid,
-                     seed: int, num_samples: int = 20000,
-                     c_theta: float | None = None) -> list[SmoothnessRow]:
+                     seed: int, num_samples: int = 20000) -> list[SmoothnessRow]:
     """Empirically verify d_n / sqrt(n) <= c * ||theta - theta'|| + 3 SE on a
-    grid of perturbed parameters.
-
-    For gaussian-iid the constant defaults to the closed form 3/(sigma-delta);
-    for other families a caller-supplied c makes this a diagnostic slope
-    check, not a certified bound.
-    """
+    grid of perturbed parameters, with the Gaussian i.i.d. closed-form
+    constant c = 3/(sigma - delta)."""
+    if not isinstance(family, GaussianIID):
+        raise UnsupportedFamilyError(
+            f"the smoothness constant covers gaussian-iid only, got {family.tag}")
     t = family.validate(theta)
     deltas = [float(d) for d in delta_grid]
     if not deltas or not len(n_grid):
         raise ValueError("grids must be non-empty")
-    dmax = max(deltas)
-    if c_theta is None:
-        if isinstance(family, GaussianIID):
-            c_theta = gaussian_smoothness_constant(t, min(dmax, 0.9 * t[1]))
-        else:
-            raise ValueError("c_theta is required for non-Gaussian families")
+    c_theta = gaussian_smoothness_constant(t, min(max(deltas), 0.9 * t[1]))
     rows = []
     directions = np.eye(family.k)
     for j, d in enumerate(deltas):

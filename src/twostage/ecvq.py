@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitcode import BitReader, BitString, TruncatedStreamError
-from .models import SampleBlock, SourceFamily
+from .models import SourceFamily
 from .rand import TAG_EVAL, rng_for
 
 
@@ -64,16 +64,10 @@ class LagrangianReport:
                    rate_se=float(rate_se))
 
 
-def _block_array(x) -> np.ndarray:
-    if isinstance(x, SampleBlock):
-        return x.values
-    return np.asarray(x, dtype=float)
-
-
 def rho_n(spec: DistortionSpec, x, xhat) -> float:
     """Per-letter average of the clipped base metric; lies in [0, rho_max]."""
-    a = _block_array(x)
-    b = _block_array(xhat)
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(xhat, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.ndim == 1:
@@ -164,12 +158,6 @@ class Codebook:
 
     def max_normalized_length(self) -> float:
         return float(np.max(self.lengths) / self.n)
-
-    def encode_many(self, blocks: np.ndarray) -> np.ndarray:
-        """Lagrangian-nearest indices for an array of blocks (tie -> lowest)."""
-        cost = pairwise_distortion(blocks, self.codevectors, self.spec)
-        cost = cost + self.lam * np.asarray(self.lengths) / self.n
-        return np.argmin(cost, axis=1)
 
     def to_bytes(self) -> bytes:
         """Versioned debug serialization: n, count, float64 vectors, u16 lengths."""
@@ -316,10 +304,7 @@ def ecvq_design(training, lam: float, initial_size: int, spec: DistortionSpec,
         raise ValueError("initial_size must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if isinstance(training, np.ndarray):
-        X = np.asarray(training, dtype=float)
-    else:
-        X = np.stack([_block_array(b) for b in training])
+    X = np.asarray(training, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("training set is empty")
     if not np.all(np.isfinite(X)):
@@ -404,17 +389,14 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
     return book, J
 
 
-def ecvq_encode(book: Codebook, x, lam: float | None = None,
-                spec: DistortionSpec | None = None) -> tuple[int, BitString]:
+def ecvq_encode(book: Codebook, x) -> tuple[int, BitString]:
     """Lagrangian-nearest codeword for one block; ties break to the lowest
     index; returns (index, codeword bits)."""
-    lam = book.lam if lam is None else lam
-    spec = book.spec if spec is None else spec
-    xa = _block_array(x)
+    xa = np.asarray(x, dtype=float)
     if xa.shape[0] != book.n:
         raise ValueError(f"block length {xa.shape[0]} != codebook n {book.n}")
-    cost = pairwise_distortion(xa[None, ...], book.codevectors, spec)[0]
-    cost = cost + lam * np.asarray(book.lengths) / book.n
+    cost = pairwise_distortion(xa[None, ...], book.codevectors, book.spec)[0]
+    cost = cost + book.lam * np.asarray(book.lengths) / book.n
     idx = int(np.argmin(cost))
     return idx, book.codes[idx]
 
@@ -436,22 +418,19 @@ def ecvq_decode_index(book: Codebook, reader: BitReader) -> int:
 
 
 def lagrangian_eval(book: Codebook, family: SourceFamily, theta,
-                    lam: float, spec: DistortionSpec, num_blocks: int,
-                    seed: int) -> LagrangianReport:
-    """Monte-Carlo Lagrangian of a codebook on fresh blocks from P_theta."""
+                    num_blocks: int, seed: int) -> LagrangianReport:
+    """Monte-Carlo Lagrangian of a codebook, at its own lambda and
+    distortion, on fresh blocks from P_theta coded as the encoder would."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     family.validate(theta)
     rng = rng_for(seed, TAG_EVAL)
     X = family.sample_paths(theta, book.n, num_blocks, rng)
-    dists = pairwise_distortion(X, book.codevectors, spec)
-    # blocks are coded under the book's spec; callers usually measure with it
-    coded = dists if spec == book.spec else \
-        pairwise_distortion(X, book.codevectors, book.spec)
-    idx = np.argmin(coded + book.lam * np.asarray(book.lengths) / book.n, axis=1)
+    dists = pairwise_distortion(X, book.codevectors, book.spec)
+    idx = np.argmin(dists + book.lam * np.asarray(book.lengths) / book.n, axis=1)
     d_vals = dists[np.arange(num_blocks), idx]
     r_vals = np.asarray(book.lengths)[idx] / book.n
     d_se = float(np.std(d_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0
     r_se = float(np.std(r_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0
-    return LagrangianReport.build(np.mean(d_vals), np.mean(r_vals), lam,
+    return LagrangianReport.build(np.mean(d_vals), np.mean(r_vals), book.lam,
                                   distortion_se=d_se, rate_se=r_se)

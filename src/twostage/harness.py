@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bitcode, distances, ecvq, mde, models, scheme
+from .lru import LruCache
 from .rand import TAG_TRIAL, derive_seed, rng_for
 
 CSV_SCHEMA = "twostage-csv v1"
@@ -78,25 +79,41 @@ def load_config(path: str) -> ExperimentConfig:
     return build_config(raw)
 
 
+# top-level fields taken as they are, or else the ExperimentConfig default
+OPTIONAL = ("seed", "eval_blocks", "oracle_train_blocks", "identify_mc",
+            "timestamp", "plant_theta0", "per_trial_code_seed")
+# the JSON type of each top-level field and of its entries, checked before
+# any conversion (a JSON true is no integer here)
+TOP_TYPES = {
+    **dict.fromkeys(("trials", "seed", "eval_blocks", "oracle_train_blocks",
+                     "identify_mc"), (int, None)),
+    **dict.fromkeys(("timestamp", "plant_theta0", "per_trial_code_seed"),
+                    (bool, None)),
+    "theta0": (list, None), "n_grid": (list, int), "plant": (list, list),
+}
+
+
+def _typed(value, kind, entry) -> bool:
+    return type(value) is kind and (
+        entry is None or all(type(v) is entry for v in value))
+
+
 def build_config(raw: dict) -> ExperimentConfig:
+    if type(raw) is not dict:
+        raise ConfigError("config must be a JSON object")
     if raw.get("schema_version") != 1:
         raise ConfigError("config must declare schema_version: 1")
+    wrong = [k for k, t in TOP_TYPES.items() if k in raw and not _typed(raw[k], *t)]
+    if wrong:
+        raise ConfigError("config field invalid: wrong JSON type for "
+                          + ", ".join(wrong))
     try:
         cfg = ExperimentConfig(
-            family_spec=raw["family"],
-            theta0=tuple(raw["theta0"]),
-            n_grid=tuple(int(n) for n in raw["n_grid"]),
-            trials=int(raw["trials"]),
-            seed=int(raw.get("seed", 0)),
+            family_spec=raw["family"], theta0=tuple(raw["theta0"]),
+            n_grid=tuple(raw["n_grid"]), trials=raw["trials"],
             scheme=dict(raw.get("scheme", {})),
-            eval_blocks=int(raw.get("eval_blocks", 2000)),
-            oracle_train_blocks=int(raw.get("oracle_train_blocks", 2048)),
-            identify_mc=int(raw.get("identify_mc", 4000)),
-            timestamp=bool(raw.get("timestamp", False)),
-            plant_theta0=bool(raw.get("plant_theta0", False)),
             plant=tuple(tuple(t) for t in raw.get("plant", ())),
-            per_trial_code_seed=bool(raw.get("per_trial_code_seed", False)),
-        )
+            **{k: raw[k] for k in OPTIONAL if k in raw})
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -119,19 +136,64 @@ def build_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def _open_csv(path: str, header: list[str], timestamp: bool):
-    fh = open(path, "w", newline="")
-    fh.write(f"# {CSV_SCHEMA}\n")
-    if timestamp:
-        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    return fh, writer
+def _run_grid(cfg: ExperimentConfig, out_path: str, threads: int,
+              header: list[str], measure: str, trial_row,
+              summary=lambda xs, medians: ([], {})) -> dict:
+    """The grid loop of both experiments: per block length the scheme config,
+    candidates and x value; per trial (in grid order at any ``threads``) its
+    seed, code seed and scene, then ``trial_row(family, db, sc, candidates,
+    scene, seed)`` for the experiment's own columns.  The CSV holds the trial rows, the
+    median of column ``measure`` per block length and the rows of
+    ``summary(xs, medians)``, which also returns extra summary entries."""
+    family = cfg.family()
+    db = cfg.database(family)
+    per_n = {}
+    for n in cfg.n_grid:
+        sc, V = cfg.scheme_config(n), mde.vc_bound(family, n).bound
+        x = math.sqrt(V * math.log(n) / n)    # the redundancy rate's scale
+        per_n[n] = (sc, scheme.candidate_set(sc, db), x)
+
+    def run(job):
+        n, trial = job
+        sc, candidates, x = per_n[n]
+        seed = derive_seed(cfg.seed, TAG_TRIAL, n, trial)
+        if cfg.per_trial_code_seed:
+            # the code seed also seeds the waiting-time distance probes
+            sc = dataclasses.replace(sc, code_seed=derive_seed(seed, 7))
+        scene = scheme.sample_scene(family, np.asarray(cfg.theta0), sc, seed)
+        return {"kind": "trial", "n": n, "trial": trial, "x_value": x,
+                "seed": seed, "tol": scheme.waiting_tolerance(sc, family),
+                **trial_row(family, db, sc, candidates, scene, seed)}
+
+    jobs = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
+    if threads <= 1:
+        rows = [run(j) for j in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(run, jobs))
+    medians = {n: float(np.median([r[measure] for r in rows if r["n"] == n]))
+               for n in cfg.n_grid}
+    xs = {n: per_n[n][2] for n in cfg.n_grid}
+    tail, extra = summary(xs, medians)
+    with open(out_path, "w", newline="") as fh:
+        fh.write(f"# {CSV_SCHEMA}\n")
+        if cfg.timestamp:
+            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows + [{"kind": "median", "n": n, measure: medians[n],
+                            "x_value": xs[n], "seed": cfg.seed}
+                           for n in cfg.n_grid] + tail:
+            writer.writerow([row.get(k, "") for k in header])
+    return {"rows": rows, "medians": medians, **extra}
 
 
-def _x_value(family, n: int) -> float:
-    V = mde.vc_bound(family, n).bound
-    return math.sqrt(V * math.log(n) / n)
+def _fit_slope(xs, ys):
+    """Least-squares slope of log(y) on log(x); ignores non-positive y."""
+    pts = np.array([(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0])
+    if len(pts) < 2:
+        return float("nan")
+    return float(np.polyfit(pts[:, 0], pts[:, 1], 1)[0])
 
 
 REDUNDANCY_HEADER = [
@@ -141,111 +203,47 @@ REDUNDANCY_HEADER = [
 ]
 
 
-def _oracle_report(cfg: ExperimentConfig, family, sc, eval_seed):
-    """Lagrangian of the oracle: a codebook trained on theta0 itself."""
-    theta0 = np.asarray(cfg.theta0)
-    book = scheme.provision_codebook(
-        dataclasses.replace(sc, train_blocks=cfg.oracle_train_blocks),
-        family, theta0, 0)
-    return ecvq.lagrangian_eval(book, family, theta0, sc.lam,
-                                sc.distortion_spec(family), cfg.eval_blocks,
-                                eval_seed)
-
-
-def _redundancy_trial(cfg: ExperimentConfig, family, db, sc, candidates,
-                      oracle_rep, eval_seed, n, trial):
-    trial_seed = derive_seed(cfg.seed, TAG_TRIAL, n, trial)
-    if cfg.per_trial_code_seed:
-        sc = dataclasses.replace(sc, code_seed=derive_seed(trial_seed, 7))
-    if oracle_rep is None:
-        oracle_rep = _oracle_report(cfg, family, sc, eval_seed)
-    history, current = scheme.sample_scene(family, np.asarray(cfg.theta0), sc,
-                                           trial_seed)
-    enc = scheme.encode_block(sc, db, history, current, candidates=candidates)
-    book = scheme.provision_codebook(sc, family, np.asarray(enc.theta_hat),
-                                     scheme.book_index(enc.waiting_time))
-    spec = sc.distortion_spec(family)
-    rep = ecvq.lagrangian_eval(book, family, np.asarray(cfg.theta0), sc.lam,
-                               spec, cfg.eval_blocks, eval_seed)
-    first_bits = 1 + len(enc.first_stage.s1)
-    l_star = rep.lagrangian + sc.lam * first_bits / n
-    d_hat = distances.variational_mc(family, np.asarray(cfg.theta0),
-                                     np.asarray(enc.theta_hat), n,
-                                     cfg.identify_mc,
-                                     derive_seed(trial_seed, TAG_TRIAL)).value
-    return {
-        "n": n, "trial": trial, "lagrangian_star": l_star,
-        "lagrangian_oracle": oracle_rep.lagrangian,
-        "redundancy": l_star - oracle_rep.lagrangian,
-        "first_stage_bits": first_bits, "b_flag": enc.first_stage.b,
-        "waiting_time": enc.waiting_time if enc.waiting_time is not None else -1,
-        "d_theta0_theta_hat": d_hat,
-        "distortion_se": rep.distortion_se, "rate_se": rep.rate_se,
-        "x_value": _x_value(family, n), "seed": trial_seed,
-        "theta_tilde": enc.theta_tilde, "theta_hat": enc.theta_hat,
-        "tol": scheme.waiting_tolerance(sc, family),
-    }
-
-
-def _run_grid(cfg: ExperimentConfig, worker, threads: int):
-    """Run worker(n, trial) over the whole grid, deterministic order."""
-    jobs = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    if threads <= 1:
-        return [worker(*j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda j: worker(*j), jobs))
-
-
-def _fit_slope(xs, ys):
-    """Least-squares slope of log(y) on log(x); ignores non-positive y."""
-    pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0]
-    if len(pts) < 2:
-        return float("nan")
-    lx = np.array([p[0] for p in pts])
-    ly = np.array([p[1] for p in pts])
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
 def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
                               threads: int = 1) -> dict:
     """Measure the Lagrangian of the universal code against the oracle
     baseline on a grid of block lengths; returns a summary dict and writes
     one CSV row per trial plus median/slope summary rows."""
-    family = cfg.family()
-    db = cfg.database(family)
-    per_n = {}
-    for n in cfg.n_grid:
-        sc = cfg.scheme_config(n)
-        candidates = scheme.candidate_set(sc, db)
-        eval_seed = derive_seed(cfg.seed, TAG_TRIAL, n)
-        # with per-trial code seeds each trial provisions its own oracle
-        oracle_rep = None if cfg.per_trial_code_seed else \
-            _oracle_report(cfg, family, sc, eval_seed)
-        per_n[n] = (sc, candidates, oracle_rep, eval_seed)
+    theta0 = np.asarray(cfg.theta0)
+    # (n, code seed) -> the oracle's Lagrangian; at most one per trial
+    oracles = LruCache(len(cfg.n_grid) * cfg.trials)
 
-    def worker(n, trial):
-        sc, candidates, oracle_rep, eval_seed = per_n[n]
-        return _redundancy_trial(cfg, family, db, sc, candidates, oracle_rep,
-                                 eval_seed, n, trial)
+    def trial_row(family, db, sc, candidates, scene, seed):
+        def lagrangian(sc, theta, index):   # of a book on fresh theta0 blocks
+            book = scheme.provision_codebook(sc, family, theta, index)
+            return ecvq.lagrangian_eval(book, family, theta0, cfg.eval_blocks,
+                                        derive_seed(cfg.seed, TAG_TRIAL, sc.n))
 
-    rows = _run_grid(cfg, worker, threads)
-    fh, writer = _open_csv(out_path, REDUNDANCY_HEADER, cfg.timestamp)
-    with fh:
-        for r in rows:
-            writer.writerow(["trial"] + [r[k] for k in REDUNDANCY_HEADER[1:]])
-        medians, xs = [], []
-        for n in cfg.n_grid:
-            reds = [r["redundancy"] for r in rows if r["n"] == n]
-            med = float(np.median(reds))
-            medians.append(med)
-            xs.append(_x_value(family, n))
-            writer.writerow(["median", n, "", "", "", med, "", "", "", "",
-                             "", "", xs[-1], cfg.seed])
-        slope = _fit_slope(xs, medians)
-        writer.writerow(["slope", "", "", "", "", slope, "", "", "", "", "",
-                         "", "", cfg.seed])
-    return {"rows": rows, "medians": dict(zip(cfg.n_grid, medians)),
-            "x_values": dict(zip(cfg.n_grid, xs)), "slope": slope}
+        oracle = oracles.get_or_make(   # a book trained on theta0 itself
+            (sc.n, sc.code_seed), lambda: lagrangian(dataclasses.replace(
+                sc, train_blocks=cfg.oracle_train_blocks), theta0, 0).lagrangian)
+        enc = scheme.encode_block(sc, db, *scene, candidates=candidates)
+        theta_hat = np.asarray(enc.theta_hat)
+        rep = lagrangian(sc, theta_hat, scheme.book_index(enc.waiting_time))
+        first_bits = 1 + len(enc.first_stage.s1)
+        l_star = rep.lagrangian + sc.lam * first_bits / sc.n
+        return {
+            "lagrangian_star": l_star, "lagrangian_oracle": oracle,
+            "redundancy": l_star - oracle, "first_stage_bits": first_bits,
+            "b_flag": enc.first_stage.b,
+            "waiting_time": -1 if enc.waiting_time is None else enc.waiting_time,
+            "d_theta0_theta_hat": distances.variational_mc(
+                family, theta0, theta_hat, sc.n, cfg.identify_mc,
+                derive_seed(seed, TAG_TRIAL)).value,
+            "distortion_se": rep.distortion_se, "rate_se": rep.rate_se,
+        }
+
+    def slope_row(xs, medians):
+        slope = _fit_slope(list(xs.values()), list(medians.values()))
+        return ([{"kind": "slope", "redundancy": slope, "seed": cfg.seed}],
+                {"x_values": xs, "slope": slope})
+
+    return _run_grid(cfg, out_path, threads, REDUNDANCY_HEADER, "redundancy",
+                     trial_row, slope_row)
 
 
 IDENTIFY_HEADER = [
@@ -259,51 +257,24 @@ def run_identification_experiment(cfg: ExperimentConfig, out_path: str,
                                   threads: int = 1) -> dict:
     """Measure d_n(theta0, theta_hat) per trial with its triangle
     decomposition through the MDE output theta_tilde."""
-    family = cfg.family()
     theta0 = np.asarray(cfg.theta0)
-    db = cfg.database(family)
-    per_n = {}
-    for n in cfg.n_grid:
-        sc = cfg.scheme_config(n)
-        per_n[n] = (sc, scheme.candidate_set(sc, db))
 
-    def worker(n, trial):
-        sc, candidates = per_n[n]
-        trial_seed = derive_seed(cfg.seed, TAG_TRIAL, n, trial)
-        if cfg.per_trial_code_seed:
-            # the code seed also seeds the waiting-time distance probes
-            sc = dataclasses.replace(sc, code_seed=derive_seed(trial_seed, 7))
-        history, _ = scheme.sample_scene(family, theta0, sc, trial_seed)
-        T, tt, th = scheme.identify(sc, db, history, candidates=candidates)
+    def trial_row(family, db, sc, candidates, scene, seed):
+        T, tt, th = scheme.identify(sc, db, scene[0], candidates=candidates)
         est0h, est0t, estth = (
-            distances.variational_mc(family, p, q, n, cfg.identify_mc,
-                                     derive_seed(trial_seed, k))
+            distances.variational_mc(family, p, q, sc.n, cfg.identify_mc,
+                                     derive_seed(seed, k))
             for k, (p, q) in enumerate([(theta0, th), (theta0, tt), (tt, th)], 1))
         return {
-            "n": n, "trial": trial,
             "d_theta0_theta_hat": est0h.value,
             "d_theta0_theta_tilde": est0t.value,
             "d_theta_tilde_theta_hat": estth.value,
-            "tol": scheme.waiting_tolerance(sc, family),
-            "b_flag": int(T is None),
-            "waiting_time": -1 if T is None else T,
+            "b_flag": int(T is None), "waiting_time": -1 if T is None else T,
             "d_se": est0h.standard_error + est0t.standard_error + estth.standard_error,
-            "x_value": _x_value(family, n), "seed": trial_seed,
         }
 
-    rows = _run_grid(cfg, worker, threads)
-    fh, writer = _open_csv(out_path, IDENTIFY_HEADER, cfg.timestamp)
-    medians = []
-    with fh:
-        for r in rows:
-            writer.writerow(["trial"] + [r[k] for k in IDENTIFY_HEADER[1:]])
-        for n in cfg.n_grid:
-            ds = [r["d_theta0_theta_hat"] for r in rows if r["n"] == n]
-            med = float(np.median(ds))
-            medians.append(med)
-            writer.writerow(["median", n, "", med, "", "", "", "", "", "",
-                             _x_value(family, n), cfg.seed])
-    return {"rows": rows, "medians": dict(zip(cfg.n_grid, medians))}
+    return _run_grid(cfg, out_path, threads, IDENTIFY_HEADER,
+                     "d_theta0_theta_hat", trial_row)
 
 
 # ---------------------------------------------------------------------------

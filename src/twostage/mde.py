@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lru import LruCache
-from .models import SampleBlock, SourceFamily
+from .models import SourceFamily
 from .rand import TAG_PROB, rng_for
 
 
@@ -52,16 +52,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.thetas)
-
-    def arrays(self) -> list[np.ndarray]:
-        return [np.asarray(t) for t in self.thetas]
-
-
-def _blocks_matrix(blocks) -> np.ndarray:
-    if isinstance(blocks, np.ndarray):
-        return blocks
-    return np.stack([b.values if isinstance(b, SampleBlock) else np.asarray(b)
-                     for b in blocks])
 
 
 # a seed-0 unit of an acceptance-grid experiment holds 72 frequency tables
@@ -118,7 +108,7 @@ def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,
     """
     if len(candidates) < 2:
         raise TooFewCandidatesError("need >= 2 candidates for the Yatracos class")
-    X = _blocks_matrix(blocks)
+    X = np.asarray(blocks)
     if X.shape[0] == 0:
         raise ValueError("no estimation blocks")
     n = X.shape[1]
@@ -143,9 +133,8 @@ def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,
     if len(candidates) == 1:
         theta = np.asarray(candidates.thetas[0])
         return (theta, np.zeros(1)) if return_u else theta
-    X = _blocks_matrix(blocks)
-    n = X.shape[1]
-    u = u_statistic_all(family, X, candidates, mc_budget, seed)
+    n = np.shape(blocks)[1]
+    u = u_statistic_all(family, blocks, candidates, mc_budget, seed)
     winner = int(np.flatnonzero(u < u.min() + 1.0 / n)[0])
     theta = np.asarray(candidates.thetas[winner])
     return (theta, u) if return_u else theta
@@ -182,11 +171,3 @@ def vc_deviation_bound(n: int, V: float, epsilon: float) -> float:
         raise ValueError("epsilon must be > 0")
     log_bound = np.log(8.0) + V * np.log(n) - n * epsilon ** 2 / 32.0
     return float(min(1.0, np.exp(min(log_bound, 0.0))))
-
-
-def vc_expectation_bound(n: int, V: float, c: float = 1.0) -> float:
-    """Companion expectation bound c * sqrt(V log n / n); c is a knob, not a
-    claim."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return float(c * np.sqrt(V * np.log(n) / n))

@@ -419,7 +419,7 @@ class HiddenMarkov(SourceFamily):
 
 def log_density(family: SourceFamily, theta, block) -> float:
     """Exact natural-log density of the n-dimensional marginal at the block."""
-    values = block.values if isinstance(block, SampleBlock) else np.asarray(block)
+    values = np.asarray(block)
     if not np.all(np.isfinite(values)):
         raise ValueError("block contains non-finite values")
     return float(family.log_density_batch(theta, values[None, ...])[0])

@@ -112,7 +112,7 @@ class MemoryLayout:
         return np.stack([history[o:o + self.n] for o in self.z_offsets])
 
 
-def memory_layout(config: SchemeConfig, l_cap: int | None = None) -> MemoryLayout:
+def memory_layout(config: SchemeConfig) -> MemoryLayout:
     """l_n = ceil(n^((2+eta)/r)), zero when r = inf; m_n = n (n + l_n)."""
     n = config.n
     if math.isinf(config.r):
@@ -120,10 +120,9 @@ def memory_layout(config: SchemeConfig, l_cap: int | None = None) -> MemoryLayou
         capped = False
     else:
         l_n = math.ceil(n ** ((2.0 + config.eta) / config.r))
-        cap = l_cap if l_cap is not None else config.l_cap
-        capped = cap is not None and l_n > cap
+        capped = config.l_cap is not None and l_n > config.l_cap
         if capped:
-            l_n = int(cap)
+            l_n = int(config.l_cap)
     m_n = n * (n + l_n)
     stride = n + l_n
     z = tuple(j * stride for j in range(n))
@@ -275,13 +274,12 @@ def candidate_set(config: SchemeConfig, db: Database) -> CandidateSet:
 
 
 def identify(config: SchemeConfig, db: Database, history,
-             family: SourceFamily | None = None,
              candidates: CandidateSet | None = None):
     """First stage: the MDE estimate theta_tilde from the memory's
     estimation blocks, then the waiting-time search for it in the database.
     Returns (T, theta_tilde, theta_hat); T is None for the b=1 flag."""
-    family = family or db.family
-    hist = history.values if isinstance(history, SampleBlock) else np.asarray(history)
+    family = db.family
+    hist = np.asarray(history)
     if not np.all(np.isfinite(hist)):
         raise ValueError("history must be finite")
     Z = memory_layout(config).extract_z(hist)
@@ -296,17 +294,15 @@ def identify(config: SchemeConfig, db: Database, history,
 
 
 def encode_block(config: SchemeConfig, db: Database, history, current,
-                 family: SourceFamily | None = None,
                  candidates: CandidateSet | None = None) -> EncodedBlock:
     """Full first+second stage encoding of one n-block given its memory."""
-    family = family or db.family
-    cur = current.values if isinstance(current, SampleBlock) else np.asarray(current)
+    cur = np.asarray(current)
     if cur.shape[0] != config.n:
         raise ValueError(f"current block must have n={config.n} letters")
     if not np.all(np.isfinite(cur)):
         raise ValueError("current block must be finite")
-    T, theta_tilde, theta_hat = identify(config, db, history, family, candidates)
-    book = provision_codebook(config, family, theta_hat, book_index(T))
+    T, theta_tilde, theta_hat = identify(config, db, history, candidates)
+    book = provision_codebook(config, db.family, theta_hat, book_index(T))
     cw_idx, s2 = ecvq_encode(book, cur)
     first = FirstStageDescription(b=1, s1=BitString()) if T is None else \
         FirstStageDescription(b=0, s1=elias_encode(T))
@@ -315,12 +311,11 @@ def encode_block(config: SchemeConfig, db: Database, history, current,
                         theta_hat=tuple(theta_hat), codeword_index=cw_idx)
 
 
-def decode_block(config: SchemeConfig, db: Database, stream: BitString,
-                 family: SourceFamily | None = None,
-                 cursor: int = 0) -> DecodedBlock:
+def decode_block(config: SchemeConfig, db: Database,
+                 stream: BitString) -> DecodedBlock:
     """Inverse of encode_block; atomic (raises without partial output)."""
-    family = family or db.family
-    reader = BitReader(stream, cursor)
+    family = db.family
+    reader = BitReader(stream)
     try:
         T = reader.read_gamma() if reader.read_bit() == 0 else None
         if T is not None and T > config.i_max:
@@ -336,7 +331,7 @@ def decode_block(config: SchemeConfig, db: Database, stream: BitString,
         raise MalformedStreamError(str(exc)) from exc
     xhat = SampleBlock(values=book.codevectors[cw].copy(), n=config.n)
     return DecodedBlock(xhat=xhat, theta_hat=np.asarray(theta_hat),
-                        radius=radius, bits_consumed=reader.cursor - cursor)
+                        radius=radius, bits_consumed=reader.cursor)
 
 
 def blocking_bound(family: SourceFamily, theta, layout: MemoryLayout) -> float:

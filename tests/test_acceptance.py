@@ -143,19 +143,19 @@ def test_criterion_6_round_trip():
         fam, theta0, sc = _round_trip_config(s)
         db = scheme.Database(family=fam, seed=sc.database_seed)
         hist, cur = scheme.sample_scene(fam, theta0, sc, seed=800 + s)
-        enc = scheme.encode_block(sc, db, hist, cur, family=fam)
+        enc = scheme.encode_block(sc, db, hist, cur)
         scheme.clear_codebook_cache()
-        enc2 = scheme.encode_block(sc, db, hist, cur, family=fam)
+        enc2 = scheme.encode_block(sc, db, hist, cur)
         ok &= enc.stream() == enc2.stream()
         ok &= enc.stream().to_bytes() == enc2.stream().to_bytes()
         scheme.clear_codebook_cache()
-        dec = scheme.decode_block(sc, db, enc.stream(), family=fam)
+        dec = scheme.decode_block(sc, db, enc.stream())
         ok &= np.array_equal(dec.theta_hat, np.asarray(enc.theta_hat))
         ok &= dec.bits_consumed == enc.total_bits
         ok &= dec.xhat.values.shape[0] == sc.n
         for cut in range(enc.total_bits):
             try:
-                scheme.decode_block(sc, db, enc.stream()[:cut], family=fam)
+                scheme.decode_block(sc, db, enc.stream()[:cut])
                 ok = False
             except scheme.MalformedStreamError:
                 pass

@@ -5,8 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from twostage.distances import (DistanceEstimate, UnsupportedFamilyError,
-                                gaussian_smoothness_constant, kl_bound_gaussian,
-                                kl_gaussian_iid, smoothness_check,
+                                gaussian_smoothness_constant, kl_gaussian_iid, smoothness_check,
                                 variational_exact_1d, variational_mc)
 from twostage.models import GaussianAR, GaussianIID
 
@@ -84,12 +83,6 @@ class TestKL:
         assert kl_gaussian_iid((0.2, 1.1), (0.0, 0.9), n=1) == \
             kl_gaussian_iid((0.2, 1.1), (0.0, 0.9), n=17)
 
-    def test_quadratic_bound_on_grid(self):
-        for m in np.linspace(-0.5, 0.5, 5):
-            for s in np.linspace(0.8, 1.25, 5):
-                kl = kl_gaussian_iid((0.0, 1.0), (m, s))
-                assert kl <= kl_bound_gaussian((0.0, 1.0), (m, s)) + 1e-12
-
     def test_sigma_domain(self):
         with pytest.raises(ValueError):
             kl_gaussian_iid((0.0, 0.0), (0.0, 1.0))
@@ -100,10 +93,9 @@ class TestSmoothness:
         assert gaussian_smoothness_constant((0.0, 1.0), 0.1) == pytest.approx(3.0 / 0.9)
 
     def test_kl_example(self):
-        # theta=(0,1), theta'=(0.1,1): KL = 0.005, bound (1+1)^2*0.01/2 = 0.02
+        # theta=(0,1), theta'=(0.1,1): KL = 0.1^2 / 2 = 0.005
         kl = kl_gaussian_iid((0.0, 1.0), (0.1, 1.0))
         assert kl == pytest.approx(0.005, abs=1e-12)
-        assert kl <= kl_bound_gaussian((0.0, 1.0), (0.1, 1.0)) == pytest.approx(0.02)
 
     def test_pinsker_chain(self):
         d1 = variational_exact_1d(GAUSS, (0.0, 1.0), (1.0, 1.0)).value
@@ -113,6 +105,10 @@ class TestSmoothness:
         rows = smoothness_check(GAUSS, (0.0, 1.0), [0.05, 0.15], [1, 2, 8],
                                 seed=99, num_samples=12_000)
         assert rows and all(r.passed for r in rows)
+
+    def test_gaussian_iid_only(self):
+        with pytest.raises(UnsupportedFamilyError):
+            smoothness_check(GaussianAR(p=1), (0.5,), [0.05], [1], seed=0)
 
     def test_zero_gap_trivial(self):
         est = variational_mc(GAUSS, (0.0, 1.0), (0.0, 1.0), 5, 100, seed=0)

@@ -62,7 +62,7 @@ class TestDesign:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
         book = ecvq_design(X, lam=0.0, initial_size=3, spec=SPEC, seed=3,
                            tolerance=1e-12)
-        idx = book.encode_many(X)
+        idx = [ecvq_encode(book, x)[0] for x in X]
         d = pairwise_distortion(X, book.codevectors, SPEC)
         assert np.allclose(d[np.arange(4), idx], 0.0)
 
@@ -108,7 +108,7 @@ class TestEncode:
         X = GAUSS.sample_paths((0.0, 1.0), 3, 64, rng_for(7, 0))
         book = ecvq_design(X, lam=0.0, initial_size=8, spec=SPEC, seed=7)
         for j in range(book.size):
-            idx, _ = ecvq_encode(book, book.codevectors[j], lam=0.0)
+            idx, _ = ecvq_encode(book, book.codevectors[j])
             cost_j = rho_n(SPEC, book.codevectors[j], book.codevectors[idx])
             assert cost_j == pytest.approx(0.0) and idx <= j
 
@@ -163,17 +163,15 @@ class TestPairwiseDistortion:
 
 
 class TestLagrangianEval:
-    @pytest.mark.parametrize("rho_max", [1.0, 0.5])
-    def test_matches_encode_then_measure(self, rho_max):
-        # the encoder's choice (book.encode_many) measured under the
-        # caller's spec, as two separate distortion matrices
+    def test_matches_encode_then_measure(self):
+        # the encoder's choice (ecvq_encode, block by block) measured with
+        # rho_n, against the evaluator's one distortion matrix
         X = GAUSS.sample_paths((0.0, 1.0), 4, 256, rng_for(31, 0))
         book = ecvq_design(X, lam=0.5, initial_size=16, spec=SPEC, seed=31)
-        spec = DistortionSpec(rho_max=rho_max)
-        got = lagrangian_eval(book, GAUSS, (0.0, 1.0), 0.5, spec, 700, seed=32)
+        got = lagrangian_eval(book, GAUSS, (0.0, 1.0), 700, seed=32)
         Y = GAUSS.sample_paths((0.0, 1.0), 4, 700, rng_for(32, TAG_EVAL))
-        idx = book.encode_many(Y)
-        d = pairwise_distortion(Y, book.codevectors, spec)[np.arange(700), idx]
+        idx = np.array([ecvq_encode(book, y)[0] for y in Y])
+        d = pairwise_distortion(Y, book.codevectors, SPEC)[np.arange(700), idx]
         r = np.asarray(book.lengths)[idx] / book.n
         want = LagrangianReport.build(
             np.mean(d), np.mean(r), 0.5,
@@ -191,15 +189,15 @@ class TestLagrangianEval:
         book = Codebook(n=2, codevectors=np.array([[0.0, 0.0]]),
                         lengths=np.array([0]),
                         codes=tuple(canonical_code([0])), lam=0.5, spec=SPEC)
-        rep = lagrangian_eval(book, GAUSS, (0.0, 1.0), 0.5, SPEC, 500, seed=10)
+        rep = lagrangian_eval(book, GAUSS, (0.0, 1.0), 500, seed=10)
         assert rep.rate == 0.0 and rep.rate_se == 0.0
         assert rep.lagrangian == rep.distortion
 
     def test_mc_error_scaling(self):
         X = GAUSS.sample_paths((0.0, 1.0), 4, 256, rng_for(11, 0))
         book = ecvq_design(X, lam=0.5, initial_size=16, spec=SPEC, seed=11)
-        r1 = lagrangian_eval(book, GAUSS, (0.0, 1.0), 0.5, SPEC, 2000, seed=12)
-        r2 = lagrangian_eval(book, GAUSS, (0.0, 1.0), 0.5, SPEC, 4000, seed=12)
+        r1 = lagrangian_eval(book, GAUSS, (0.0, 1.0), 2000, seed=12)
+        r2 = lagrangian_eval(book, GAUSS, (0.0, 1.0), 4000, seed=12)
         assert r2.distortion_se == pytest.approx(r1.distortion_se / np.sqrt(2),
                                                  rel=0.25)
 
@@ -215,8 +213,8 @@ class TestLagrangianEval:
             Xb = GAUSS.sample_paths(theta_p, n, 512, rng_for(13, 1))
             book_a = ecvq_design(Xa, lam=lam, initial_size=16, spec=SPEC, seed=13)
             book_b = ecvq_design(Xb, lam=lam, initial_size=16, spec=SPEC, seed=14)
-            rep_aa = lagrangian_eval(book_a, GAUSS, theta, lam, SPEC, 4000, seed=15)
-            rep_ab = lagrangian_eval(book_b, GAUSS, theta, lam, SPEC, 4000, seed=15)
+            rep_aa = lagrangian_eval(book_a, GAUSS, theta, 4000, seed=15)
+            rep_ab = lagrangian_eval(book_b, GAUSS, theta, 4000, seed=15)
             d = variational_mc(GAUSS, theta, theta_p, n, 40_000, seed=16)
             ses = (rep_aa.distortion_se + lam * rep_aa.rate_se
                    + rep_ab.distortion_se + lam * rep_ab.rate_se

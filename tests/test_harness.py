@@ -37,7 +37,15 @@ BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               ("max_initial_size", 0), ("rate_target", -1.0), ("r", 0.0),
               ("l_cap", -1), ("anchors", [[0.0, -1.0]]), ("design_tol", None),
               ("i_max", 2.5), ("prior", {"m_scale": -1.0})]
-BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0)]
+BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
+           # each of these was silently coerced: a JSON integer that is not
+           # a bool, a JSON boolean, a list, a list of lists
+           ("trials", 2.7), ("trials", True), ("seed", 1.5),
+           ("eval_blocks", "200"), ("oracle_train_blocks", True),
+           ("identify_mc", 400.0), ("n_grid", "46"), ("n_grid", [4.0, 6]),
+           ("timestamp", "no"), ("plant_theta0", 1),
+           ("per_trial_code_seed", "false"), ("theta0", "01"), ("plant", ""),
+           ("plant", ["01"])]
 
 
 # what a field needs to reach the run: l_cap a finite mixing exponent r; a
@@ -69,6 +77,10 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/no/such/config.json")
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            build_config([1, 2])
 
     def test_schema_version_required(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -144,6 +156,18 @@ class TestExperiments:
         run_redundancy_experiment(cfg, str(b), threads=2)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_experiments_share_the_first_stage(self, tmp_path):
+        # each (n, trial) draws one scene and runs one first stage, whichever
+        # experiment asks
+        cfg = build_config(tiny_raw())
+        red = run_redundancy_experiment(cfg, str(tmp_path / "r.csv"))["rows"]
+        ide = run_identification_experiment(cfg, str(tmp_path / "i.csv"))["rows"]
+        assert [(r["n"], r["trial"]) for r in red] == \
+            [(r["n"], r["trial"]) for r in ide]
+        keys = ("seed", "b_flag", "waiting_time", "tol", "x_value")
+        for r, i in zip(red, ide):
+            assert {k: r[k] for k in keys} == {k: i[k] for k in keys}
+
     def test_identification_triangle_columns(self, tmp_path):
         cfg = build_config(tiny_raw())
         out = tmp_path / "id.csv"
@@ -190,6 +214,14 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_object_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        rc = cli.main(["identify", "--config", str(p),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_block_length_one_exit_two(self, tmp_path, capsys):
         p = tmp_path / "n1.json"
         p.write_text(json.dumps(tiny_raw(n_grid=[1, 4])))
@@ -200,7 +232,8 @@ class TestCli:
 
     @pytest.mark.parametrize("where,field,value", BAD_CONFIGS)
     def test_unrunnable_field_exit_two(self, tmp_path, capsys, where, field, value):
-        # the redundancy runner reaches every field; on each it raised
+        # the redundancy runner reaches every field; each raised there or
+        # ran on a coerced value
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad_raw(where, field, value)))
         rc = cli.main(["redundancy", "--config", str(p),

@@ -11,7 +11,7 @@ from twostage.mde import (CandidateSet, TooFewCandidatesError,
                           _membership_tensor, _model_pair_frequencies,
                           _pair_frequencies, clear_probability_cache,
                           mde_estimate, u_statistic_all, vc_bound,
-                          vc_deviation_bound, vc_expectation_bound)
+                          vc_deviation_bound)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.rand import rng_for
 
@@ -202,10 +202,6 @@ class TestVcBounds:
     def test_deviation_bound_domain(self):
         with pytest.raises(ValueError, match="V >= 2"):
             vc_deviation_bound(10, 1.5, 0.1)
-
-    def test_expectation_bound_knob(self):
-        assert vc_expectation_bound(100, 60.0, c=2.0) == \
-            pytest.approx(2 * math.sqrt(60 * math.log(100) / 100))
 
 
 class TestCacheKeys:
