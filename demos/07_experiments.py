@@ -1,22 +1,17 @@
-"""Batch experiments and the invariant matrix, as driven by the CLI.
+"""Batch experiments, as driven by the CLI.
 
 The same entry points back the `twostage` console script:
 
     twostage redundancy --config cfg.json --out red.csv
     twostage identify   --config cfg.json --out id.csv
-    twostage invariants
 
-This script runs a miniature redundancy experiment in-process and prints
-the invariant report.
+This script runs a miniature redundancy experiment in-process.
 """
 
-import json
 import tempfile
 from pathlib import Path
 
-from twostage.harness import (build_config, format_report,
-                              run_invariant_suite,
-                              run_redundancy_experiment)
+from twostage.harness import build_config, run_redundancy_experiment
 
 raw = {
     "schema_version": 1,
@@ -40,6 +35,4 @@ for n, med in summary["medians"].items():
     print(f"  n={n:3d}: {med:+.5f}   (x = sqrt(V log n / n) = "
           f"{summary['x_values'][n]:.3f})")
 print(f"fitted log-log slope: {summary['slope']:.3f}")
-print(f"CSV written to {out} ({sum(1 for _ in open(out))} lines)\n")
-
-print(format_report(run_invariant_suite(seed=20240)))
+print(f"CSV written to {out} ({sum(1 for _ in open(out))} lines)")

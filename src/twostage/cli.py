@@ -3,9 +3,8 @@
 Subcommands:
     redundancy  --config PATH --out PATH   Lagrangian redundancy experiment
     identify    --config PATH --out PATH   source-identification experiment
-    invariants  [--seed N]                 cross-module invariant matrix
 
-Exit status: 0 success, 1 check failure, 2 config error.
+Exit status: 0 success, 2 config error.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (ConfigError, format_report, load_config,
-                      run_identification_experiment,
-                      run_invariant_suite, run_redundancy_experiment)
+from .harness import (ConfigError, load_config, run_identification_experiment,
+                      run_redundancy_experiment)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -32,17 +30,11 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--delta-mode", choices=["paper", "practical"],
                         default=None, help="override the tolerance schedule")
-    si = sub.add_parser("invariants", help="run the invariant test matrix")
-    si.add_argument("--seed", type=int, default=20240)
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "invariants":
-        results = run_invariant_suite(seed=args.seed)
-        print(format_report(results))
-        return 0 if all(r.passed for r in results) else 1
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -1,5 +1,5 @@
 """Experiment orchestration: redundancy and identification experiments with
-CSV output, plus the cross-module invariant suite.
+CSV output.
 
 Configs are JSON files with an explicit schema_version; identical config and
 seed produce byte-identical CSV (the timestamp comment line can be disabled
@@ -18,9 +18,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import bitcode, distances, ecvq, mde, models, scheme
+from . import distances, ecvq, mde, models, scheme
 from .lru import LruCache
-from .rand import TAG_TRIAL, derive_seed, rng_for
+from .rand import TAG_TRIAL, derive_seed
 
 CSV_SCHEMA = "twostage-csv v1"
 
@@ -90,6 +90,7 @@ TOP_TYPES = {
     **dict.fromkeys(("timestamp", "plant_theta0", "per_trial_code_seed"),
                     (bool, None)),
     "theta0": (list, None), "n_grid": (list, int), "plant": (list, list),
+    "scheme": (dict, None),
 }
 
 
@@ -275,216 +276,3 @@ def run_identification_experiment(cfg: ExperimentConfig, out_path: str,
 
     return _run_grid(cfg, out_path, threads, IDENTIFY_HEADER,
                      "d_theta0_theta_hat", trial_row)
-
-
-# ---------------------------------------------------------------------------
-# invariant suite
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _check(name, cond, detail) -> CheckResult:
-    return CheckResult(name=name, passed=bool(cond), detail=detail)
-
-
-def run_invariant_suite(seed: int = 20240, corrupt_stream: bool = False) -> list[CheckResult]:
-    """Desk-scale executable form of every module's invariants; each entry is
-    a named pass/fail with the measured margin.  ``corrupt_stream`` injects a
-    negative control into the round-trip check."""
-    from scipy.integrate import quad
-
-    out: list[CheckResult] = []
-    gauss = models.GaussianIID()
-
-    # 1. Elias round trip
-    ok = all(bitcode.elias_decode(bitcode.elias_encode(i))[0] == i
-             for i in range(1, 10001))
-    out.append(_check("elias-round-trip", ok, "1..10^4 exact"))
-
-    # 2. prefix-freeness by sorting
-    words = sorted(str(bitcode.elias_encode(i)) for i in range(1, 4097))
-    pf = all(not words[i + 1].startswith(words[i]) for i in range(len(words) - 1))
-    out.append(_check("elias-prefix-free", pf, "1..4096 sorted-adjacent"))
-
-    # 3. length law
-    ok = all(len(bitcode.elias_encode(i)) == 2 * int(math.log2(i)) + 1
-             for i in range(1, 5000))
-    out.append(_check("elias-length-law", ok, "2*floor(log2 i)+1"))
-
-    # 4. density normalization (n = 1 Gaussian)
-    mass, _ = quad(lambda x: math.exp(models.log_density(gauss, (0.3, 1.7), np.array([x]))),
-                   -np.inf, np.inf)
-    out.append(_check("gaussian-density-normalization", abs(mass - 1) < 1e-6,
-                      f"integral = {mass:.9f}"))
-
-    # 5. AR stationarity: first and last coordinate agree
-    ar = models.GaussianAR(p=1)
-    X = ar.sample_paths(np.array([-0.5]), 16, 4000, rng_for(seed, 11))
-    v0, vn = np.var(X[:, 0]), np.var(X[:, -1])
-    se = np.sqrt(2.0 / 4000) * (4.0 / 3.0)
-    out.append(_check("ar-stationarity", abs(v0 - vn) < 6 * se,
-                      f"var(first)={v0:.4f} var(last)={vn:.4f}"))
-
-    # 6. HMM forward vs brute force
-    hmm = models.HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 2.0],
-                              emission_stds=[0.7, 1.1])
-    theta = np.array([0.8, 0.2, 0.3, 0.7])
-    x = rng_for(seed, 12).normal(size=4)
-    fwd = models.log_density(hmm, theta, x)
-    brute = _hmm_brute_force(hmm, theta, x)
-    out.append(_check("hmm-forward-brute-force", abs(fwd - brute) < 1e-10,
-                      f"|delta| = {abs(fwd - brute):.2e}"))
-
-    # 7. clipped metric: symmetry + triangle on random triples
-    spec = ecvq.DistortionSpec(rho_max=1.0)
-    rng = rng_for(seed, 13)
-    tri_ok = True
-    for _ in range(2000):
-        a, b, c = rng.normal(scale=2.0, size=(3, 6))
-        dab, dba = ecvq.rho_n(spec, a, b), ecvq.rho_n(spec, b, a)
-        if abs(dab - dba) > 1e-12 or dab > ecvq.rho_n(spec, a, c) + ecvq.rho_n(spec, c, b) + 1e-12:
-            tri_ok = False
-            break
-    out.append(_check("rho-metric-properties", tri_ok, "2000 random triples"))
-
-    # 8/9. ECVQ Kraft + cap + Lloyd descent
-    kraft_ok = cap_ok = mono_ok = True
-    for s in range(5):
-        Xtr = gauss.sample_paths((0.0, 1.0), 8, 300, rng_for(seed, 14, s))
-        book = ecvq.ecvq_design(Xtr, lam=0.4, initial_size=16, spec=spec,
-                                seed=seed + s)
-        kraft_ok &= book.kraft_sum() <= 1.0 + 1e-12
-        cap_ok &= book.max_normalized_length() <= 2 * spec.rho_max / 0.4 + 1e-12
-        hist = np.array(book.training_lagrangians)
-        mono_ok &= bool(np.all(np.diff(hist) <= 1e-9))
-    out.append(_check("ecvq-kraft-inequality", kraft_ok, "5 seeded designs"))
-    out.append(_check("ecvq-length-cap", cap_ok, "max len/n <= 2 rho_max/lambda"))
-    out.append(_check("ecvq-lloyd-descent", mono_ok, "pre-rounding Lagrangian"))
-
-    # 10. exact-1d vs MC distance
-    ex = distances.variational_exact_1d(gauss, (0.0, 1.0), (1.0, 1.0))
-    mc = distances.variational_mc(gauss, (0.0, 1.0), (1.0, 1.0), 1, 100_000, seed)
-    out.append(_check("distance-exact-vs-mc",
-                      abs(ex.value - mc.value) <= 3 * mc.standard_error,
-                      f"exact={ex.value:.4f} mc={mc.value:.4f}"))
-
-    # 11. Pinsker chain
-    kl = distances.kl_gaussian_iid((0.0, 1.0), (1.0, 1.0))
-    out.append(_check("pinsker-chain", ex.value <= math.sqrt(2 * kl) + 1e-9,
-                      f"{ex.value:.4f} <= sqrt(2*{kl:.3f})"))
-
-    # 12. smoothness condition (Gaussian closed-form constant)
-    rows = distances.smoothness_check(gauss, (0.0, 1.0), [0.05, 0.1], [1, 4, 16],
-                                      seed, num_samples=8000)
-    out.append(_check("gaussian-smoothness", all(r.passed for r in rows),
-                      f"{sum(r.passed for r in rows)}/{len(rows)} grid points"))
-
-    # 13. VC formula values
-    v1 = mde.vc_bound(gauss, 4).bound
-    v2 = mde.vc_bound(models.GaussianAR(p=2), 4).bound
-    v3 = mde.vc_bound(hmm, 8).bound
-    ok = (abs(v1 - 12 * math.log2(12 * math.e)) < 1e-9
-          and abs(v2 - 12 * math.log2(8 * math.e)) < 1e-9
-          and abs(v3 - 16 * math.log2(32 * math.e)) < 1e-9)
-    out.append(_check("vc-formula-values", ok,
-                      f"{v1:.2f}, {v2:.2f}, {v3:.2f}"))
-
-    # 14. VC deviation vs tail bound on a small grid
-    dev_ok = True
-    cands = mde.CandidateSet.build(gauss, [(-1.0, 1.0), (0.0, 1.0), (1.0, 1.0),
-                                           (0.0, 2.0)])
-    for s in range(20):
-        Xb = gauss.sample_paths((0.0, 1.0), 1, 2048, rng_for(seed, 15, s))
-        emp = mde._pair_frequencies(mde._membership_tensor(gauss, cands, Xb))
-        ref = mde._model_pair_frequencies(gauss, cands, (0.0, 1.0), 1,
-                                          200_000, seed + 999)
-        dev = float(np.max(np.abs(emp - ref)[~np.eye(len(cands), dtype=bool)]))
-        eps = 0.6
-        if mde.vc_deviation_bound(2048, 2.0, eps) < 1 and dev > eps:
-            dev_ok = False
-    out.append(_check("vc-uniform-deviation", dev_ok, "20 seeds, eps=0.6"))
-
-    # 15. MDE key inequality audit (small)
-    eq2_ok = True
-    grid = mde.CandidateSet.build(gauss, [(m, 1.0) for m in np.linspace(-2, 2, 9)]
-                                  + [(0.0, 1.0)])
-    for s in range(10):
-        Z = gauss.sample_paths((0.0, 1.0), 8, 64, rng_for(seed, 16, s))
-        theta_t, u = mde.mde_estimate(gauss, Z, grid, 2000, seed + s,
-                                      return_u=True)
-        i0 = grid.thetas.index((0.0, 1.0))
-        d = distances.variational_mc(gauss, (0.0, 1.0), theta_t, 8, 20_000,
-                                     seed + 7 * s)
-        if d.value > 4 * u[i0] + 3.0 / 8 + 3 * (d.standard_error + 0.02):
-            eq2_ok = False
-    out.append(_check("mde-distance-inequality", eq2_ok, "10 seeded runs, n=8"))
-
-    # 16/17. two-stage round trip + truncation atomicity
-    sc = scheme.SchemeConfig(n=4, lam=0.5, c_delta=1.0, database_seed=seed,
-                             code_seed=seed + 1, n_candidates=8,
-                             distance_mc=200, mde_mc=500, train_blocks=64,
-                             i_max=200)
-    db = scheme.Database(family=gauss, seed=seed,
-                         prior={"m_scale": 2.0, "log_sigma_scale": 0.5})
-    hist, cur = scheme.sample_scene(gauss, (0.0, 1.0), sc, seed + 5)
-    enc = scheme.encode_block(sc, db, hist, cur)
-    stream = enc.stream()
-    if corrupt_stream:
-        stream = stream[:max(1, len(stream) - 2)]
-    try:
-        dec = scheme.decode_block(sc, db, stream)
-        rt_ok = (tuple(dec.theta_hat) == enc.theta_hat
-                 and dec.bits_consumed == enc.total_bits)
-        trunc_raised = False
-    except scheme.MalformedStreamError:
-        rt_ok = False
-        trunc_raised = True
-    out.append(_check("two-stage-round-trip", rt_ok and not trunc_raised,
-                      f"{enc.total_bits} bits"))
-    try:
-        scheme.decode_block(sc, db, enc.stream()[:enc.total_bits - 2])
-        trunc_ok = False
-    except scheme.MalformedStreamError:
-        trunc_ok = True
-    out.append(_check("truncated-stream-rejected", trunc_ok, "atomic failure"))
-
-    # 18. blocking bound decreases along the Theorem-1 gap schedule
-    ar_cfgs = [scheme.SchemeConfig(n=n, lam=0.5, r=2.0) for n in (4, 8, 16)]
-    bounds = [scheme.blocking_bound(ar, np.array([-0.5]),
-                                    scheme.memory_layout(c)) for c in ar_cfgs]
-    out.append(_check("blocking-bound-decreasing",
-                      all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])),
-                      f"{['%.3g' % b for b in bounds]}"))
-
-    return out
-
-
-def _hmm_brute_force(hmm: models.HiddenMarkov, theta, x: np.ndarray) -> float:
-    """Direct sum over all state sequences; oracle for the forward recursion."""
-    A = hmm.transition_matrix(theta)
-    pi = hmm.stationary_dist(theta)
-    xs = np.asarray(x, dtype=float).reshape(-1, hmm.letter_dim)
-    n = xs.shape[0]
-    emis = np.exp(hmm._emission_logpdf(xs))  # (n, M)
-    total = 0.0
-    import itertools
-    for states in itertools.product(range(hmm.M), repeat=n):
-        p = pi[states[0]] * emis[0, states[0]]
-        for t in range(1, n):
-            p *= A[states[t - 1], states[t]] * emis[t, states[t]]
-        total += p
-    return math.log(total)
-
-
-def format_report(results: list[CheckResult]) -> str:
-    lines = []
-    for r in results:
-        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-    n_fail = sum(not r.passed for r in results)
-    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    return "\n".join(lines)

@@ -47,7 +47,7 @@ def test_criterion_2_distance_oracles():
            f"pinsker {exact.value:.4f} <= {math.sqrt(2 * kl):.1f}")
 
 
-def test_criterion_3_model_core():
+def test_criterion_3_model_core(hmm_brute_force):
     ar = models.GaussianAR(p=1)
     X = ar.sample_paths(np.array([-0.5]), 1000, 1000, rng_for(3, 0))
     var = float(np.var(X))
@@ -61,7 +61,7 @@ def test_criterion_3_model_core():
         for n in range(1, 6):
             x = rng_for(3, 2, M, n).normal(size=n)
             fwd = models.log_density(hmm, theta, x)
-            brute = harness._hmm_brute_force(hmm, theta, x)
+            brute = hmm_brute_force(hmm, theta, x)
             worst = max(worst, abs(fwd - brute))
     ok &= worst < 1e-10
     report(3, "model core", ok,
@@ -252,7 +252,7 @@ def test_criterion_9_vc_accounting():
     ref = mde._model_pair_frequencies(GAUSS, cands, (0.0, 1.0), 1,
                                       200_000, seed=90)
     grid_n = (512, 1024, 2048)
-    eps_grid = (0.5, 0.7, 0.9)
+    eps_grid = (0.5, 0.6, 0.7, 0.9)
     checked = 0
     worst = 0.0
     ok_dev = True

@@ -146,13 +146,21 @@ class TestMDE:
             GAUSS, [(m, 1.0) for m in np.linspace(-2, 2, 9)] + [theta0])
         n = 8
         i0 = grid.thetas.index(theta0)
-        for s in range(20):
-            Z = GAUSS.sample_paths(theta0, n, 128, rng_for(100 + s, 0))
-            theta_t, u = mde_estimate(GAUSS, Z, grid, 4000, seed=300 + s,
-                                      return_u=True)
-            d = variational_mc(GAUSS, theta0, theta_t, n, 20_000, seed=400 + s)
-            mc_slack = d.standard_error + 2.0 / math.sqrt(4000)
-            assert d.value <= 4 * u[i0] + 3.0 / n + 3 * mc_slack
+        # blocks, mde_mc, the slack's allowance for the MDE's own Monte Carlo
+        # error, and per run the seeds of the blocks, the MDE and d_n; the
+        # second case has fewer blocks and a tighter allowance
+        cases = [(128, 4000, 2.0 / math.sqrt(4000),
+                  [(rng_for(100 + s, 0), 300 + s, 400 + s) for s in range(20)]),
+                 (64, 2000, 0.02, [(rng_for(20240, 16, s), 20240 + s,
+                                    20240 + 7 * s) for s in range(10)])]
+        for blocks, mde_mc, mde_slack, runs in cases:
+            for rng, mde_seed, d_seed in runs:
+                Z = GAUSS.sample_paths(theta0, n, blocks, rng)
+                theta_t, u = mde_estimate(GAUSS, Z, grid, mde_mc, seed=mde_seed,
+                                          return_u=True)
+                d = variational_mc(GAUSS, theta0, theta_t, n, 20_000, seed=d_seed)
+                mc_slack = d.standard_error + mde_slack
+                assert d.value <= 4 * u[i0] + 3.0 / n + 3 * mc_slack
 
     def test_error_shrinks_with_blocks(self):
         theta0 = (0.0, 1.0)
@@ -173,19 +181,19 @@ class TestMDE:
 class TestVcBounds:
     def test_gaussian_formula(self):
         rep = vc_bound(GAUSS, 4)
-        assert rep.bound == pytest.approx(12 * math.log2(12 * math.e))
+        assert rep.bound == pytest.approx(12 * math.log2(12 * math.e), abs=1e-9)
         assert rep.bound == pytest.approx(60.33, abs=0.01)
 
     def test_ar_formula(self):
         rep = vc_bound(GaussianAR(p=2), 4)
-        assert rep.bound == pytest.approx(12 * math.log2(8 * math.e))
+        assert rep.bound == pytest.approx(12 * math.log2(8 * math.e), abs=1e-9)
         assert rep.bound == pytest.approx(53.31, abs=0.01)
 
     def test_hmm_formula_grows_log_n(self):
         hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1, 1],
                            emission_stds=[1, 1])
         rep = vc_bound(hmm, 8)
-        assert rep.bound == pytest.approx(16 * math.log2(32 * math.e))
+        assert rep.bound == pytest.approx(16 * math.log2(32 * math.e), abs=1e-9)
         assert rep.bound == pytest.approx(103.08, abs=0.01)
         assert vc_bound(hmm, 16).bound > rep.bound
         assert vc_bound(GAUSS, 16).bound == vc_bound(GAUSS, 4).bound

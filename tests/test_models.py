@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -19,20 +18,6 @@ def gauss():
 def hmm2():
     return HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 2.0],
                         emission_stds=[0.7, 1.1])
-
-
-def brute_force_hmm_logdensity(hmm, theta, x):
-    A = hmm.transition_matrix(theta)
-    pi = hmm.stationary_dist(theta)
-    xs = np.asarray(x, dtype=float).reshape(-1, hmm.letter_dim)
-    emis = np.exp(hmm._emission_logpdf(xs))
-    total = 0.0
-    for states in itertools.product(range(hmm.M), repeat=xs.shape[0]):
-        p = pi[states[0]] * emis[0, states[0]]
-        for t in range(1, xs.shape[0]):
-            p *= A[states[t - 1], states[t]] * emis[t, states[t]]
-        total += p
-    return math.log(total)
 
 
 class TestGaussianIID:
@@ -128,7 +113,7 @@ class TestHiddenMarkov:
         want = np.sum(hmm._emission_logpdf(x.reshape(-1, 1)))
         assert log_density(hmm, [1.0], x) == pytest.approx(want, abs=1e-12)
 
-    def test_forward_equals_brute_force_grid(self):
+    def test_forward_equals_brute_force_grid(self, hmm_brute_force):
         rng = rng_for(21, 0)
         for M in (1, 2, 3):
             hmm = HiddenMarkov(M=M, a0=0.02,
@@ -138,7 +123,7 @@ class TestHiddenMarkov:
             for n in range(1, 6):
                 x = rng.normal(size=n)
                 fwd = log_density(hmm, theta, x)
-                brute = brute_force_hmm_logdensity(hmm, theta, x)
+                brute = hmm_brute_force(hmm, theta, x)
                 assert abs(fwd - brute) < 1e-10
 
     def test_invalid_rows(self, hmm2):
