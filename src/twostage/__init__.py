@@ -7,8 +7,7 @@ from .distances import (DistanceEstimate, kl_gaussian_iid, smoothness_check,
                         variational_exact_1d, variational_mc)
 from .ecvq import (Codebook, DistortionSpec, LagrangianReport, ecvq_design,
                    ecvq_encode, lagrangian_eval, rho_n)
-from .mde import (CandidateSet, VcBoundReport, mde_estimate, vc_bound,
-                  vc_deviation_bound)
+from .mde import CandidateSet, VcBoundReport, mde_estimate, vc_bound
 from .models import (GaussianAR, GaussianIID, HiddenMarkov,
                      InvalidParameterError, SampleBlock, SourceFamily,
                      log_density, make_family)

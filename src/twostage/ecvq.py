@@ -7,11 +7,22 @@ increases), and real-valued codeword lengths track the empirical usage.
 The iterations are incremental: the centroid step updates only the dirty
 cells (those that gained or lost blocks or whose codevector last moved), with
 one sort per cell-width class for the medians and a keep test certified by a
-rounding bound; the distortion matrix, refreshed only in moved columns, gives
-each iteration's objective and the next iteration's assignment.
+rounding bound; the distortion screen, refreshed only in the rows of moved
+codevectors, gives the next iteration's assignment.
 After convergence the lengths are rounded to an integer prefix code by the
 canonical-Kraft procedure, and the normalized-length cap 2*rho_max/lambda is
 enforced constructively.
+
+Every nearest-codeword decision (the design's assignments, its trim and final
+Lagrangian, ``lagrangian_eval`` and ``ecvq_encode``) goes through
+``_nearest``: a float32 screen of every (codevector, block) distortion,
+computed one letter at a time, certifies per block that its smallest cost
+beats every other by more than twice a rounding bound; the other blocks are
+decided by the exact float64 matrix, and the exact distortion is computed at
+the chosen codeword only.  So the choices and values are those of
+``pairwise_distortion`` and ``np.argmin``, bit for bit.  Vector letters are
+screened by the exact matrix itself, and a call with too few (block,
+codevector) pairs to pay for the screen, such as one block, skips it.
 """
 
 from __future__ import annotations
@@ -36,8 +47,8 @@ class DistortionSpec:
     base: str = "absolute-difference"  # or "euclidean"
 
     def __post_init__(self):
-        if self.rho_max <= 0:
-            raise ValueError("rho_max must be > 0")
+        if not 0 < self.rho_max < np.inf:     # NaN fails too
+            raise ValueError("rho_max must be finite and > 0")
         if self.base not in ("absolute-difference", "euclidean"):
             raise ValueError(f"unknown base metric {self.base!r}")
 
@@ -103,6 +114,123 @@ def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
         np.add.reduce(d, axis=-1, out=out[lo:hi])
     out /= n    # the mean over letters, as np.mean divides its sum
     return out
+
+
+def _letters(X: np.ndarray):
+    """What the screen reads of the blocks: for scalar letters, the float32
+    letters one row per letter, shape (n, T), with each block's largest
+    |letter| (inf or NaN where the cast overflowed or x is NaN); vector
+    letters as they are, with None."""
+    if X.ndim == 3:
+        return X, None
+    with np.errstate(over="ignore"):
+        L = np.array(X.T, dtype=np.float32, order="C")
+    return L, np.max(np.abs(L), axis=0)
+
+
+def _screen(letters, C: np.ndarray, spec: DistortionSpec) -> np.ndarray:
+    """Distortion of every block against every codevector, shape (K, T):
+    float32 within ``_nearest``'s bound for scalar letters, summed one letter
+    at a time; ``pairwise_distortion`` itself for vector letters."""
+    L, xmax = letters
+    if xmax is None:
+        return pairwise_distortion(L, C, spec).T
+    (n, T), K = L.shape, C.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        C32, rho = C.astype(np.float32), np.float32(spec.rho_max)
+        acc = np.empty((K, T), dtype=np.float32)
+        buf = np.empty_like(acc)
+        for j in range(n):
+            d = buf if j else acc
+            np.subtract(L[j], C32[:, j, None], out=d)
+            np.abs(d, out=d)
+            np.minimum(d, rho, out=d)
+            if j:
+                np.add(acc, d, out=acc)
+        acc /= np.float32(n)
+    return acc
+
+
+def _rho_at(X: np.ndarray, C: np.ndarray, spec: DistortionSpec) -> np.ndarray:
+    """rho_n of each block against its own row of C, shape (T,), with the
+    per-element steps of ``pairwise_distortion`` (so equal to its entries)."""
+    d = X - C
+    d = np.abs(d, out=d) if X.ndim == 2 else np.linalg.norm(d, axis=-1)
+    np.minimum(d, spec.rho_max, out=d)
+    return np.add.reduce(d, axis=-1) / X.shape[1]
+
+
+def _bound(letters, C: np.ndarray, ell: np.ndarray, spec: DistortionSpec):
+    """Per block, a bound on |screened cost - float64 cost| over all
+    codevectors, costs being distortion + ell; 0 for vector letters."""
+    L, xmax = letters
+    if xmax is None:
+        return 0.0       # the screen is pairwise_distortion itself
+    # u = 2^-24, eta = 2^-149 (the float32 subnormal step); per letter,
+    # r = min(|x - c|, rho) and s = min(fl|x~ - c~|, rho~) on the float32
+    # casts x~, c~, rho~:
+    # * casts: |x~ - x| <= u|x| + eta/2, likewise for c and rho; min and |.|
+    #   are 1-Lipschitz, so the letter moves by at most u(|x| + |c| + rho)
+    #   + 3 eta/2;
+    # * the subtraction rounds once, relatively (a subnormal difference is
+    #   exact), and rounding is monotone, so clipping at the float rho~
+    #   commutes with it: within u rho~;
+    # * the sequential float32 sum of the n letters, each in [0, rho~], is
+    #   within gamma_(n-1) n rho~ (Higham, Accuracy and Stability, §4.2), and
+    #   the division by n adds u rho~ + eta/2;
+    # * the length term's cast adds u|ell| + eta/2 and the float32 addition
+    #   u(rho~ + |ell|);
+    # * the float64 side (any summation order) is within
+    #   (n+2) 2^-53 (rho + |ell|) + 2^-1074 < u(rho + |ell|).
+    # Together under u((n+5) rho~ + xmax + cmax + 3 ellmax) + 3 eta for n
+    # below 2^20; doubling covers second-order terms and the rounding of the
+    # float32 scale below and of the threshold in _nearest.  The scale is inf
+    # or NaN when a cast overflowed or ell is NaN, and no block passes
+    # against it; when it is finite, every screened cost is finite.
+    n = L.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (np.float32(n + 5) * np.float32(spec.rho_max) + xmax
+                 + np.max(np.abs(C.astype(np.float32)))
+                 + np.float32(3) * np.max(np.abs(ell.astype(np.float32))))
+    return 2.0 ** -23 * scale.astype(float) + 2.0 ** -146 if n < 1 << 20 else np.inf
+
+
+# below this many (block, codevector) pairs a screen's per-letter loop costs
+# more than the exact matrix it would spare: one block against 64 codevectors
+# of 32 letters is 0.02 ms exact and 0.16 ms screened
+_SCREEN_MIN_PAIRS = 4096
+
+
+def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
+             spec: DistortionSpec, letters=None, D=None):
+    """(idx, d): idx = np.argmin(pairwise_distortion(X, C, spec) + ell,
+    axis=1), ties to the first index, and d its distortions there, both bit
+    for bit.  ``letters`` and ``D`` are ``_letters(X)`` and its screen of C,
+    when the caller keeps them."""
+    K = C.shape[0]
+    if D is None and X.shape[0] * K < _SCREEN_MIN_PAIRS:
+        idx = np.argmin(pairwise_distortion(X, C, spec) + ell, axis=1)
+        return idx, _rho_at(X, C[idx], spec)
+    own = D is None
+    letters = _letters(X) if letters is None else letters
+    D = _screen(letters, C, spec) if own else D
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the costs, in place of the screen when it is this call's own
+        cost = np.add(D, ell.astype(D.dtype)[:, None], out=D if own else None)
+        # a block is certified when one cost alone lies within twice the
+        # bound of its smallest (the threshold rounded up); a NaN threshold
+        # takes none, an infinite one all.  near: 1 there, 0 elsewhere, in
+        # place of the costs
+        top = np.min(cost, axis=0) + 2.0 * _bound(letters, C, ell, spec)
+        near = np.less_equal(cost, np.nextafter(top.astype(D.dtype), np.inf),
+                             out=cost, casting="unsafe")
+    # one product gives each block the index of its near cost and their count
+    idx, count = np.stack((np.arange(K), np.ones(K))).astype(D.dtype) @ near
+    idx, redo = idx.astype(np.intp), count != 1
+    if redo.any():
+        exact = pairwise_distortion(X[redo], C, spec) + ell
+        idx[redo] = np.argmin(exact, axis=1)
+    return idx, _rho_at(X, C[idx], spec)
 
 
 def canonical_code(lengths) -> list[BitString]:
@@ -334,15 +462,16 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
 
     history = []
     prev_J = np.inf
-    # dist always holds rho_n against the current codevectors.  Computed in
-    # full once, it is then pruned with C and refreshed only in the columns
-    # of codevectors the centroid step moved; it serves each iteration's
-    # objective and the next iteration's assignment.
-    dist = pairwise_distortion(X, C, spec)
+    # dist, the screen of every codevector against every block (K, T), is
+    # computed in full once, then pruned with C and refreshed only in the
+    # rows of codevectors the centroid step moved; every decision below
+    # reads it.  d holds the exact rho_n of each block at its codevector.
+    letters = _letters(X)
+    dist = _screen(letters, C, spec)
     assign = None
     moved = np.ones(K, dtype=bool)    # every cell is dirty at first
     for _ in range(max_iter):
-        new = np.argmin(dist + lam * lengths[None, :] / n, axis=1)
+        new, d = _nearest(X, C, lam * lengths / n, spec, letters, dist)
         # a cell is dirty if it gained or lost rows, or if its codevector
         # moved in the last step (which can flip it between median and mean)
         dirty = moved
@@ -352,40 +481,41 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
         # prune unused codevectors
         used, assign = np.unique(new, return_inverse=True)
         if used.size < C.shape[0]:
-            C, lengths, dist = C[used], lengths[used], dist[:, used]
+            C, lengths, dist = C[used], lengths[used], dist[used]
             dirty = dirty[used]
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
         moved = _centroid_step(X, C, assign, spec, dirty)
         # length step: ideal lengths from empirical usage
         lengths = -np.log2(counts / T)
         if moved.any():
-            dist[:, moved] = pairwise_distortion(X, C[moved], spec)
-        J = float(np.mean(dist[np.arange(T), assign]
-                          + lam * lengths[assign] / n))
+            dist[moved] = _screen(letters, C[moved], spec)
+            redo = moved[assign]        # rows whose codevector moved
+            d[redo] = _rho_at(X[redo], C[assign[redo]], spec)
+        J = float(np.mean(d + lam * lengths[assign] / n))
         history.append(J)
         if prev_J - J < tolerance:
             break
         prev_J = J
 
     # integer rounding under the Step-5 cap (uncapped in the lambda=0 limit)
-    cap_bits = 62 if lam == 0 else min(62, int(np.floor(2.0 * spec.rho_max * n / lam)))
+    cap_bits = 62 if lam == 0 else int(np.floor(min(62.0, 2.0 * spec.rho_max * n / lam)))
     max_size = 2 ** cap_bits if cap_bits < 60 else C.shape[0]
     if C.shape[0] > max_size:
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
         keep = np.sort(np.argsort(-counts, kind="stable")[:max_size])
-        C = C[keep]
-        dist = dist[:, keep]
-        assign = np.argmin(dist, axis=1)
+        C, dist = C[keep], dist[keep]
+        assign, _ = _nearest(X, C, np.zeros(C.shape[0]), spec, letters, dist)
         used, assign = np.unique(assign, return_inverse=True)
-        C = C[used]
-        dist = dist[:, used]
+        C, dist = C[used], dist[used]
     counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
     int_lengths = _round_lengths(counts, cap_bits)
     codes = canonical_code(int_lengths)
     book = Codebook(n=n, codevectors=C, lengths=int_lengths,
                     codes=tuple(codes), lam=lam, spec=spec,
                     training_lagrangians=tuple(history))
-    J = float(np.mean(np.min(dist + lam * int_lengths[None, :] / n, axis=1)))
+    ell = lam * int_lengths / n
+    idx, d = _nearest(X, C, ell, spec, letters, dist)
+    J = float(np.mean(d + ell[idx]))
     return book, J
 
 
@@ -395,9 +525,8 @@ def ecvq_encode(book: Codebook, x) -> tuple[int, BitString]:
     xa = np.asarray(x, dtype=float)
     if xa.shape[0] != book.n:
         raise ValueError(f"block length {xa.shape[0]} != codebook n {book.n}")
-    cost = pairwise_distortion(xa[None, ...], book.codevectors, book.spec)[0]
-    cost = cost + book.lam * np.asarray(book.lengths) / book.n
-    idx = int(np.argmin(cost))
+    ell = book.lam * np.asarray(book.lengths) / book.n
+    idx = int(_nearest(xa[None, ...], book.codevectors, ell, book.spec)[0][0])
     return idx, book.codes[idx]
 
 
@@ -426,9 +555,8 @@ def lagrangian_eval(book: Codebook, family: SourceFamily, theta,
     family.validate(theta)
     rng = rng_for(seed, TAG_EVAL)
     X = family.sample_paths(theta, book.n, num_blocks, rng)
-    dists = pairwise_distortion(X, book.codevectors, book.spec)
-    idx = np.argmin(dists + book.lam * np.asarray(book.lengths) / book.n, axis=1)
-    d_vals = dists[np.arange(num_blocks), idx]
+    ell = book.lam * np.asarray(book.lengths) / book.n
+    idx, d_vals = _nearest(X, book.codevectors, ell, book.spec)
     r_vals = np.asarray(book.lengths)[idx] / book.n
     d_se = float(np.std(d_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0
     r_se = float(np.std(r_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0

@@ -160,14 +160,3 @@ def vc_bound(family: SourceFamily, n: int) -> VcBoundReport:
         raise ValueError(f"no VC formula for family {family.tag!r}")
     return VcBoundReport(family=family.tag, n=n, bound=float(val), formula=formula)
 
-
-def vc_deviation_bound(n: int, V: float, epsilon: float) -> float:
-    """Uniform-deviation tail bound min(1, 8 n^V exp(-n eps^2 / 32))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if V < 2:
-        raise ValueError("the VC tail bound requires V >= 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    log_bound = np.log(8.0) + V * np.log(n) - n * epsilon ** 2 / 32.0
-    return float(min(1.0, np.exp(min(log_bound, 0.0))))

@@ -68,7 +68,7 @@ class SchemeConfig:
             "integer n_candidates >= 0": whole(self.n_candidates) >= 0,
             "at least one MDE candidate (n_candidates or anchors)":
                 self.n_candidates + len(self.anchors) >= 1,
-            "rho_max > 0": self.rho_max > 0,
+            "finite rho_max > 0": 0 < self.rho_max < math.inf,
             "integer distance_mc >= 1": whole(self.distance_mc) >= 1,
             "integer mde_mc >= 1": whole(self.mde_mc) >= 1,
             "integer train_blocks >= 1": whole(self.train_blocks) >= 1,
@@ -332,15 +332,6 @@ def decode_block(config: SchemeConfig, db: Database,
     xhat = SampleBlock(values=book.codevectors[cw].copy(), n=config.n)
     return DecodedBlock(xhat=xhat, theta_hat=np.asarray(theta_hat),
                         radius=radius, bits_consumed=reader.cursor)
-
-
-def blocking_bound(family: SourceFamily, theta, layout: MemoryLayout) -> float:
-    """(n-1) * beta(l_n): the total-variation cost of treating the
-    interleaved estimation blocks as i.i.d.; exactly 0 for i.i.d. sources."""
-    if layout.l_n == 0:
-        return 0.0 if family.mixing.kind == "exact-zero" else \
-            (layout.n - 1) * family.mixing_bound(theta, 1)
-    return (layout.n - 1) * family.mixing_bound(theta, layout.l_n)
 
 
 def sample_scene(family: SourceFamily, theta, config: SchemeConfig,

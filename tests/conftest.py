@@ -34,3 +34,20 @@ def hmm_brute_force():
             total += p
         return math.log(total)
     return log_density
+
+
+@pytest.fixture
+def vc_deviation_bound():
+    """The uniform-deviation tail bound min(1, 8 n^V exp(-n eps^2 / 32)) of
+    a VC class of dimension V on n blocks: where it is below 1, the
+    empirical set frequencies lie within eps of the model's."""
+    def bound(n: int, V: float, epsilon: float) -> float:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if V < 2:
+            raise ValueError("the VC tail bound requires V >= 2")
+        if epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
+        log_bound = np.log(8.0) + V * np.log(n) - n * epsilon ** 2 / 32.0
+        return float(min(1.0, np.exp(min(log_bound, 0.0))))
+    return bound

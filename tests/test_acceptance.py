@@ -231,7 +231,7 @@ def test_criterion_8_identification_trend(tmp_path):
            f"{strict}; triangle violations {violations}/{b0} b=0 trials")
 
 
-def test_criterion_9_vc_accounting():
+def test_criterion_9_vc_accounting(vc_deviation_bound):
     hmm = models.HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 1.0],
                               emission_stds=[1.0, 1.0])
     v_g = mde.vc_bound(GAUSS, 8).bound
@@ -264,7 +264,7 @@ def test_criterion_9_vc_accounting():
             dev = float(np.max(np.abs(emp - ref)[off]))
             worst = max(worst, dev)
             for eps in eps_grid:
-                if mde.vc_deviation_bound(nb, 2.0, eps) < 1.0:
+                if vc_deviation_bound(nb, 2.0, eps) < 1.0:
                     checked += 1
                     if dev > eps:
                         ok_dev = False

@@ -36,6 +36,11 @@ class TestRho:
             assert rho_n(SPEC, a, b) == rho_n(SPEC, b, a)
             assert rho_n(SPEC, a, b) <= rho_n(SPEC, a, c) + rho_n(SPEC, c, b) + 1e-12
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+    def test_spec_needs_finite_positive_rho(self, rho):
+        with pytest.raises(ValueError, match="rho_max"):
+            DistortionSpec(rho_max=rho)
+
     def test_range(self):
         rng = rng_for(42, 0)
         for _ in range(100):
@@ -80,6 +85,13 @@ class TestDesign:
             book = ecvq_design(X, lam=0.4, initial_size=16, spec=SPEC, seed=s)
             hist = np.array(book.training_lagrangians)
             assert np.all(np.diff(hist) <= 1e-9)
+
+    def test_huge_finite_rho_caps_lengths_at_62_bits(self):
+        # 2 rho_max n / lambda overflows to inf, and the cap is 62 bits
+        X = GAUSS.sample_paths((0.0, 1.0), 4, 64, rng_for(3, 1))
+        book = ecvq_design(X, lam=0.5, initial_size=8, seed=3,
+                           spec=DistortionSpec(rho_max=1e308))
+        assert book.kraft_sum() <= 1.0 + 1e-12
 
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -160,6 +172,94 @@ class TestPairwiseDistortion:
         for cols in picks:
             assert np.array_equal(pairwise_distortion(X, C[cols], spec),
                                   full[:, cols])
+
+
+def _nearest_cases():
+    """Seeded (X, C, ell, spec) inputs of the nearest-codeword decision.
+
+    Most cases hold a near tie, built so that float32 and float64 sums often
+    order two codevectors differently: the two a letter-wise float32 step
+    apart, with the blocks around them; or the blocks, far from 0, all but
+    half-way between them, where the casts of x part them.  Others hold exact
+    ties (a repeated codevector; codevectors mirrored about all-zero blocks),
+    one codevector, one block, letters beyond the float32 range or
+    subnormal, and rho_max = 1e39.  n is 1 or 7..40 (numpy sums under 8
+    terms in order and pairwise from 8 on); a quarter of the cases have
+    vector letters."""
+    rng = rng_for(61, 0)
+    for case in range(500):
+        kind = case % 5
+        n = int(rng.choice([1, *range(7, 41)])) if kind != 2 or case % 3 else 1
+        shape = (n, 2) if case % 4 == 3 else (n,)
+        T = 1 if case % 10 == 0 else int(rng.integers(2, 160))
+        K = 1 if case % 25 == 0 else int(rng.integers(2, 12))
+        rho = float(rng.choice([0.3, 1.0, 3.0]))
+        scale = 1e-41 if case % 20 == 7 else 1.0      # float32 subnormals
+        C = rng.normal(scale=3.0 * scale, size=(K,) + shape)
+        a, b = rng.choice(K, size=2, replace=K < 2)
+        C[a] = rng.normal(scale=scale, size=shape)
+        X = C[a] + rng.normal(scale=0.4 * rho * scale, size=(T,) + shape)
+        if kind < 2:      # near tie: a hair apart
+            C[b] = C[a] + rng.normal(scale=2.0 ** -23 * scale, size=shape)
+        elif kind == 2:   # near tie: half-way, far from 0
+            off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(1, 4) * scale
+            half = rng.uniform(0.05, 0.4) * rho * scale
+            C[a], C[b] = off - half, off + half
+            X = off * (1 + rng.uniform(-1, 1, (T,) + shape) * 2.0 ** -20)
+        elif kind == 3:   # exact ties
+            C[b] = C[a]
+            if case % 2:
+                X[:] = 0.0
+                C[b] = -C[a]
+        else:             # beyond float32: huge letters, rho or both
+            big = rng.random((T,) + shape) < 0.2
+            X[big] = rng.choice([1e39, -3.5e38], size=int(big.sum()))
+            C[rng.random(K) < 0.3] = 1e39
+            rho = float(rng.choice([rho, 1e39]))
+        if scale < 1.0:
+            rho *= scale
+        lengths = rng.integers(0, 6, K)
+        lengths[b] = lengths[a]
+        lam = float(rng.choice([0.0, 0.05, 0.5]))
+        base = "euclidean" if len(shape) == 2 else "absolute-difference"
+        yield X, C, lam * lengths / n, DistortionSpec(rho_max=rho, base=base)
+
+
+class TestNearest:
+    def test_screened_choice_is_exact_argmin_on_corpus(self):
+        # every decision, by the default path and with the screen forced,
+        # equals the dense float64 argmin; the corpus must hold blocks on
+        # which the screen alone picks another codevector, and exact ties
+        flips = ties = 0
+        for X, C, ell, spec in _nearest_cases():
+            exact = pairwise_distortion(X, C, spec) + ell
+            want = np.argmin(exact, axis=1)
+            letters = ecvq._letters(X)
+            D = ecvq._screen(letters, C, spec)
+            assert np.array_equal(ecvq._nearest(X, C, ell, spec)[0], want)
+            assert np.array_equal(
+                ecvq._nearest(X, C, ell, spec, letters, D)[0], want)
+            with np.errstate(invalid="ignore"):
+                cost = D + ell.astype(D.dtype)[:, None]
+                unique = np.sum(cost == np.min(cost, axis=0), axis=0) == 1
+            flips += np.sum(unique & (np.argmin(cost, axis=0) != want))
+            ties += np.sum(np.sum(exact == np.min(exact, axis=1)[:, None],
+                                  axis=1) > 1)
+        assert flips >= 50 and ties >= 50
+
+    @pytest.mark.parametrize("base", ["absolute-difference", "euclidean"])
+    @pytest.mark.parametrize("n", [1, 5, 7, 8, 13, 32])
+    @pytest.mark.parametrize("T", [3, 700])
+    def test_distortions_are_pairwise_entries(self, base, n, T):
+        spec = DistortionSpec(rho_max=1.0, base=base)
+        shape = (n,) if base == "absolute-difference" else (n, 2)
+        rng = rng_for(62, n)
+        X = rng.normal(size=(T,) + shape)
+        C = rng.normal(size=(24,) + shape)
+        ell = 0.5 * rng.integers(0, 6, 24) / n
+        idx, d = ecvq._nearest(X, C, ell, spec)
+        full = pairwise_distortion(X, C, spec)
+        assert d.tobytes() == full[np.arange(T), idx].tobytes()
 
 
 class TestLagrangianEval:

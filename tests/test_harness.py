@@ -34,6 +34,7 @@ def tiny_raw(**kw):
 # fields that passed build_config and then failed the run with a traceback
 BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               ("n_candidates", -1), ("n_candidates", 0), ("rho_max", 0.0),
+              ("rho_max", math.inf),
               ("train_blocks", 0), ("design_restarts", 0),
               ("max_initial_size", 0), ("rate_target", -1.0), ("r", 0.0),
               ("l_cap", -1), ("anchors", [[0.0, -1.0]]), ("design_tol", None),
@@ -264,6 +265,7 @@ FIELDS = {
                             "max_initial_size", "l_cap")},
     "design_tol": st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                             ODD),
+    "rho_max": st.one_of(st.floats(allow_nan=True, allow_infinity=True), ODD),
     "prior": st.one_of(ODD, st.dictionaries(
         st.sampled_from(["m_loc", "m_scale", "log_sigma_loc",
                          "log_sigma_scale", "low", "high", "concentration"]),

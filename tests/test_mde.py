@@ -10,8 +10,7 @@ from twostage.lru import LruCache
 from twostage.mde import (CandidateSet, TooFewCandidatesError,
                           _membership_tensor, _model_pair_frequencies,
                           _pair_frequencies, clear_probability_cache,
-                          mde_estimate, u_statistic_all, vc_bound,
-                          vc_deviation_bound)
+                          mde_estimate, u_statistic_all, vc_bound)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.rand import rng_for
 
@@ -198,16 +197,16 @@ class TestVcBounds:
         assert vc_bound(hmm, 16).bound > rep.bound
         assert vc_bound(GAUSS, 16).bound == vc_bound(GAUSS, 4).bound
 
-    def test_deviation_bound_clamps(self):
+    def test_deviation_bound_clamps(self, vc_deviation_bound):
         # 8 * 10^2 * exp(-10*0.01/32) >> 1 -> clamped
         assert vc_deviation_bound(10, 2.0, 0.1) == 1.0
 
-    def test_deviation_bound_decays(self):
+    def test_deviation_bound_decays(self, vc_deviation_bound):
         vals = [vc_deviation_bound(4096, 2.0, e) for e in (0.3, 0.5, 0.8, 1.2)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1.0
 
-    def test_deviation_bound_domain(self):
+    def test_deviation_bound_domain(self, vc_deviation_bound):
         with pytest.raises(ValueError, match="V >= 2"):
             vc_deviation_bound(10, 1.5, 0.1)
 

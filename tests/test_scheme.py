@@ -12,13 +12,21 @@ from twostage.bitcode import BitString, elias_encode
 from twostage.lru import LruCache
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.scheme import (Database, MalformedStreamError, SchemeConfig,
-                             blocking_bound, book_index, candidate_set,
-                             clear_codebook_cache, decode_block,
-                             delta_schedule, encode_block, identify,
-                             memory_layout, provision_codebook, sample_scene,
-                             waiting_time, waiting_tolerance)
+                             book_index, candidate_set, clear_codebook_cache,
+                             decode_block, delta_schedule, encode_block,
+                             identify, memory_layout, provision_codebook,
+                             sample_scene, waiting_time, waiting_tolerance)
 
 GAUSS = GaussianIID()
+
+
+def blocking_bound(family, theta, layout) -> float:
+    """(n-1) * beta(l_n): the total-variation cost of treating the
+    interleaved estimation blocks as i.i.d.; exactly 0 for i.i.d. sources."""
+    if layout.l_n == 0:
+        return 0.0 if family.mixing.kind == "exact-zero" else \
+            (layout.n - 1) * family.mixing_bound(theta, 1)
+    return (layout.n - 1) * family.mixing_bound(theta, layout.l_n)
 
 
 def small_config(**kw):
