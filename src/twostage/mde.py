@@ -4,10 +4,12 @@ VC-bound calculators.
 The supremum defining the U statistic runs over the finite Yatracos class
 induced by ordered pairs of a candidate list: A_ab is the set of blocks whose
 log-density under candidate a is strictly larger than under b, so exact ties
-are out.  Model-side set probabilities come from seeded, cached Monte-Carlo.
-Membership needs only the order of the candidates' log-densities on each
-block, which a family may supply from cheaper values with an error bound;
-blocks the bound cannot settle fall back to the exact kernel.
+are out.  Model-side set probabilities come from seeded Monte-Carlo: per
+block length one cached stack of C tables, one per candidate's own blocks,
+built in one workspace.  Membership needs only the order of the candidates'
+log-densities on each block, which a family may supply from cheaper values
+with an error bound; blocks the bound cannot settle fall back to the exact
+kernel.
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ class CandidateSet:
         return len(self.thetas)
 
 
-# a seed-0 unit of an acceptance-grid experiment holds 72 frequency tables
-MODEL_FREQ_CACHE_BOUND = 256
+# One entry per block length: the (C, C, C) table stack, C^3 floats.  A run
+# holds one per length of its n_grid (the acceptance grid: 4, of 47 KB at
+# C = 18); 8 keeps two such grids.  Worst case at the default C = 64: 8 x 2.1
+# MB = 17 MB.
+MODEL_FREQ_CACHE_BOUND = 8
 _model_freq_cache = LruCache(MODEL_FREQ_CACHE_BOUND)
 
 
@@ -63,40 +68,45 @@ def clear_probability_cache() -> None:
     _model_freq_cache.clear()
 
 
-def _model_samples(family, theta_ref, n, num_samples, seed):
-    rng = rng_for(seed, TAG_PROB)
-    return family.sample_paths(np.asarray(theta_ref), n, num_samples, rng)
+def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
+    """F[k, a, b] = fraction of the B blocks of ``block_sets[k]`` where
+    candidate a beats candidate b, shape (K, C, C), C >= 2; one workspace
+    serves every set.
+
+    Membership needs only the order of the candidates' values on a block:
+    where the family's bound cannot separate two neighbours (the smallest
+    gap is not above twice the bound, which NaN fails too), the block is
+    scored again with the exact ``log_density_batch``, so the tables equal
+    those of the exact log-densities, ties included."""
+    C = len(candidates)
+    srt, gap = np.empty((C, B)), np.empty((C - 1, B))
+    beats = np.empty((C, C, B), dtype=bool)
+    out = []
+    for X in block_sets:
+        vals, bound = family.log_density_bounds(candidates.thetas, X)
+        srt[...] = vals
+        srt.sort(axis=0)
+        np.subtract(srt[1:], srt[:-1], out=gap)
+        redo = ~(gap.min(axis=0) > 2.0 * bound)
+        if redo.any():
+            vals[:, redo] = np.stack([family.log_density_batch(np.asarray(t), X[redo])
+                                      for t in candidates.thetas])
+        np.greater(vals[:, None, :], vals[None, :, :], out=beats)
+        out.append(np.count_nonzero(beats, axis=2) / B)
+    return np.stack(out)
 
 
-def _membership_tensor(family, candidates: CandidateSet, X: np.ndarray):
-    """Per block, values that order the candidates exactly as their
-    ``log_density_batch`` values do, ties included; shape (C, B), C >= 2.
-
-    Where the family's bound cannot separate two neighbours (the smallest
-    gap is not above twice the bound, which NaN fails too), the block's
-    column is replaced by the exact log-densities."""
-    vals, bound = family.log_density_bounds(candidates.thetas, X)
-    gap = np.min(np.diff(np.sort(vals, axis=0), axis=0), axis=0)
-    redo = ~(gap > 2.0 * bound)
-    if redo.any():
-        vals[:, redo] = np.stack([family.log_density_batch(np.asarray(t), X[redo])
-                                  for t in candidates.thetas])
-    return vals
-
-
-def _pair_frequencies(logdens: np.ndarray) -> np.ndarray:
-    """F[a, b] = fraction of columns where candidate a beats candidate b."""
-    return np.count_nonzero(logdens[:, None, :] > logdens[None, :, :],
-                            axis=2) / logdens.shape[1]
-
-
-def _model_pair_frequencies(family, candidates: CandidateSet, theta: tuple,
-                            n: int, mc_budget: int, seed: int) -> np.ndarray:
-    """Cached MC estimate of P^n_theta(A_ab) for all ordered candidate pairs."""
-    key = (family.key, candidates.thetas, theta, n, mc_budget, seed)
-    return _model_freq_cache.get_or_make(key, lambda: _pair_frequencies(
-        _membership_tensor(family, candidates,
-                           _model_samples(family, theta, n, mc_budget, seed))))
+def _model_tables(family, candidates: CandidateSet, n: int, mc_budget: int,
+                  seed: int) -> np.ndarray:
+    """Cached MC estimates of P^n_theta(A_ab) for every candidate theta and
+    ordered pair: [i] is the table of candidate i's own ``mc_budget`` blocks,
+    drawn with ``seed + i``."""
+    key = (family.key, candidates.thetas, n, mc_budget, seed)
+    return _model_freq_cache.get_or_make(key, lambda: _pair_tables(
+        family, candidates, (family.sample_paths(t, n, mc_budget,
+                                                 rng_for(seed + i, TAG_PROB))
+                             for i, t in enumerate(candidates.thetas)),
+        mc_budget))
 
 
 def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,
@@ -111,16 +121,10 @@ def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,
     X = np.asarray(blocks)
     if X.shape[0] == 0:
         raise ValueError("no estimation blocks")
-    n = X.shape[1]
-    emp = _pair_frequencies(_membership_tensor(family, candidates, X))
-    C = len(candidates)
-    mask = ~np.eye(C, dtype=bool)
-    out = np.empty(C)
-    for i, theta in enumerate(candidates.thetas):
-        model = _model_pair_frequencies(family, candidates, theta, n,
-                                        mc_budget, seed + i)
-        out[i] = np.max(np.abs(model - emp)[mask])
-    return out
+    emp = _pair_tables(family, candidates, [X], X.shape[0])[0]
+    model = _model_tables(family, candidates, X.shape[1], mc_budget, seed)
+    # a never beats itself, so the zero diagonals leave the max unchanged
+    return np.max(np.abs(model - emp), axis=(1, 2))
 
 
 def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,

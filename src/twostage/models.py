@@ -19,6 +19,7 @@ Gaussian i.i.d. path never loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,10 +126,11 @@ class GaussianIID(SourceFamily):
         if t.shape[0] != 2:
             raise InvalidParameterError(
                 f"gaussian-iid needs (m, sigma), got {t.shape[0]} coords")
-        if not np.all(np.isfinite(t)):
+        m, s = t.tolist()
+        if not (math.isfinite(m) and math.isfinite(s)):
             raise InvalidParameterError("non-finite parameter")
-        if t[1] <= 0:
-            raise InvalidParameterError(f"sigma must be > 0, got {t[1]}")
+        if s <= 0:
+            raise InvalidParameterError(f"sigma must be > 0, got {s}")
         return t
 
     def sample_paths(self, theta, n, count, rng):
@@ -188,9 +190,18 @@ class GaussianIID(SourceFamily):
 
     def prior_draw(self, rng, prior=None):
         prior = prior or {}
-        m = rng.normal(prior.get("m_loc", 0.0), prior.get("m_scale", 10.0))
-        s = float(np.exp(rng.normal(prior.get("log_sigma_loc", 0.0),
-                                    prior.get("log_sigma_scale", 1.0))))
+        m_loc, m_scale = prior.get("m_loc", 0.0), prior.get("m_scale", 10.0)
+        loc, scale = prior.get("log_sigma_loc", 0.0), prior.get("log_sigma_scale", 1.0)
+        # NumPy's normal draws lie within 13.8 scales of their mean (the
+        # ziggurat's tail takes the log of a 53-bit uniform); with 40 scales
+        # of room, sigma = exp(draw) neither overflows nor underflows to 0
+        if not (math.isfinite(m_loc) and 0 <= m_scale < math.inf and scale >= 0
+                and abs(loc) + 40.0 * scale < math.log(np.finfo(float).max)):
+            raise ValueError("gaussian-iid prior needs finite m_loc, finite "
+                             "m_scale >= 0, log_sigma_scale >= 0 and "
+                             "|log_sigma_loc| + 40 log_sigma_scale < 709.78")
+        m = rng.normal(m_loc, m_scale)
+        s = float(np.exp(rng.normal(loc, scale)))
         return np.array([m, s])
 
 

@@ -249,8 +249,8 @@ def test_criterion_9_vc_accounting(vc_deviation_bound):
         GAUSS, [(-1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (0.0, 2.0)])
     C = len(cands)
     off = ~np.eye(C, dtype=bool)
-    ref = mde._model_pair_frequencies(GAUSS, cands, (0.0, 1.0), 1,
-                                      200_000, seed=90)
+    # the table of (0, 1), candidate 1, drawn with seed 89 + 1 = 90
+    ref = mde._model_tables(GAUSS, cands, 1, 200_000, seed=89)[1]
     grid_n = (512, 1024, 2048)
     eps_grid = (0.5, 0.6, 0.7, 0.9)
     checked = 0
@@ -258,9 +258,8 @@ def test_criterion_9_vc_accounting(vc_deviation_bound):
     ok_dev = True
     for s in range(200):
         Xb = GAUSS.sample_paths((0.0, 1.0), 1, max(grid_n), rng_for(9, s))
-        member = mde._membership_tensor(GAUSS, cands, Xb)
         for nb in grid_n:
-            emp = mde._pair_frequencies(member[:, :nb])
+            emp = mde._pair_tables(GAUSS, cands, [Xb[:nb]], nb)[0]
             dev = float(np.max(np.abs(emp - ref)[off]))
             worst = max(worst, dev)
             for eps in eps_grid:

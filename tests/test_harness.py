@@ -38,7 +38,9 @@ BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               ("train_blocks", 0), ("design_restarts", 0),
               ("max_initial_size", 0), ("rate_target", -1.0), ("r", 0.0),
               ("l_cap", -1), ("anchors", [[0.0, -1.0]]), ("design_tol", None),
-              ("i_max", 2.5), ("prior", {"m_scale": -1.0})]
+              ("i_max", 2.5), ("prior", {"m_scale": -1.0}),
+              # sigma = exp(draw) overflows in later draws, not the first
+              ("prior", {"log_sigma_loc": 708.0, "log_sigma_scale": 1.0})]
 BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
            # each of these was silently coerced: a JSON integer that is not
            # a bool, a JSON boolean, a list, a list of lists

@@ -7,12 +7,12 @@ from scipy.stats import norm
 from twostage import mde
 from twostage.distances import variational_mc
 from twostage.lru import LruCache
-from twostage.mde import (CandidateSet, TooFewCandidatesError,
-                          _membership_tensor, _model_pair_frequencies,
-                          _pair_frequencies, clear_probability_cache,
-                          mde_estimate, u_statistic_all, vc_bound)
+from twostage.mde import (MODEL_FREQ_CACHE_BOUND, CandidateSet,
+                          TooFewCandidatesError, _model_tables, _pair_tables,
+                          clear_probability_cache, mde_estimate,
+                          u_statistic_all, vc_bound)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
-from twostage.rand import rng_for
+from twostage.rand import TAG_PROB, rng_for
 
 GAUSS = GaussianIID()
 PAIR = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0)])
@@ -21,12 +21,22 @@ PAIR = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0)])
 def membership(family, cands, X):
     """F[a, b]: fraction of the blocks in candidate a's Yatracos set
     against b."""
-    return _pair_frequencies(_membership_tensor(family, cands, np.asarray(X)))
+    X = np.asarray(X)
+    return _pair_tables(family, cands, [X], len(X))[0]
+
+
+def exact_logdens(family, cands, X):
+    return np.stack([family.log_density_batch(np.asarray(t), X)
+                     for t in cands.thetas])
+
+
+def exact_table(L):
+    """F[a, b] from a (C, B) stack of exact log-densities."""
+    return np.count_nonzero(L[:, None, :] > L[None, :, :], axis=2) / L.shape[1]
 
 
 def exact_membership(family, cands, X):
-    return _pair_frequencies(np.stack([family.log_density_batch(np.asarray(t), X)
-                                       for t in cands.thetas]))
+    return exact_table(exact_logdens(family, cands, X))
 
 
 class TestMembership:
@@ -36,11 +46,14 @@ class TestMembership:
         assert membership(GAUSS, cands, [[0.1]])[0, 1] == 1.0
 
     def test_complementary_except_ties(self):
+        # a block is in at most one of A_01 and A_10, and in neither on a tie
         X = rng_for(1, 0).normal(size=(200, 2))
-        vals = _membership_tensor(GAUSS, PAIR, X)
-        assert not np.any((vals[0] > vals[1]) & (vals[1] > vals[0]))
+        X[:50] = [0.25, 0.75]             # sum 1: a tie of N(0,1) and N(1,1)
+        L = exact_logdens(GAUSS, PAIR, X)
+        ties = np.count_nonzero(L[0] == L[1])
+        assert ties >= 50
         F = membership(GAUSS, PAIR, X)
-        assert F[0, 1] + F[1, 0] <= 1.0
+        assert F[0, 1] + F[1, 0] == (200 - ties) / 200
 
     def test_tie_is_false(self, monkeypatch):
         # N(0,1) and N(1,1) densities cross exactly at x = 1/2; the sums give
@@ -86,24 +99,109 @@ class TestMembership:
 
 
 class TestSetProbability:
-    """Model-side probabilities P^n_theta(A_ab) of the Yatracos sets."""
+    """Model-side probabilities P^n_theta(A_ab) of the Yatracos sets; the
+    table of PAIR's first candidate, (0, 1), is row 0 of the stack and is
+    drawn with the stack's seed."""
 
     def test_crossing_probability(self):
-        p = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 1, 50_000, seed=3)[0, 1]
+        p = _model_tables(GAUSS, PAIR, 1, 50_000, seed=3)[0][0, 1]
         se = math.sqrt(p * (1 - p) / 50_000)
         assert abs(p - norm.cdf(0.5)) <= 3 * se
 
     def test_complement_sums_to_one(self):
-        F = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 1, 50_000, seed=4)
+        F = _model_tables(GAUSS, PAIR, 1, 50_000, seed=4)[0]
         se1, se2 = (math.sqrt(p * (1 - p) / 50_000) for p in (F[0, 1], F[1, 0]))
         assert abs(F[0, 1] + F[1, 0] - 1.0) <= 3 * (se1 + se2) + 1e-12
 
     def test_in_unit_interval_and_cached(self):
         clear_probability_cache()
-        a = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 1000, seed=5)
-        b = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 1000, seed=5)
+        a = _model_tables(GAUSS, PAIR, 2, 1000, seed=5)
+        b = _model_tables(GAUSS, PAIR, 2, 1000, seed=5)
         assert b is a and len(mde._model_freq_cache) == 1
-        assert np.all((0.0 <= a) & (a <= 1.0))
+        assert a.shape == (2, 2, 2) and np.all((0.0 <= a) & (a <= 1.0))
+
+
+class RoundedGaussian(GaussianIID):
+    """Gaussian i.i.d. blocks rounded to integers, so that candidates with
+    integer means tie exactly on many blocks."""
+
+    @property
+    def key(self) -> tuple:
+        return (*super().key, "rounded")
+
+    def sample_paths(self, theta, n, count, rng):
+        return np.round(super().sample_paths(theta, n, count, rng))
+
+
+class TestModelTables:
+    """The stack of one block length equals, bit for bit, per-candidate
+    tables of the exact log-densities of each candidate's own blocks."""
+
+    @staticmethod
+    def reference(family, cands, n, B, seed):
+        """(tables, blocks with an exact tie between two candidates)."""
+        tables, ties = [], 0
+        for i, t in enumerate(cands.thetas):
+            X = family.sample_paths(t, n, B, rng_for(seed + i, TAG_PROB))
+            L = exact_logdens(family, cands, X)
+            tables.append(exact_table(L))
+            srt = np.sort(L, axis=0)
+            ties += np.count_nonzero(np.any(srt[1:] == srt[:-1], axis=0))
+        return np.stack(tables), ties
+
+    @staticmethod
+    def corpus():
+        """(family, candidates, n, B): Gaussian sets holding near-equal
+        candidates, which the bound cannot order, and rounded Gaussian sets
+        with mirrored integer means, which tie exactly; AR(2) and 2-state
+        HMM sets."""
+        rng = rng_for(2027, 0)
+        ar = GaussianAR(p=2)
+        hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 1.0],
+                           emission_stds=[1.0, 1.0])
+        for n in (1, 2, 3, 8):
+            for C in (2, 3, 6):
+                B = int(rng.integers(40, 260))
+                m, s = rng.normal(0.0, 1.0, C), np.exp(rng.normal(0.0, 0.3, C))
+                m[1], s[1] = np.nextafter(m[0], np.inf), s[0]
+                if C > 2:
+                    m[2], s[2] = m[0], s[0] * (1 + 2.0 ** -52)
+                yield GAUSS, list(zip(m, s)), n, B
+                m = rng.integers(-2, 3, C).astype(float)
+                m[1] = -m[0] if m[0] else 1.0
+                m[0] = -m[1]
+                s = 2.0 ** rng.integers(-1, 2, C)
+                s[1] = s[0]
+                yield RoundedGaussian(), list(zip(m, s)), n, B
+                yield ar, list(map(tuple, rng.uniform(-0.45, 0.45, (C, 2)))), n, B
+                p, q = rng.uniform(0.1, 0.9, (2, C))
+                yield hmm, list(zip(p, 1 - p, 1 - q, q)), n, B
+
+    def test_equals_exact_tables_on_corpus(self, monkeypatch):
+        calls = []
+        exact = GaussianIID.log_density_batch
+
+        def counting(self, theta, x):   # the Gaussian bound calls it only
+            calls.append(len(x))        # for blocks it cannot order
+            return exact(self, theta, x)
+
+        redone = integer_ties = 0
+        seeds = iter(range(700, 10_000, 37))
+        for family, thetas, n, B in self.corpus():
+            cands = CandidateSet.build(family, thetas)
+            assert len(cands) >= 2
+            seed = next(seeds)
+            want, ties = self.reference(family, cands, n, B, seed)
+            if isinstance(family, RoundedGaussian):
+                integer_ties += ties
+            monkeypatch.setattr(GaussianIID, "log_density_batch", counting)
+            got = _model_tables(family, cands, n, B, seed)
+            monkeypatch.setattr(GaussianIID, "log_density_batch", exact)
+            assert np.array_equal(got, want), (family.tag, thetas, n, B)
+            # one call per candidate on the blocks of one set
+            redone += sum(calls) // len(cands)
+            calls.clear()
+        assert redone >= 50 and integer_ties >= 50, (redone, integer_ties)
 
 
 class TestUStatistic:
@@ -226,11 +324,10 @@ class TestCacheKeys:
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
         cands = CandidateSet.build(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
         clear_probability_cache()
-        fresh = _model_pair_frequencies(far, cands, self.THETA, 3, 2000, seed=9)
+        fresh = _model_tables(far, cands, 3, 2000, seed=9)
         clear_probability_cache()
-        _model_pair_frequencies(near, cands, self.THETA, 3, 2000, seed=9)
-        assert np.array_equal(
-            _model_pair_frequencies(far, cands, self.THETA, 3, 2000, seed=9), fresh)
+        _model_tables(near, cands, 3, 2000, seed=9)
+        assert np.array_equal(_model_tables(far, cands, 3, 2000, seed=9), fresh)
 
     def test_u_statistic_keys_on_emissions(self):
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
@@ -246,19 +343,32 @@ class TestCacheKeys:
 
 class TestBoundedCaches:
     def test_pair_frequency_cache_stays_within_bound(self, monkeypatch):
+        # one entry per block length; cycling through three lengths with
+        # room for two evicts on every call, and U still comes out as cold
         cands = CandidateSet.build(GAUSS, [(m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0)])
-        Z = GAUSS.sample_paths((0.0, 1.0), 4, 32, rng_for(12, 0))
-        fresh = u_statistic_all(GAUSS, Z, cands, 500, seed=13)
+        Zs = {n: GAUSS.sample_paths((0.0, 1.0), n, 32, rng_for(12, n))
+              for n in (3, 4, 5)}
+        fresh = {}
+        for n, Z in Zs.items():
+            clear_probability_cache()
+            fresh[n] = u_statistic_all(GAUSS, Z, cands, 500, seed=13)
         monkeypatch.setattr(mde, "_model_freq_cache", LruCache(2))
-        for _ in range(2):
-            assert np.array_equal(u_statistic_all(GAUSS, Z, cands, 500, seed=13),
-                                  fresh)
-            assert len(mde._model_freq_cache) == 2
+        for k in range(6):
+            n = (3, 4, 5)[k % 3]
+            assert np.array_equal(u_statistic_all(GAUSS, Zs[n], cands, 500,
+                                                  seed=13), fresh[n])
+            assert len(mde._model_freq_cache) == min(k + 1, 2)
 
     def test_probability_cache_stays_within_bound(self, monkeypatch):
         monkeypatch.setattr(mde, "_model_freq_cache", LruCache(1))
-        first = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 500, seed=1)
-        _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 500, seed=2)
+        first = _model_tables(GAUSS, PAIR, 2, 500, seed=1)
+        _model_tables(GAUSS, PAIR, 2, 500, seed=2)
         assert len(mde._model_freq_cache) == 1
-        again = _model_pair_frequencies(GAUSS, PAIR, (0.0, 1.0), 2, 500, seed=1)
+        again = _model_tables(GAUSS, PAIR, 2, 500, seed=1)
         assert again is not first and np.array_equal(again, first)
+
+    def test_module_cache_never_exceeds_its_bound(self):
+        for n in range(1, MODEL_FREQ_CACHE_BOUND + 3):
+            Z = GAUSS.sample_paths((0.0, 1.0), n, 8, rng_for(14, n))
+            u_statistic_all(GAUSS, Z, PAIR, 50, seed=15)
+            assert len(mde._model_freq_cache) == min(n, MODEL_FREQ_CACHE_BOUND)

@@ -44,6 +44,23 @@ class TestGaussianIID:
         with pytest.raises(InvalidParameterError, match="sigma"):
             gauss.validate((0.0, -1.0))
 
+    @pytest.mark.parametrize("theta,message", [
+        *(((v, 1.0), "non-finite parameter") for v in (math.nan, math.inf, -math.inf)),
+        *(((0.0, v), "non-finite parameter") for v in (math.nan, math.inf, -math.inf)),
+        ((math.nan, -1.0), "non-finite parameter"),
+        ((0.0, 0.0), "sigma must be > 0, got 0.0"),
+        ((0.0, -0.0), "sigma must be > 0, got -0.0"),
+        ((0.0, -2.5), "sigma must be > 0, got -2.5"),
+        ((0.0, -1e-300), "sigma must be > 0, got -1e-300"),
+        ((1.0,), "gaussian-iid needs (m, sigma), got 1 coords"),
+        ((1.0, 2.0, 3.0), "gaussian-iid needs (m, sigma), got 3 coords"),
+        ([[0.0, 1.0]], "parameter vector must be 1-D"),
+    ])
+    def test_invalid_parameter_messages(self, gauss, theta, message):
+        with pytest.raises(InvalidParameterError) as err:
+            gauss.validate(theta)
+        assert str(err.value) == message
+
     def test_mixing_zero(self, gauss):
         for k in (1, 5, 100):
             assert gauss.mixing_bound((0.0, 1.0), k) == 0.0
