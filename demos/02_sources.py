@@ -32,8 +32,8 @@ trans = np.array([0.9, 0.1, 0.2, 0.8])
 print("\nHidden Markov (2 states, known Gaussian emissions):")
 X = hmm.sample_paths(trans, 8, 3, rng)
 print(X.round(3))
-from twostage.models import log_density
-print(f"  forward log-density of block 0: {log_density(hmm, trans, X[0]):.4f}")
+print(f"  forward log-density of block 0: "
+      f"{hmm.log_density_batch(trans, X[:1])[0]:.4f}")
 print(f"  exponential mixing bound at gap 10: {hmm.mixing_bound(trans, 10):.2e}")
 
 print("\nPrior draws (the random parameter database is i.i.d. from these):")

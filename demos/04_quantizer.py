@@ -8,33 +8,32 @@ satisfies Kraft and the 2*rho_max/lambda normalized-length cap.
 
 import numpy as np
 
-from twostage.ecvq import (DistortionSpec, ecvq_design, ecvq_encode,
-                           lagrangian_eval, rho_n)
+from twostage.ecvq import ecvq_design, ecvq_encode, lagrangian_eval, rho_n
 from twostage.models import GaussianIID
 from twostage.rand import rng_for
 
 gauss = GaussianIID()
-spec = DistortionSpec(rho_max=1.0)
+rho_max = 1.0
 n = 8
 train = gauss.sample_paths((0.0, 1.0), n, 512, rng_for(11, 0))
 
 print("lambda sweep (same training set):")
 print("  lambda   size   rate[b/l]   distortion   D + lambda*R")
 for lam in (0.05, 0.2, 0.8, 3.0):
-    book = ecvq_design(train, lam, 64, spec, seed=11)
+    book = ecvq_design(train, lam, 64, rho_max, seed=11)
     rep = lagrangian_eval(book, gauss, (0.0, 1.0), 4000, seed=12)
     print(f"  {lam:6.2f} {book.size:6d} {rep.rate:11.4f} {rep.distortion:12.4f}"
           f" {rep.lagrangian:13.4f}")
 
-book = ecvq_design(train, 0.2, 64, spec, seed=11)
+book = ecvq_design(train, 0.2, 64, rho_max, seed=11)
 print(f"\nKraft sum of the 0.2-book: {book.kraft_sum():.4f} (<= 1)")
 print(f"max normalized length: {book.max_normalized_length():.3f}"
-      f" (cap {2 * spec.rho_max / 0.2:.1f})")
+      f" (cap {2 * rho_max / 0.2:.1f})")
 
 x = gauss.sample_paths((0.0, 1.0), n, 1, rng_for(11, 1))[0]
 idx, bits = ecvq_encode(book, x)
 print(f"\none block -> codeword {idx} = '{bits}' "
-      f"({len(bits)} bits, rho_n = {rho_n(spec, x, book.codevectors[idx]):.4f})")
+      f"({len(bits)} bits, rho_n = {rho_n(rho_max, x, book.codevectors[idx]):.4f})")
 
 blob = book.to_bytes()
 print(f"serialized codebook: {len(blob)} bytes; round-trips:",

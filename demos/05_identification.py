@@ -22,7 +22,8 @@ grid = CandidateSet.build(
 n = 8
 for blocks in (8, 32, 128):
     Z = gauss.sample_paths(theta0, n, blocks, rng_for(21, blocks))
-    theta_t, u = mde_estimate(gauss, Z, grid, 3000, seed=22, return_u=True)
+    theta_t = mde_estimate(gauss, Z, grid, 3000, seed=22)
+    u = u_statistic_all(gauss, Z, grid, 3000, seed=22)
     d = variational_mc(gauss, theta0, theta_t, n, 20_000, seed=23)
     i0 = grid.thetas.index(theta0)
     print(f"blocks={blocks:4d}: picked theta~ = {tuple(theta_t)}, "
@@ -33,5 +34,4 @@ print("\nVC complexity term V_n per family (drives the tolerance schedule):")
 from twostage.models import GaussianAR, HiddenMarkov
 hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1, 1], emission_stds=[1, 1])
 for fam, nn in ((gauss, 8), (GaussianAR(p=2), 8), (hmm, 8)):
-    rep = vc_bound(fam, nn)
-    print(f"  {fam.tag:<14s} V_{nn} = {rep.bound:.2f}")
+    print(f"  {fam.tag:<14s} V_{nn} = {vc_bound(fam, nn):.2f}")

@@ -33,7 +33,7 @@ print(f"waiting tolerance = {waiting_tolerance(config, gauss):.3f}, "
       f"waiting time T = {enc.waiting_time}")
 print(f"theta^ = theta(T) = {tuple(np.round(enc.theta_hat, 3))}")
 print(f"stream = {enc.stream()}  ({enc.total_bits} bits = "
-      f"1 flag + {len(enc.first_stage.s1)} Elias + {len(enc.s2)} codeword)")
+      f"1 flag + {len(enc.s1)} Elias + {len(enc.s2)} codeword)")
 
 clear_codebook_cache()        # the decoder shares nothing but the config
 dec = decode_block(config, db, enc.stream())

@@ -5,12 +5,12 @@ from .bitcode import (BitReader, BitString, TruncatedStreamError,
                       elias_decode, elias_encode)
 from .distances import (DistanceEstimate, kl_gaussian_iid, smoothness_check,
                         variational_exact_1d, variational_mc)
-from .ecvq import (Codebook, DistortionSpec, LagrangianReport, ecvq_design,
-                   ecvq_encode, lagrangian_eval, rho_n)
-from .mde import CandidateSet, VcBoundReport, mde_estimate, vc_bound
+from .ecvq import (Codebook, LagrangianReport, ecvq_design, ecvq_encode,
+                   lagrangian_eval, rho_n)
+from .mde import CandidateSet, mde_estimate, vc_bound
 from .models import (GaussianAR, GaussianIID, HiddenMarkov,
                      InvalidParameterError, SampleBlock, SourceFamily,
-                     log_density, make_family)
+                     make_family)
 from .scheme import (Database, EncodedBlock, MalformedStreamError,
                      MemoryLayout, SchemeConfig, decode_block, delta_schedule,
                      encode_block, identify, memory_layout, waiting_time)

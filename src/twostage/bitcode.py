@@ -23,10 +23,6 @@ class BitString:
             raise ValueError("bits must be 0 or 1")
         self._bits = bits
 
-    @classmethod
-    def from_str(cls, s: str) -> "BitString":
-        return cls(int(c) for c in s)
-
     @property
     def bits(self) -> tuple:
         return self._bits
@@ -123,9 +119,6 @@ class BitReader:
     def __init__(self, stream: BitString, cursor: int = 0):
         self.stream = stream
         self.cursor = cursor
-
-    def remaining(self) -> int:
-        return len(self.stream) - self.cursor
 
     def read_bit(self) -> int:
         if self.cursor >= len(self.stream):

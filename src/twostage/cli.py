@@ -26,10 +26,7 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", required=True, help="output CSV path")
-        sp.add_argument("--seed", type=int, default=None, help="override seed")
         sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--delta-mode", choices=["paper", "practical"],
-                        default=None, help="override the tolerance schedule")
     return p
 
 
@@ -37,10 +34,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.delta_mode is not None:
-            cfg.scheme["delta_mode"] = args.delta_mode
         runner = (run_redundancy_experiment if args.command == "redundancy"
                   else run_identification_experiment)
         summary = runner(cfg, args.out, threads=args.threads)

@@ -30,7 +30,6 @@ class UnsupportedFamilyError(ValueError):
 class DistanceEstimate:
     value: float
     standard_error: float
-    method: str  # "exact-1d" | "monte-carlo"
 
     def __post_init__(self):
         if not -1e-9 <= self.value <= 2.0 + 1e-9:
@@ -73,8 +72,7 @@ def variational_exact_1d(family: SourceFamily, theta, theta_prime) -> DistanceEs
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, _ = quad(absdiff, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
         total += val
-    return DistanceEstimate(value=min(total, 2.0), standard_error=0.0,
-                            method="exact-1d")
+    return DistanceEstimate(value=min(total, 2.0), standard_error=0.0)
 
 
 def variational_mc(family: SourceFamily, theta, theta_prime, n: int,
@@ -90,15 +88,14 @@ def variational_mc(family: SourceFamily, theta, theta_prime, n: int,
     t = family.validate(theta)
     tp = family.validate(theta_prime)
     if np.array_equal(t, tp):
-        return DistanceEstimate(0.0, 0.0, "monte-carlo")
+        return DistanceEstimate(0.0, 0.0)
     rng = rng_for(seed, TAG_DISTANCE)
     x = family.sample_paths(t, n, num_samples, rng)
     log_ratio = family.log_density_batch(tp, x) - family.log_density_batch(t, x)
     stat = 2.0 * np.maximum(0.0, -np.expm1(np.minimum(log_ratio, 0.0)))
     value = float(np.mean(stat))
     se = float(np.std(stat, ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0
-    return DistanceEstimate(value=min(value, 2.0), standard_error=se,
-                            method="monte-carlo")
+    return DistanceEstimate(value=min(value, 2.0), standard_error=se)
 
 
 def kl_gaussian_iid(theta, theta_prime, n: int = 1) -> float:

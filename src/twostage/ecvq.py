@@ -39,44 +39,22 @@ from .rand import TAG_EVAL, rng_for
 
 
 @dataclass(frozen=True)
-class DistortionSpec:
-    """Per-letter distortion min(base distance, rho_max); the base metric is
-    the absolute difference on R (or the Euclidean norm on R^d)."""
-
-    rho_max: float = 1.0
-    base: str = "absolute-difference"  # or "euclidean"
-
-    def __post_init__(self):
-        if not 0 < self.rho_max < np.inf:     # NaN fails too
-            raise ValueError("rho_max must be finite and > 0")
-        if self.base not in ("absolute-difference", "euclidean"):
-            raise ValueError(f"unknown base metric {self.base!r}")
-
-
-@dataclass(frozen=True)
 class LagrangianReport:
     distortion: float
     rate: float              # bits per source letter
-    lagrangian: float
     lam: float
     distortion_se: float = 0.0
     rate_se: float = 0.0
 
-    def __post_init__(self):
-        expected = self.distortion + self.lam * self.rate
-        if abs(self.lagrangian - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValueError("lagrangian must equal distortion + lambda * rate")
-
-    @classmethod
-    def build(cls, distortion, rate, lam, distortion_se=0.0, rate_se=0.0):
-        return cls(distortion=float(distortion), rate=float(rate),
-                   lagrangian=float(distortion) + float(lam) * float(rate),
-                   lam=float(lam), distortion_se=float(distortion_se),
-                   rate_se=float(rate_se))
+    @property
+    def lagrangian(self) -> float:
+        return self.distortion + self.lam * self.rate
 
 
-def rho_n(spec: DistortionSpec, x, xhat) -> float:
-    """Per-letter average of the clipped base metric; lies in [0, rho_max]."""
+def rho_n(rho_max: float, x, xhat) -> float:
+    """Per-letter average of min(base distance, rho_max); the base metric is
+    the absolute difference on R, the Euclidean norm on R^d.  Lies in
+    [0, rho_max]."""
     a = np.asarray(x, dtype=float)
     b = np.asarray(xhat, dtype=float)
     if a.shape != b.shape:
@@ -85,14 +63,14 @@ def rho_n(spec: DistortionSpec, x, xhat) -> float:
         d = np.abs(a - b)
     else:
         d = np.linalg.norm(a - b, axis=-1)
-    return float(np.mean(np.minimum(d, spec.rho_max)))
+    return float(np.mean(np.minimum(d, rho_max)))
 
 
 _CHUNK_ELEMS = 1 << 16   # 512 KiB of float64 per broadcast chunk
 
 
 def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
-                        spec: DistortionSpec) -> np.ndarray:
+                        rho_max: float) -> np.ndarray:
     """rho_n between every block and every codevector, shape (T, K)."""
     X = np.asarray(blocks, dtype=float)
     C = np.asarray(codevectors, dtype=float)
@@ -110,7 +88,7 @@ def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
             np.abs(d, out=d)
         else:
             d = np.linalg.norm(d, axis=-1)
-        np.minimum(d, spec.rho_max, out=d)
+        np.minimum(d, rho_max, out=d)
         np.add.reduce(d, axis=-1, out=out[lo:hi])
     out /= n    # the mean over letters, as np.mean divides its sum
     return out
@@ -128,16 +106,16 @@ def _letters(X: np.ndarray):
     return L, np.max(np.abs(L), axis=0)
 
 
-def _screen(letters, C: np.ndarray, spec: DistortionSpec) -> np.ndarray:
+def _screen(letters, C: np.ndarray, rho_max: float) -> np.ndarray:
     """Distortion of every block against every codevector, shape (K, T):
     float32 within ``_nearest``'s bound for scalar letters, summed one letter
     at a time; ``pairwise_distortion`` itself for vector letters."""
     L, xmax = letters
     if xmax is None:
-        return pairwise_distortion(L, C, spec).T
+        return pairwise_distortion(L, C, rho_max).T
     (n, T), K = L.shape, C.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        C32, rho = C.astype(np.float32), np.float32(spec.rho_max)
+        C32, rho = C.astype(np.float32), np.float32(rho_max)
         acc = np.empty((K, T), dtype=np.float32)
         buf = np.empty_like(acc)
         for j in range(n):
@@ -151,16 +129,16 @@ def _screen(letters, C: np.ndarray, spec: DistortionSpec) -> np.ndarray:
     return acc
 
 
-def _rho_at(X: np.ndarray, C: np.ndarray, spec: DistortionSpec) -> np.ndarray:
+def _rho_at(X: np.ndarray, C: np.ndarray, rho_max: float) -> np.ndarray:
     """rho_n of each block against its own row of C, shape (T,), with the
     per-element steps of ``pairwise_distortion`` (so equal to its entries)."""
     d = X - C
     d = np.abs(d, out=d) if X.ndim == 2 else np.linalg.norm(d, axis=-1)
-    np.minimum(d, spec.rho_max, out=d)
+    np.minimum(d, rho_max, out=d)
     return np.add.reduce(d, axis=-1) / X.shape[1]
 
 
-def _bound(letters, C: np.ndarray, ell: np.ndarray, spec: DistortionSpec):
+def _bound(letters, C: np.ndarray, ell: np.ndarray, rho_max: float):
     """Per block, a bound on |screened cost - float64 cost| over all
     codevectors, costs being distortion + ell; 0 for vector letters."""
     L, xmax = letters
@@ -189,7 +167,7 @@ def _bound(letters, C: np.ndarray, ell: np.ndarray, spec: DistortionSpec):
     # against it; when it is finite, every screened cost is finite.
     n = L.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = (np.float32(n + 5) * np.float32(spec.rho_max) + xmax
+        scale = (np.float32(n + 5) * np.float32(rho_max) + xmax
                  + np.max(np.abs(C.astype(np.float32)))
                  + np.float32(3) * np.max(np.abs(ell.astype(np.float32))))
     return 2.0 ** -23 * scale.astype(float) + 2.0 ** -146 if n < 1 << 20 else np.inf
@@ -202,18 +180,18 @@ _SCREEN_MIN_PAIRS = 4096
 
 
 def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
-             spec: DistortionSpec, letters=None, D=None):
-    """(idx, d): idx = np.argmin(pairwise_distortion(X, C, spec) + ell,
+             rho_max: float, letters=None, D=None):
+    """(idx, d): idx = np.argmin(pairwise_distortion(X, C, rho_max) + ell,
     axis=1), ties to the first index, and d its distortions there, both bit
     for bit.  ``letters`` and ``D`` are ``_letters(X)`` and its screen of C,
     when the caller keeps them."""
     K = C.shape[0]
     if D is None and X.shape[0] * K < _SCREEN_MIN_PAIRS:
-        idx = np.argmin(pairwise_distortion(X, C, spec) + ell, axis=1)
-        return idx, _rho_at(X, C[idx], spec)
+        idx = np.argmin(pairwise_distortion(X, C, rho_max) + ell, axis=1)
+        return idx, _rho_at(X, C[idx], rho_max)
     own = D is None
     letters = _letters(X) if letters is None else letters
-    D = _screen(letters, C, spec) if own else D
+    D = _screen(letters, C, rho_max) if own else D
     with np.errstate(over="ignore", invalid="ignore"):
         # the costs, in place of the screen when it is this call's own
         cost = np.add(D, ell.astype(D.dtype)[:, None], out=D if own else None)
@@ -221,16 +199,16 @@ def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
         # bound of its smallest (the threshold rounded up); a NaN threshold
         # takes none, an infinite one all.  near: 1 there, 0 elsewhere, in
         # place of the costs
-        top = np.min(cost, axis=0) + 2.0 * _bound(letters, C, ell, spec)
+        top = np.min(cost, axis=0) + 2.0 * _bound(letters, C, ell, rho_max)
         near = np.less_equal(cost, np.nextafter(top.astype(D.dtype), np.inf),
                              out=cost, casting="unsafe")
     # one product gives each block the index of its near cost and their count
     idx, count = np.stack((np.arange(K), np.ones(K))).astype(D.dtype) @ near
     idx, redo = idx.astype(np.intp), count != 1
     if redo.any():
-        exact = pairwise_distortion(X[redo], C, spec) + ell
+        exact = pairwise_distortion(X[redo], C, rho_max) + ell
         idx[redo] = np.argmin(exact, axis=1)
-    return idx, _rho_at(X, C[idx], spec)
+    return idx, _rho_at(X, C[idx], rho_max)
 
 
 def canonical_code(lengths) -> list[BitString]:
@@ -255,26 +233,32 @@ def canonical_code(lengths) -> list[BitString]:
 @dataclass(frozen=True)
 class Codebook:
     """A designed n-block quantizer: codevectors, integer per-codeword bit
-    lengths and the matching canonical prefix code."""
+    lengths and the distortion's cap rho_max; the prefix code is the
+    canonical one of the lengths."""
 
     n: int
     codevectors: np.ndarray           # (K, n) or (K, n, d)
     lengths: np.ndarray               # (K,) integer bit counts
-    codes: tuple                      # K BitStrings, prefix-free
     lam: float
-    spec: DistortionSpec
+    rho_max: float
     training_lagrangians: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        K = self.codevectors.shape[0]
-        if len(self.lengths) != K or len(self.codes) != K:
+        if len(self.lengths) != self.codevectors.shape[0]:
             raise ValueError("inconsistent codebook arrays")
         if self.kraft_sum() > 1.0 + 1e-12:
             raise ValueError("Kraft inequality violated")
+        if not 0 < self.rho_max < np.inf:     # NaN fails too
+            raise ValueError("rho_max must be finite and > 0")
 
     @property
     def size(self) -> int:
         return self.codevectors.shape[0]
+
+    @functools.cached_property
+    def codes(self) -> tuple:
+        """K prefix-free BitStrings, built on the first encode."""
+        return tuple(canonical_code(self.lengths))
 
     @functools.cached_property
     def decode_table(self) -> dict:
@@ -293,12 +277,12 @@ class Codebook:
         d = 1 if C.ndim == 2 else C.shape[2]
         head = struct.pack("<4sBIII", b"ECVQ", 1, self.n, self.size, d)
         return (head + struct.pack("<d", self.lam)
-                + struct.pack("<d", self.spec.rho_max)
+                + struct.pack("<d", self.rho_max)
                 + C.tobytes()
                 + np.asarray(self.lengths, dtype="<u2").tobytes())
 
     @classmethod
-    def from_bytes(cls, data: bytes, base: str = "absolute-difference") -> "Codebook":
+    def from_bytes(cls, data: bytes) -> "Codebook":
         magic, version, n, K, d = struct.unpack_from("<4sBIII", data, 0)
         if magic != b"ECVQ" or version != 1:
             raise ValueError("not a version-1 codebook blob")
@@ -310,13 +294,11 @@ class Codebook:
         C = C.reshape((K, n) if d == 1 else (K, n, d)).copy()
         off += count * 8
         lengths = np.frombuffer(data, dtype="<u2", count=K, offset=off).astype(int)
-        spec = DistortionSpec(rho_max=rho_max, base=base)
-        return cls(n=n, codevectors=C, lengths=lengths,
-                   codes=tuple(canonical_code(lengths)), lam=lam, spec=spec)
+        return cls(n=n, codevectors=C, lengths=lengths, lam=lam, rho_max=rho_max)
 
 
 def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
-                   spec: DistortionSpec, dirty: np.ndarray) -> np.ndarray:
+                   rho_max: float, dirty: np.ndarray) -> np.ndarray:
     """Guarded centroid update of the dirty cells, in place on C; returns
     the mask of cells whose codevector changed, compared bit for bit.
 
@@ -342,8 +324,8 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
     d_old = letter_dist(Xs - C[cell_of])
     clipped = np.zeros(K, dtype=bool)
     if X.ndim == 2:
-        clipped[cell_of[np.any(d_old >= spec.rho_max, axis=1)]] = True
-    cost_old = np.minimum(d_old, spec.rho_max)
+        clipped[cell_of[np.any(d_old >= rho_max, axis=1)]] = True
+    cost_old = np.minimum(d_old, rho_max)
     span = np.where(dirty, sizes, 0)
     starts = np.cumsum(span) - span
     moved = np.zeros(K, dtype=bool)
@@ -363,7 +345,7 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
         lo, hi = slot + ((cnt - 1) // 2)[:, None], slot + (cnt // 2)[:, None]
         cand = np.where(lo == hi, buf[lo], (buf[lo] + buf[hi]) / 2)   # np.median's
         new = np.abs(np.subtract(xf, cand[k], out=xf), out=xf)   # in place: a
-        np.minimum(new, spec.rho_max, out=new)          # smaller peak RSS
+        np.minimum(new, rho_max, out=new)                        # smaller peak RSS
         s_new, s_old = (np.add.reduceat(np.add.reduce(c, axis=1), np.cumsum(cnt) - cnt)
                         for c in (new, cost_old[fr]))
         # keep is s_new/m <= s_old/m on the exact path's sums of these m
@@ -390,7 +372,7 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
             lo, hi = (size - 1) // 2, size // 2
             part = np.partition(G[med], (lo, hi), axis=1)
             cand[med] = np.add.reduce(part[:, lo:hi + 1], axis=1) / (hi - lo + 1)
-        new = np.minimum(letter_dist(G - cand[:, None]), spec.rho_max)
+        new = np.minimum(letter_dist(G - cand[:, None]), rho_max)
         m = new[0].size
         keep = (np.add.reduce(new.reshape(len(cells), m), axis=1) / m
                 <= np.add.reduce(cost_old[at].reshape(len(cells), m), axis=1) / m)
@@ -415,7 +397,7 @@ def _round_lengths(usage: np.ndarray, cap_bits: int) -> np.ndarray:
     return L
 
 
-def ecvq_design(training, lam: float, initial_size: int, spec: DistortionSpec,
+def ecvq_design(training, lam: float, initial_size: int, rho_max: float,
                 seed: int, tolerance: float = 1e-6,
                 max_iter: int = 200, restarts: int = 1) -> Codebook:
     """Entropy-constrained Lloyd descent on training blocks.
@@ -440,7 +422,7 @@ def ecvq_design(training, lam: float, initial_size: int, spec: DistortionSpec,
     distinct = np.unique(X.reshape(len(X), -1), axis=0).reshape((-1,) + X.shape[1:])
     best = best_J = None
     for r in range(restarts):
-        book, J = _design_once(X, distinct, lam, initial_size, spec,
+        book, J = _design_once(X, distinct, lam, initial_size, rho_max,
                                seed + 1_000_003 * r, tolerance, max_iter)
         if best is None or J < best_J:
             best, best_J = book, J
@@ -448,7 +430,7 @@ def ecvq_design(training, lam: float, initial_size: int, spec: DistortionSpec,
 
 
 def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
-                 initial_size: int, spec: DistortionSpec, seed: int,
+                 initial_size: int, rho_max: float, seed: int,
                  tolerance: float, max_iter: int) -> tuple[Codebook, float]:
     """One Lloyd run from codevectors drawn among the distinct training
     blocks; returns the book and its training Lagrangian."""
@@ -467,11 +449,11 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
     # rows of codevectors the centroid step moved; every decision below
     # reads it.  d holds the exact rho_n of each block at its codevector.
     letters = _letters(X)
-    dist = _screen(letters, C, spec)
+    dist = _screen(letters, C, rho_max)
     assign = None
     moved = np.ones(K, dtype=bool)    # every cell is dirty at first
     for _ in range(max_iter):
-        new, d = _nearest(X, C, lam * lengths / n, spec, letters, dist)
+        new, d = _nearest(X, C, lam * lengths / n, rho_max, letters, dist)
         # a cell is dirty if it gained or lost rows, or if its codevector
         # moved in the last step (which can flip it between median and mean)
         dirty = moved
@@ -484,13 +466,13 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
             C, lengths, dist = C[used], lengths[used], dist[used]
             dirty = dirty[used]
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
-        moved = _centroid_step(X, C, assign, spec, dirty)
+        moved = _centroid_step(X, C, assign, rho_max, dirty)
         # length step: ideal lengths from empirical usage
         lengths = -np.log2(counts / T)
         if moved.any():
-            dist[moved] = _screen(letters, C[moved], spec)
+            dist[moved] = _screen(letters, C[moved], rho_max)
             redo = moved[assign]        # rows whose codevector moved
-            d[redo] = _rho_at(X[redo], C[assign[redo]], spec)
+            d[redo] = _rho_at(X[redo], C[assign[redo]], rho_max)
         J = float(np.mean(d + lam * lengths[assign] / n))
         history.append(J)
         if prev_J - J < tolerance:
@@ -498,23 +480,21 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
         prev_J = J
 
     # integer rounding under the Step-5 cap (uncapped in the lambda=0 limit)
-    cap_bits = 62 if lam == 0 else int(np.floor(min(62.0, 2.0 * spec.rho_max * n / lam)))
+    cap_bits = 62 if lam == 0 else int(np.floor(min(62.0, 2.0 * rho_max * n / lam)))
     max_size = 2 ** cap_bits if cap_bits < 60 else C.shape[0]
     if C.shape[0] > max_size:
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
         keep = np.sort(np.argsort(-counts, kind="stable")[:max_size])
         C, dist = C[keep], dist[keep]
-        assign, _ = _nearest(X, C, np.zeros(C.shape[0]), spec, letters, dist)
+        assign, _ = _nearest(X, C, np.zeros(C.shape[0]), rho_max, letters, dist)
         used, assign = np.unique(assign, return_inverse=True)
         C, dist = C[used], dist[used]
     counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
     int_lengths = _round_lengths(counts, cap_bits)
-    codes = canonical_code(int_lengths)
-    book = Codebook(n=n, codevectors=C, lengths=int_lengths,
-                    codes=tuple(codes), lam=lam, spec=spec,
-                    training_lagrangians=tuple(history))
+    book = Codebook(n=n, codevectors=C, lengths=int_lengths, lam=lam,
+                    rho_max=rho_max, training_lagrangians=tuple(history))
     ell = lam * int_lengths / n
-    idx, d = _nearest(X, C, ell, spec, letters, dist)
+    idx, d = _nearest(X, C, ell, rho_max, letters, dist)
     J = float(np.mean(d + ell[idx]))
     return book, J
 
@@ -526,7 +506,7 @@ def ecvq_encode(book: Codebook, x) -> tuple[int, BitString]:
     if xa.shape[0] != book.n:
         raise ValueError(f"block length {xa.shape[0]} != codebook n {book.n}")
     ell = book.lam * np.asarray(book.lengths) / book.n
-    idx = int(_nearest(xa[None, ...], book.codevectors, ell, book.spec)[0][0])
+    idx = int(_nearest(xa[None, ...], book.codevectors, ell, book.rho_max)[0][0])
     return idx, book.codes[idx]
 
 
@@ -556,9 +536,9 @@ def lagrangian_eval(book: Codebook, family: SourceFamily, theta,
     rng = rng_for(seed, TAG_EVAL)
     X = family.sample_paths(theta, book.n, num_blocks, rng)
     ell = book.lam * np.asarray(book.lengths) / book.n
-    idx, d_vals = _nearest(X, book.codevectors, ell, book.spec)
+    idx, d_vals = _nearest(X, book.codevectors, ell, book.rho_max)
     r_vals = np.asarray(book.lengths)[idx] / book.n
     d_se = float(np.std(d_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0
     r_se = float(np.std(r_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0
-    return LagrangianReport.build(np.mean(d_vals), np.mean(r_vals), book.lam,
-                                  distortion_se=d_se, rate_se=r_se)
+    return LagrangianReport(float(np.mean(d_vals)), float(np.mean(r_vals)),
+                            float(book.lam), distortion_se=d_se, rate_se=r_se)

@@ -2,8 +2,7 @@
 CSV output.
 
 Configs are JSON files with an explicit schema_version; identical config and
-seed produce byte-identical CSV (the timestamp comment line can be disabled
-with "timestamp": false).
+seed produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -40,7 +38,6 @@ class ExperimentConfig:
     eval_blocks: int = 2000
     oracle_train_blocks: int = 2048
     identify_mc: int = 4000
-    timestamp: bool = False
     plant_theta0: bool = False      # pin theta0 at database index 1
     plant: tuple = ()               # further pinned indices, after theta0
     per_trial_code_seed: bool = False  # fresh codebook training per trial
@@ -81,14 +78,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 # top-level fields taken as they are, or else the ExperimentConfig default
 OPTIONAL = ("seed", "eval_blocks", "oracle_train_blocks", "identify_mc",
-            "timestamp", "plant_theta0", "per_trial_code_seed")
+            "plant_theta0", "per_trial_code_seed")
 # the JSON type of each top-level field and of its entries, checked before
 # any conversion (a JSON true is no integer here)
 TOP_TYPES = {
     **dict.fromkeys(("trials", "seed", "eval_blocks", "oracle_train_blocks",
                      "identify_mc"), (int, None)),
-    **dict.fromkeys(("timestamp", "plant_theta0", "per_trial_code_seed"),
-                    (bool, None)),
+    **dict.fromkeys(("plant_theta0", "per_trial_code_seed"), (bool, None)),
     "theta0": (list, None), "n_grid": (list, int), "plant": (list, list),
     "scheme": (dict, None),
 }
@@ -104,6 +100,9 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     if raw.get("schema_version") != 1:
         raise ConfigError("config must declare schema_version: 1")
+    unknown = sorted(set(raw) - {"schema_version", "family", *TOP_TYPES})
+    if unknown:
+        raise ConfigError("config has unknown key(s): " + ", ".join(unknown))
     wrong = [k for k, t in TOP_TYPES.items() if k in raw and not _typed(raw[k], *t)]
     if wrong:
         raise ConfigError("config field invalid: wrong JSON type for "
@@ -150,7 +149,7 @@ def _run_grid(cfg: ExperimentConfig, out_path: str, threads: int,
     db = cfg.database(family)
     per_n = {}
     for n in cfg.n_grid:
-        sc, V = cfg.scheme_config(n), mde.vc_bound(family, n).bound
+        sc, V = cfg.scheme_config(n), mde.vc_bound(family, n)
         x = math.sqrt(V * math.log(n) / n)    # the redundancy rate's scale
         per_n[n] = (sc, scheme.candidate_set(sc, db), x)
 
@@ -178,8 +177,6 @@ def _run_grid(cfg: ExperimentConfig, out_path: str, threads: int,
     tail, extra = summary(xs, medians)
     with open(out_path, "w", newline="") as fh:
         fh.write(f"# {CSV_SCHEMA}\n")
-        if cfg.timestamp:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows + [{"kind": "median", "n": n, measure: medians[n],
@@ -225,12 +222,12 @@ def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
         enc = scheme.encode_block(sc, db, *scene, candidates=candidates)
         theta_hat = np.asarray(enc.theta_hat)
         rep = lagrangian(sc, theta_hat, scheme.book_index(enc.waiting_time))
-        first_bits = 1 + len(enc.first_stage.s1)
+        first_bits = 1 + len(enc.s1)
         l_star = rep.lagrangian + sc.lam * first_bits / sc.n
         return {
             "lagrangian_star": l_star, "lagrangian_oracle": oracle,
             "redundancy": l_star - oracle, "first_stage_bits": first_bits,
-            "b_flag": enc.first_stage.b,
+            "b_flag": enc.b,
             "waiting_time": -1 if enc.waiting_time is None else enc.waiting_time,
             "d_theta0_theta_hat": distances.variational_mc(
                 family, theta0, theta_hat, sc.n, cfg.identify_mc,

@@ -28,14 +28,6 @@ class TooFewCandidatesError(ValueError):
 
 
 @dataclass(frozen=True)
-class VcBoundReport:
-    family: str
-    n: int
-    bound: float
-    formula: str
-
-
-@dataclass(frozen=True)
 class CandidateSet:
     """Finite ordered list of valid, distinct parameter vectors."""
 
@@ -128,39 +120,31 @@ def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,
 
 
 def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,
-                 mc_budget: int, seed: int,
-                 return_u: bool = False):
+                 mc_budget: int, seed: int) -> np.ndarray:
     """Devroye-Lugosi minimum-distance pick: the first candidate whose U
-    statistic is within 1/n of the minimum (n = block length)."""
+    statistic (``u_statistic_all``) is within 1/n of the minimum (n = block
+    length)."""
     if len(candidates) == 0:
         raise TooFewCandidatesError("candidate set is empty")
     if len(candidates) == 1:
-        theta = np.asarray(candidates.thetas[0])
-        return (theta, np.zeros(1)) if return_u else theta
+        return np.asarray(candidates.thetas[0])
     n = np.shape(blocks)[1]
     u = u_statistic_all(family, blocks, candidates, mc_budget, seed)
     winner = int(np.flatnonzero(u < u.min() + 1.0 / n)[0])
-    theta = np.asarray(candidates.thetas[winner])
-    return (theta, u) if return_u else theta
+    return np.asarray(candidates.thetas[winner])
 
 
-def vc_bound(family: SourceFamily, n: int) -> VcBoundReport:
-    """VC-dimension bound of the n-block Yatracos class (base-2 logs)."""
+def vc_bound(family: SourceFamily, n: int) -> float:
+    """VC-dimension bound of the n-block Yatracos class (base-2 logs):
+    12 log2(12e) for Gaussian i.i.d., (4p+4) log2(8e) for AR(p) and
+    4M^2 log2(4en) for an M-state HMM."""
     if n < 1:
         raise ValueError("n must be >= 1")
     e = float(np.e)
     if family.tag == "gaussian-iid":
-        val = 12.0 * np.log2(12.0 * e)
-        formula = "12*log2(12e)"
-    elif family.tag == "gaussian-ar":
-        p = family.p
-        val = (4.0 * p + 4.0) * np.log2(8.0 * e)
-        formula = f"(4p+4)*log2(8e), p={p}"
-    elif family.tag == "hmm":
-        M = family.M
-        val = 4.0 * M * M * np.log2(4.0 * e * n)
-        formula = f"4M^2*log2(4en), M={M}"
-    else:
-        raise ValueError(f"no VC formula for family {family.tag!r}")
-    return VcBoundReport(family=family.tag, n=n, bound=float(val), formula=formula)
-
+        return float(12.0 * np.log2(12.0 * e))
+    if family.tag == "gaussian-ar":
+        return float((4.0 * family.p + 4.0) * np.log2(8.0 * e))
+    if family.tag == "hmm":
+        return float(4.0 * family.M * family.M * np.log2(4.0 * e * n))
+    raise ValueError(f"no VC formula for family {family.tag!r}")

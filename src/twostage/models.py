@@ -20,7 +20,7 @@ Gaussian i.i.d. path never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -428,27 +428,33 @@ class HiddenMarkov(SourceFamily):
         raise ValueError("no transition matrix above a0 in 10,000 prior draws")
 
 
-def log_density(family: SourceFamily, theta, block) -> float:
-    """Exact natural-log density of the n-dimensional marginal at the block."""
-    values = np.asarray(block)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("block contains non-finite values")
-    return float(family.log_density_batch(theta, values[None, ...])[0])
+# the fields of each family kind's config mapping, beside "kind"
+FAMILY_FIELDS = {
+    "gaussian-iid": (),
+    "gaussian-ar": ("p", "mixing_C", "mixing_gamma"),
+    "hmm": ("M", "a0", "emission_means", "emission_stds", "mixing_C",
+            "mixing_gamma"),
+}
 
 
 def make_family(spec: dict) -> SourceFamily:
-    """Build a family from a plain config mapping (see harness docs)."""
+    """Build a family from a plain config mapping (see harness docs); a key
+    that the kind does not read, or a p or M that is no integer, is an
+    error."""
     kind = spec.get("kind")
+    if kind not in FAMILY_FIELDS:
+        raise ValueError(f"unknown family kind: {kind!r}")
+    unknown = sorted(set(spec) - {"kind", *FAMILY_FIELDS[kind]})
+    if unknown:
+        raise ValueError(f"unknown {kind} field(s): " + ", ".join(unknown))
+    for name in ("p", "M"):
+        if name in spec and type(spec[name]) is not int:   # nor a bool
+            raise ValueError(f"family field {name} must be an integer")
+    mixing = {k: float(spec[k]) for k in ("mixing_C", "mixing_gamma") if k in spec}
     if kind == "gaussian-iid":
         return GaussianIID()
     if kind == "gaussian-ar":
-        return GaussianAR(p=int(spec["p"]),
-                          mixing_C=float(spec.get("mixing_C", 1.0)),
-                          mixing_gamma=float(spec.get("mixing_gamma", 0.9)))
-    if kind == "hmm":
-        return HiddenMarkov(M=int(spec["M"]), a0=float(spec["a0"]),
-                            emission_means=spec["emission_means"],
-                            emission_stds=spec["emission_stds"],
-                            mixing_C=float(spec.get("mixing_C", 1.0)),
-                            mixing_gamma=float(spec.get("mixing_gamma", 0.9)))
-    raise ValueError(f"unknown family kind: {kind!r}")
+        return GaussianAR(p=spec["p"], **mixing)
+    return HiddenMarkov(M=spec["M"], a0=float(spec["a0"]),
+                        emission_means=spec["emission_means"],
+                        emission_stds=spec["emission_stds"], **mixing)

@@ -19,8 +19,7 @@ import numpy as np
 
 from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
 from .distances import variational_mc
-from .ecvq import (Codebook, DistortionSpec, ecvq_design, ecvq_decode_index,
-                   ecvq_encode)
+from .ecvq import Codebook, ecvq_design, ecvq_decode_index, ecvq_encode
 from .lru import LruCache
 from .mde import CandidateSet, mde_estimate, vc_bound
 from .models import SampleBlock, SourceFamily
@@ -85,10 +84,6 @@ class SchemeConfig:
         if self.delta_mode not in ("practical", "paper"):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
 
-    def distortion_spec(self, family: SourceFamily) -> DistortionSpec:
-        base = "euclidean" if family.letter_dim > 1 else "absolute-difference"
-        return DistortionSpec(rho_max=self.rho_max, base=base)
-
     def initial_size(self) -> int:
         return int(min(self.max_initial_size,
                        2 ** min(30, math.ceil(self.rate_target * self.n))))
@@ -103,8 +98,6 @@ class MemoryLayout:
     l_n: int
     m_n: int
     z_offsets: tuple
-    y_offsets: tuple
-    l_capped: bool = False
 
     def extract_z(self, history: np.ndarray) -> np.ndarray:
         if history.shape[0] != self.m_n:
@@ -117,18 +110,12 @@ def memory_layout(config: SchemeConfig) -> MemoryLayout:
     n = config.n
     if math.isinf(config.r):
         l_n = 0
-        capped = False
     else:
         l_n = math.ceil(n ** ((2.0 + config.eta) / config.r))
-        capped = config.l_cap is not None and l_n > config.l_cap
-        if capped:
-            l_n = int(config.l_cap)
-    m_n = n * (n + l_n)
-    stride = n + l_n
-    z = tuple(j * stride for j in range(n))
-    y = tuple(j * stride + n for j in range(n))
-    return MemoryLayout(n=n, l_n=l_n, m_n=m_n, z_offsets=z, y_offsets=y,
-                        l_capped=capped)
+        if config.l_cap is not None:
+            l_n = min(l_n, int(config.l_cap))
+    return MemoryLayout(n=n, l_n=l_n, m_n=n * (n + l_n),
+                        z_offsets=tuple(j * (n + l_n) for j in range(n)))
 
 
 @dataclass(frozen=True)
@@ -152,23 +139,8 @@ class Database:
 
 
 @dataclass(frozen=True)
-class FirstStageDescription:
-    b: int
-    s1: BitString
-
-    def __post_init__(self):
-        if self.b not in (0, 1):
-            raise ValueError("flag must be a bit")
-        if (self.b == 1) != (len(self.s1) == 0):
-            raise ValueError("b=1 iff s1 is empty")
-
-    def bits(self) -> BitString:
-        return BitString([self.b]) + self.s1
-
-
-@dataclass(frozen=True)
 class EncodedBlock:
-    first_stage: FirstStageDescription
+    s1: BitString           # Elias-gamma(T); empty when the search exhausted
     s2: BitString
     # encoder-side introspection; never on the wire
     waiting_time: int | None = field(default=None, compare=False)
@@ -177,11 +149,16 @@ class EncodedBlock:
     codeword_index: int = field(default=0, compare=False)
 
     @property
+    def b(self) -> int:
+        """The first-stage flag: 1 exactly when s1 is empty."""
+        return int(len(self.s1) == 0)
+
+    @property
     def total_bits(self) -> int:
-        return 1 + len(self.first_stage.s1) + len(self.s2)
+        return 1 + len(self.s1) + len(self.s2)
 
     def stream(self) -> BitString:
-        return self.first_stage.bits() + self.s2
+        return BitString([self.b]) + self.s1 + self.s2
 
 
 @dataclass(frozen=True)
@@ -210,7 +187,7 @@ def delta_schedule(n: int, V_n: float, mode: str = "practical",
 
 
 def waiting_tolerance(config: SchemeConfig, family: SourceFamily) -> float:
-    V_n = vc_bound(family, config.n).bound
+    V_n = vc_bound(family, config.n)
     return math.sqrt(config.n) * delta_schedule(config.n, V_n,
                                                 config.delta_mode,
                                                 config.c_delta)
@@ -257,8 +234,7 @@ def provision_codebook(config: SchemeConfig, family: SourceFamily,
     def design():
         rng = rng_for(config.code_seed, TAG_TRAINING, index)
         X = family.sample_paths(np.asarray(t), config.n, config.train_blocks, rng)
-        return ecvq_design(X, config.lam, config.initial_size(),
-                           config.distortion_spec(family),
+        return ecvq_design(X, config.lam, config.initial_size(), config.rho_max,
                            seed=derive_seed(config.code_seed, TAG_TRAINING, index),
                            tolerance=config.design_tol,
                            restarts=config.design_restarts)
@@ -304,9 +280,8 @@ def encode_block(config: SchemeConfig, db: Database, history, current,
     T, theta_tilde, theta_hat = identify(config, db, history, candidates)
     book = provision_codebook(config, db.family, theta_hat, book_index(T))
     cw_idx, s2 = ecvq_encode(book, cur)
-    first = FirstStageDescription(b=1, s1=BitString()) if T is None else \
-        FirstStageDescription(b=0, s1=elias_encode(T))
-    return EncodedBlock(first_stage=first, s2=s2, waiting_time=T,
+    s1 = BitString() if T is None else elias_encode(T)
+    return EncodedBlock(s1=s1, s2=s2, waiting_time=T,
                         theta_tilde=tuple(theta_tilde),
                         theta_hat=tuple(theta_hat), codeword_index=cw_idx)
 

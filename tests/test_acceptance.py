@@ -60,7 +60,7 @@ def test_criterion_3_model_core(hmm_brute_force):
         theta = hmm.prior_draw(rng_for(3, 1, M))
         for n in range(1, 6):
             x = rng_for(3, 2, M, n).normal(size=n)
-            fwd = models.log_density(hmm, theta, x)
+            fwd = hmm.log_density_batch(theta, x[None])[0]
             brute = hmm_brute_force(hmm, theta, x)
             worst = max(worst, abs(fwd - brute))
     ok &= worst < 1e-10
@@ -78,8 +78,8 @@ def test_criterion_4_mde():
     failures = 0
     for s in range(200):
         Z = GAUSS.sample_paths(theta0, n, 128, rng_for(4, 0, s))
-        theta_t, u = mde.mde_estimate(GAUSS, Z, grid, 2000, seed=1000 + s,
-                                      return_u=True)
+        theta_t = mde.mde_estimate(GAUSS, Z, grid, 2000, seed=1000 + s)
+        u = mde.u_statistic_all(GAUSS, Z, grid, 2000, seed=1000 + s)
         d = distances.variational_mc(GAUSS, theta0, theta_t, n, 20_000,
                                      seed=2000 + s)
         slack = 3 * (d.standard_error + 2.0 / math.sqrt(2000))
@@ -102,14 +102,14 @@ def test_criterion_4_mde():
 
 
 def test_criterion_5_ecvq():
-    spec = ecvq.DistortionSpec(rho_max=1.0)
+    rho_max = 1.0
     ok = True
     for s in range(50):
         lam = (0.2, 0.5, 1.0)[s % 3]
         X = GAUSS.sample_paths((0.0, 1.0), 8, 256, rng_for(5, s))
-        book = ecvq.ecvq_design(X, lam, 32, spec, seed=s)
+        book = ecvq.ecvq_design(X, lam, 32, rho_max, seed=s)
         ok &= book.kraft_sum() <= 1.0 + 1e-12
-        ok &= book.max_normalized_length() <= 2 * spec.rho_max / lam + 1e-12
+        ok &= book.max_normalized_length() <= 2 * rho_max / lam + 1e-12
         hist = np.array(book.training_lagrangians)
         ok &= bool(np.all(np.diff(hist) <= 1e-9))
     report(5, "ECVQ", ok,
@@ -234,9 +234,9 @@ def test_criterion_8_identification_trend(tmp_path):
 def test_criterion_9_vc_accounting(vc_deviation_bound):
     hmm = models.HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 1.0],
                               emission_stds=[1.0, 1.0])
-    v_g = mde.vc_bound(GAUSS, 8).bound
-    v_ar = mde.vc_bound(models.GaussianAR(p=2), 8).bound
-    v_h = mde.vc_bound(hmm, 8).bound
+    v_g = mde.vc_bound(GAUSS, 8)
+    v_ar = mde.vc_bound(models.GaussianAR(p=2), 8)
+    v_h = mde.vc_bound(hmm, 8)
     ok = abs(v_g - 12 * math.log2(12 * math.e)) < 0.01
     ok &= abs(v_ar - 12 * math.log2(8 * math.e)) < 0.01
     ok &= abs(v_h - 16 * math.log2(32 * math.e)) < 0.01

@@ -121,6 +121,6 @@ class TestSmoothness:
 
 def test_estimate_range_validation():
     with pytest.raises(ValueError):
-        DistanceEstimate(value=2.5, standard_error=0.0, method="exact-1d")
+        DistanceEstimate(value=2.5, standard_error=0.0)
     with pytest.raises(ValueError):
-        DistanceEstimate(value=1.0, standard_error=-0.1, method="monte-carlo")
+        DistanceEstimate(value=1.0, standard_error=-0.1)

@@ -47,7 +47,7 @@ BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
            ("trials", 2.7), ("trials", True), ("seed", 1.5),
            ("eval_blocks", "200"), ("oracle_train_blocks", True),
            ("identify_mc", 400.0), ("n_grid", "46"), ("n_grid", [4.0, 6]),
-           ("timestamp", "no"), ("plant_theta0", 1),
+           ("plant_theta0", 1),
            ("per_trial_code_seed", "false"), ("theta0", "01"), ("plant", ""),
            ("plant", ["01"]), ("scheme", [["lam", 0.5]])]
 
@@ -69,6 +69,20 @@ def bad_raw(where, field, value):
 
 BAD_CONFIGS = [pytest.param("scheme", f, v, id=f"{f}={v}") for f, v in BAD_SCHEME] + \
     [pytest.param("top", f, v, id=f"{f}={v}") for f, v in BAD_TOP]
+
+# keys that used to load without effect, or coerced: the error names each
+AR1 = {"kind": "gaussian-ar", "p": 1}
+HMM2 = {"kind": "hmm", "M": 2, "a0": 0.05, "emission_means": [1.0, -1.0],
+        "emission_stds": [1.0, 1.0]}
+NAMED_KEYS = [   # (key, the changes to tiny_raw)
+    ("eval_block", {"eval_block": 10}),
+    ("mixing_c", {"family": AR1 | {"mixing_c": 5.0}, "theta0": [0.5]}),
+    ("p", {"family": AR1 | {"p": 2.7}, "theta0": [0.5, 0.1]}),
+    ("p", {"family": AR1 | {"p": True}, "theta0": [0.5]}),
+    ("M", {"family": HMM2 | {"M": 2.9}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
+]
+NAMED = [pytest.param(k, c, id=f"{k}={c[k] if k in c else c['family'][k]}")
+         for k, c in NAMED_KEYS]
 
 
 class TestConfig:
@@ -118,6 +132,11 @@ class TestConfig:
     def test_unrunnable_field_rejected(self, where, field, value):
         with pytest.raises(ConfigError):
             build_config(bad_raw(where, field, value))
+
+    @pytest.mark.parametrize("key,changes", NAMED)
+    def test_unread_or_coerced_key_is_named(self, key, changes):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            build_config(tiny_raw(**changes))
 
     def test_anchors_alone_are_candidates(self):
         raw = tiny_raw()
@@ -231,13 +250,12 @@ class TestCli:
         assert rc == 0 and out.exists()
         assert "median redundancy" in capsys.readouterr().out
 
-    def test_identify_with_overrides(self, tmp_path, capsys):
-        def identify(name, *flags, **fields):
+    def test_identify_config_fields_change_the_csv(self, tmp_path, capsys):
+        def identify(name, **fields):
             p = tmp_path / f"{name}.json"
             p.write_text(json.dumps(tiny_raw(n_grid=[4], trials=1, **fields)))
             out = tmp_path / f"{name}.csv"
-            rc = cli.main(["identify", "--config", str(p), "--out", str(out),
-                           *flags])
+            rc = cli.main(["identify", "--config", str(p), "--out", str(out)])
             assert rc == 0
             assert "identification distance" in capsys.readouterr().out
             return out.read_bytes()
@@ -246,14 +264,11 @@ class TestCli:
             rows = list(csv.DictReader(csv_bytes.decode().splitlines()[1:]))
             return [r["tol"] for r in rows if r["kind"] == "trial"]
 
-        # each override writes what the same field in the config writes,
-        # which differs from what the config alone writes
+        # the seed and the tolerance schedule each reach the CSV
         default = identify("default")
-        assert identify("flag_seed", "--seed", "78") == \
-            identify("seed", seed=78) != default
+        assert identify("seed", seed=78) != default
         paper = tiny_raw()["scheme"] | {"delta_mode": "paper"}
-        assert tol(identify("flag_paper", "--delta-mode", "paper")) == \
-            tol(identify("paper", scheme=paper)) != tol(default)
+        assert tol(identify("paper", scheme=paper)) != tol(default)
 
 
 # Hypothesis over the fields a config can get wrong: mostly runnable configs

@@ -253,8 +253,8 @@ class TestMDE:
         for blocks, mde_mc, mde_slack, runs in cases:
             for rng, mde_seed, d_seed in runs:
                 Z = GAUSS.sample_paths(theta0, n, blocks, rng)
-                theta_t, u = mde_estimate(GAUSS, Z, grid, mde_mc, seed=mde_seed,
-                                          return_u=True)
+                theta_t = mde_estimate(GAUSS, Z, grid, mde_mc, seed=mde_seed)
+                u = u_statistic_all(GAUSS, Z, grid, mde_mc, seed=mde_seed)
                 d = variational_mc(GAUSS, theta0, theta_t, n, 20_000, seed=d_seed)
                 mc_slack = d.standard_error + mde_slack
                 assert d.value <= 4 * u[i0] + 3.0 / n + 3 * mc_slack
@@ -277,23 +277,23 @@ class TestMDE:
 
 class TestVcBounds:
     def test_gaussian_formula(self):
-        rep = vc_bound(GAUSS, 4)
-        assert rep.bound == pytest.approx(12 * math.log2(12 * math.e), abs=1e-9)
-        assert rep.bound == pytest.approx(60.33, abs=0.01)
+        V = vc_bound(GAUSS, 4)
+        assert V == pytest.approx(12 * math.log2(12 * math.e), abs=1e-9)
+        assert V == pytest.approx(60.33, abs=0.01)
 
     def test_ar_formula(self):
-        rep = vc_bound(GaussianAR(p=2), 4)
-        assert rep.bound == pytest.approx(12 * math.log2(8 * math.e), abs=1e-9)
-        assert rep.bound == pytest.approx(53.31, abs=0.01)
+        V = vc_bound(GaussianAR(p=2), 4)
+        assert V == pytest.approx(12 * math.log2(8 * math.e), abs=1e-9)
+        assert V == pytest.approx(53.31, abs=0.01)
 
     def test_hmm_formula_grows_log_n(self):
         hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1, 1],
                            emission_stds=[1, 1])
-        rep = vc_bound(hmm, 8)
-        assert rep.bound == pytest.approx(16 * math.log2(32 * math.e), abs=1e-9)
-        assert rep.bound == pytest.approx(103.08, abs=0.01)
-        assert vc_bound(hmm, 16).bound > rep.bound
-        assert vc_bound(GAUSS, 16).bound == vc_bound(GAUSS, 4).bound
+        V = vc_bound(hmm, 8)
+        assert V == pytest.approx(16 * math.log2(32 * math.e), abs=1e-9)
+        assert V == pytest.approx(103.08, abs=0.01)
+        assert vc_bound(hmm, 16) > V
+        assert vc_bound(GAUSS, 16) == vc_bound(GAUSS, 4)
 
     def test_deviation_bound_clamps(self, vc_deviation_bound):
         # 8 * 10^2 * exp(-10*0.01/32) >> 1 -> clamped

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
-                             InvalidParameterError, log_density)
+                             InvalidParameterError)
 from twostage.rand import TAG_SAMPLE, rng_for
 
 
@@ -31,12 +31,12 @@ class TestGaussianIID:
         assert not np.array_equal(a, c)
 
     def test_log_density_closed_form(self, gauss):
-        got = log_density(gauss, (0.0, 1.0), np.array([0.0]))
+        got = gauss.log_density_batch((0.0, 1.0), np.array([[0.0]]))[0]
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_density_normalizes(self, gauss):
-        mass, _ = quad(lambda x: math.exp(log_density(gauss, (0.7, 2.3),
-                                                      np.array([x]))),
+        mass, _ = quad(lambda x: math.exp(
+            gauss.log_density_batch((0.7, 2.3), np.array([[x]]))[0]),
                        -np.inf, np.inf)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
@@ -128,7 +128,8 @@ class TestHiddenMarkov:
                            emission_stds=[1.2])
         x = rng_for(8, 0).normal(size=4)
         want = np.sum(hmm._emission_logpdf(x.reshape(-1, 1)))
-        assert log_density(hmm, [1.0], x) == pytest.approx(want, abs=1e-12)
+        assert hmm.log_density_batch([1.0], x[None])[0] == \
+            pytest.approx(want, abs=1e-12)
 
     def test_forward_equals_brute_force_grid(self, hmm_brute_force):
         rng = rng_for(21, 0)
@@ -139,7 +140,7 @@ class TestHiddenMarkov:
             theta = hmm.prior_draw(rng)
             for n in range(1, 6):
                 x = rng.normal(size=n)
-                fwd = log_density(hmm, theta, x)
+                fwd = hmm.log_density_batch(theta, x[None])[0]
                 brute = hmm_brute_force(hmm, theta, x)
                 assert abs(fwd - brute) < 1e-10
 
@@ -164,8 +165,3 @@ class TestHiddenMarkov:
         assert X.shape == (3, 4, 2)
         ld = hmm.log_density_batch(theta, X)
         assert ld.shape == (3,) and np.all(np.isfinite(ld))
-
-
-def test_log_density_rejects_nonfinite(gauss=GaussianIID()):
-    with pytest.raises(ValueError):
-        log_density(gauss, (0.0, 1.0), np.array([np.nan]))

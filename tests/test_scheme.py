@@ -45,7 +45,6 @@ class TestMemoryLayout:
         assert layout.l_n == 8
         assert layout.m_n == 48
         assert layout.z_offsets == (0, 12, 24, 36)
-        assert layout.y_offsets == (4, 16, 28, 40)
 
     def test_iid_case(self):
         layout = memory_layout(SchemeConfig(n=6, lam=1.0))
@@ -56,7 +55,7 @@ class TestMemoryLayout:
     def test_cap(self):
         cfg = SchemeConfig(n=16, lam=1.0, eta=1.0, r=1.0, l_cap=10)
         layout = memory_layout(cfg)
-        assert layout.l_capped and layout.l_n == 10
+        assert layout.l_n == 10
 
     def test_extract_z_tiles(self):
         cfg = SchemeConfig(n=3, lam=1.0, eta=1.0, r=3.0)
@@ -183,8 +182,8 @@ class TestRoundTrip:
         enc = encode_block(cfg, db, hist, cur)
         assert enc.waiting_time == 1
         # b=0 and gamma(1) = "1": two first-stage bits total
-        assert enc.first_stage.b == 0
-        assert 1 + len(enc.first_stage.s1) == 2
+        assert enc.b == 0
+        assert 1 + len(enc.s1) == 2
         dec = decode_block(cfg, db, enc.stream())
         assert dec.radius == pytest.approx(waiting_tolerance(cfg, GAUSS))
 
@@ -197,7 +196,7 @@ class TestRoundTrip:
         hist, cur = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=104)
         enc = encode_block(cfg, db, hist, cur)
         assert enc.waiting_time is None
-        assert enc.first_stage.b == 1 and len(enc.first_stage.s1) == 0
+        assert enc.b == 1 and len(enc.s1) == 0
         dec = decode_block(cfg, db, enc.stream())
         assert math.isnan(dec.radius)
         assert np.array_equal(dec.theta_hat, db.point(1))
@@ -218,7 +217,7 @@ class TestRoundTrip:
         hist, cur = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=106)
         enc = encode_block(cfg, db, hist, cur)
         assert enc.total_bits == len(enc.stream())
-        assert enc.total_bits == 1 + len(enc.first_stage.s1) + len(enc.s2)
+        assert enc.total_bits == 1 + len(enc.s1) + len(enc.s2)
 
     def test_waiting_time_beyond_i_max_rejected_before_design(self):
         cfg = small_config()
@@ -313,7 +312,6 @@ class TestCodebookCacheKey:
         provision_codebook(cfg, scalar, self.THETA, 1)
         book = provision_codebook(cfg, vector, self.THETA, 1)
         assert book.codevectors.shape[1:] == (cfg.n, 2)
-        assert book.spec.base == "euclidean"
 
     def test_design_tolerance_is_part_of_the_key(self):
         loose, tight = small_config(design_tol=1.0), small_config(design_tol=1e-9)
