@@ -8,7 +8,9 @@ satisfies Kraft and the 2*rho_max/lambda normalized-length cap.
 
 import numpy as np
 
-from twostage.ecvq import ecvq_design, ecvq_encode, lagrangian_eval, rho_n
+from twostage.bitcode import BitReader
+from twostage.ecvq import (ecvq_decode_index, ecvq_design, ecvq_encode,
+                           lagrangian_eval, rho_n)
 from twostage.models import GaussianIID
 from twostage.rand import rng_for
 
@@ -35,6 +37,9 @@ idx, bits = ecvq_encode(book, x)
 print(f"\none block -> codeword {idx} = '{bits}' "
       f"({len(bits)} bits, rho_n = {rho_n(rho_max, x, book.codevectors[idx]):.4f})")
 
-blob = book.to_bytes()
-print(f"serialized codebook: {len(blob)} bytes; round-trips:",
-      type(book).from_bytes(blob).codes == book.codes)
+print("decoder reads back codeword", ecvq_decode_index(book, BitReader(bits)))
+
+print("\ncanonical prefix code: by length, each codeword is the last plus 1,")
+print("shifted left to its length")
+for j in sorted(range(book.size), key=lambda j: (book.lengths[j], j))[:6]:
+    print(f"  codeword {j:2d}: length {book.lengths[j]:2d}  {book.codes[j]}")

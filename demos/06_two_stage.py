@@ -11,7 +11,7 @@ import numpy as np
 
 from twostage.models import GaussianIID
 from twostage.scheme import (Database, SchemeConfig, clear_codebook_cache,
-                             decode_block, encode_block, memory_layout,
+                             decode_block, encode_block, gap_length,
                              sample_scene, waiting_tolerance)
 
 gauss = GaussianIID()
@@ -20,9 +20,9 @@ config = SchemeConfig(n=8, lam=0.4, c_delta=0.8, database_seed=31,
                       code_seed=32, n_candidates=24, i_max=500,
                       distance_mc=400, mde_mc=1500, train_blocks=256,
                       max_initial_size=32)
-layout = memory_layout(config)
-print(f"block length n={config.n}, memory m_n={layout.m_n} letters "
-      f"({config.n} estimation blocks, gap {layout.l_n})")
+l_n = gap_length(config)
+print(f"block length n={config.n}, memory m_n={config.n * (config.n + l_n)} "
+      f"letters ({config.n} estimation blocks, gap {l_n})")
 
 db = Database(family=gauss, seed=config.database_seed)
 history, current = sample_scene(gauss, theta0, config, seed=33)

@@ -20,7 +20,7 @@ raw = {
     "n_grid": [4, 8, 16],
     "trials": 10,
     "seed": 41,
-    "plant_theta0": True,
+    "plant": [[0.0, 1.0]],        # theta0 at database index 1
     "eval_blocks": 500,
     "identify_mc": 500,
     "scheme": {"lam": 0.3, "c_delta": 0.5, "n_candidates": 8, "i_max": 50,

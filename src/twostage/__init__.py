@@ -1,8 +1,7 @@
 """Two-stage universal lossy coding and identification of parametric
 stationary mixing sources."""
 
-from .bitcode import (BitReader, BitString, TruncatedStreamError,
-                      elias_decode, elias_encode)
+from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
 from .distances import (DistanceEstimate, kl_gaussian_iid, smoothness_check,
                         variational_exact_1d, variational_mc)
 from .ecvq import (Codebook, LagrangianReport, ecvq_design, ecvq_encode,
@@ -12,7 +11,7 @@ from .models import (GaussianAR, GaussianIID, HiddenMarkov,
                      InvalidParameterError, SampleBlock, SourceFamily,
                      make_family)
 from .scheme import (Database, EncodedBlock, MalformedStreamError,
-                     MemoryLayout, SchemeConfig, decode_block, delta_schedule,
-                     encode_block, identify, memory_layout, waiting_time)
+                     SchemeConfig, decode_block, delta_schedule, encode_block,
+                     gap_length, identify, waiting_time)
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Prefix-free binary plumbing: Elias gamma integer codes and a bit-exact stream.
 
-Bit order is most-significant-bit first within each codeword.  A stream is
-just a concatenation of codewords; the reader relies on bit counts, never on
-byte padding.
+A bit string is one integer and a length: the integer's binary digits,
+most-significant bit first, left-padded with zeros to the length.  A stream
+is just a concatenation of codewords; the reader relies on bit counts, never
+on byte padding.
 """
 
 from __future__ import annotations
@@ -13,68 +14,43 @@ class TruncatedStreamError(ValueError):
 
 
 class BitString:
-    """Immutable finite sequence of 0/1 symbols."""
+    """Immutable bit sequence: ``value`` written in ``length`` bits, MSB first."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ("value", "length")
 
-    def __init__(self, bits=()):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        self._bits = bits
+    def __init__(self, value: int = 0, length: int = 0):
+        if not 0 <= value < 1 << length:
+            raise ValueError(f"{value} does not fit in {length} bits")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", length)
 
-    @property
-    def bits(self) -> tuple:
-        return self._bits
+    def __setattr__(self, name, value):
+        raise AttributeError("BitString is immutable")
 
     def __len__(self) -> int:
-        return len(self._bits)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return BitString(self._bits[i])
-        return self._bits[i]
+        return self.length
 
     def __add__(self, other: "BitString") -> "BitString":
-        out = BitString()
-        out._bits = self._bits + other._bits
-        return out
+        return BitString((self.value << other.length) | other.value,
+                         self.length + other.length)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BitString) and self._bits == other._bits
+        return isinstance(other, BitString) and \
+            (self.value, self.length) == (other.value, other.length)
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash((self.value, self.length))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return format(self.value, f"0{self.length}b") if self.length else ""
 
     def __repr__(self) -> str:
         return f"BitString('{self}')"
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-padding only the final byte."""
-        out = bytearray()
-        acc, k = 0, 0
-        for b in self._bits:
-            acc = (acc << 1) | b
-            k += 1
-            if k == 8:
-                out.append(acc)
-                acc, k = 0, 0
-        if k:
-            out.append(acc << (8 - k))
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, nbits: int) -> "BitString":
-        if nbits > 8 * len(data):
-            raise ValueError("nbits exceeds available data")
-        bits = []
-        for i in range(nbits):
-            byte = data[i // 8]
-            bits.append((byte >> (7 - i % 8)) & 1)
-        return cls(bits)
+        pad = -self.length % 8
+        return (self.value << pad).to_bytes((self.length + pad) // 8, "big")
 
 
 def elias_encode(i: int) -> BitString:
@@ -85,48 +61,36 @@ def elias_encode(i: int) -> BitString:
     """
     if i < 1:
         raise ValueError(f"Elias gamma is defined for integers >= 1, got {i}")
-    payload = [int(c) for c in bin(i)[2:]]
-    return BitString([0] * (len(payload) - 1) + payload)
-
-
-def elias_decode(stream: BitString, cursor: int = 0) -> tuple[int, int]:
-    """Decode one gamma codeword starting at ``cursor``.
-
-    Returns (value, new cursor).  Raises TruncatedStreamError if the stream
-    ends mid-codeword.
-    """
-    n = len(stream)
-    if cursor < 0 or cursor > n:
-        raise ValueError("cursor out of range")
-    zeros = 0
-    while cursor + zeros < n and stream[cursor + zeros] == 0:
-        zeros += 1
-    start = cursor + zeros
-    end = start + zeros + 1
-    if start >= n or end > n:
-        raise TruncatedStreamError(
-            f"stream ends inside a gamma codeword at bit {cursor}"
-        )
-    value = 0
-    for k in range(start, end):
-        value = (value << 1) | stream[k]
-    return value, end
+    return BitString(i, 2 * i.bit_length() - 1)
 
 
 class BitReader:
-    """Single-threaded cursor over a BitString."""
+    """Single-threaded cursor over a BitString.  Every read is atomic: one
+    that would run past the end raises TruncatedStreamError and leaves the
+    cursor where it was."""
 
-    def __init__(self, stream: BitString, cursor: int = 0):
+    def __init__(self, stream: BitString):
         self.stream = stream
-        self.cursor = cursor
+        self.cursor = 0
+
+    def read_bits(self, k: int) -> int:
+        """The next k bits as an integer, MSB first."""
+        end = self.cursor + k
+        if end > len(self.stream):
+            raise TruncatedStreamError(
+                f"stream ends inside a codeword at bit {self.cursor}")
+        self.cursor = end
+        return (self.stream.value >> (len(self.stream) - end)) & ((1 << k) - 1)
 
     def read_bit(self) -> int:
-        if self.cursor >= len(self.stream):
-            raise TruncatedStreamError("no bits left")
-        b = self.stream[self.cursor]
-        self.cursor += 1
-        return b
+        return self.read_bits(1)
 
     def read_gamma(self) -> int:
-        v, self.cursor = elias_decode(self.stream, self.cursor)
-        return v
+        """One Elias gamma codeword: z zeros, then z + 1 bits of value."""
+        rest = len(self.stream) - self.cursor
+        zeros = rest - (self.stream.value & ((1 << rest) - 1)).bit_length()
+        if 2 * zeros + 1 > rest:
+            raise TruncatedStreamError(
+                f"stream ends inside a gamma codeword at bit {self.cursor}")
+        self.cursor += zeros
+        return self.read_bits(zeros + 1)

@@ -212,21 +212,18 @@ def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
 
 
 def canonical_code(lengths) -> list[BitString]:
-    """Canonical prefix code for integer lengths satisfying Kraft."""
+    """Canonical prefix code for integer lengths satisfying Kraft: in order
+    of (length, index), each codeword is the previous one plus 1, shifted
+    left to its length."""
     lengths = [int(L) for L in lengths]
     if sum(2.0 ** -L for L in lengths) > 1.0 + 1e-12:
         raise ValueError("lengths violate the Kraft inequality")
-    order = sorted(range(len(lengths)), key=lambda j: (lengths[j], j))
     codes: list[BitString | None] = [None] * len(lengths)
-    code_val = 0
-    prev_len = lengths[order[0]] if order else 0
-    for rank, j in enumerate(order):
-        L = lengths[j]
-        if rank > 0:
-            code_val = (code_val + 1) << (L - prev_len)
-        prev_len = L
-        bits = [(code_val >> (L - 1 - k)) & 1 for k in range(L)]
-        codes[j] = BitString(bits)
+    code_val, prev_len = -1, 0
+    for j in sorted(range(len(lengths)), key=lambda j: (lengths[j], j)):
+        code_val = (code_val + 1) << (lengths[j] - prev_len)
+        prev_len = lengths[j]
+        codes[j] = BitString(code_val, prev_len)
     return codes
 
 
@@ -262,8 +259,8 @@ class Codebook:
 
     @functools.cached_property
     def decode_table(self) -> dict:
-        """Codeword bits -> index, built on the first decode."""
-        return {bs.bits: j for j, bs in enumerate(self.codes)}
+        """Codeword -> index, built on the first decode."""
+        return {bs: j for j, bs in enumerate(self.codes)}
 
     def kraft_sum(self) -> float:
         return float(np.sum(2.0 ** -np.asarray(self.lengths, dtype=float)))
@@ -280,21 +277,6 @@ class Codebook:
                 + struct.pack("<d", self.rho_max)
                 + C.tobytes()
                 + np.asarray(self.lengths, dtype="<u2").tobytes())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Codebook":
-        magic, version, n, K, d = struct.unpack_from("<4sBIII", data, 0)
-        if magic != b"ECVQ" or version != 1:
-            raise ValueError("not a version-1 codebook blob")
-        off = struct.calcsize("<4sBIII")
-        lam, rho_max = struct.unpack_from("<dd", data, off)
-        off += 16
-        count = K * n * d
-        C = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-        C = C.reshape((K, n) if d == 1 else (K, n, d)).copy()
-        off += count * 8
-        lengths = np.frombuffer(data, dtype="<u2", count=K, offset=off).astype(int)
-        return cls(n=n, codevectors=C, lengths=lengths, lam=lam, rho_max=rho_max)
 
 
 def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
@@ -511,18 +493,15 @@ def ecvq_encode(book: Codebook, x) -> tuple[int, BitString]:
 
 
 def ecvq_decode_index(book: Codebook, reader: BitReader) -> int:
-    """Read one codeword off the stream; atomic (raises on truncation)."""
-    table = book.decode_table
-    # zero-length code: single-codeword book consumes no bits
-    if () in table and book.size == 1:
-        return table[()]
-    acc = []
-    max_len = int(np.max(book.lengths))
-    while len(acc) <= max_len:
-        acc.append(reader.read_bit())
-        j = table.get(tuple(acc))
+    """Read one codeword off the stream, one bit at a time until the bits
+    read form a codeword (none at all for a one-codeword book); raises
+    TruncatedStreamError when the stream ends first."""
+    table, value = book.decode_table, 0
+    for length in range(int(np.max(book.lengths)) + 1):
+        j = table.get(BitString(value, length))
         if j is not None:
             return j
+        value = (value << 1) | reader.read_bit()
     raise TruncatedStreamError("bits do not prefix any codeword")
 
 

@@ -38,8 +38,7 @@ class ExperimentConfig:
     eval_blocks: int = 2000
     oracle_train_blocks: int = 2048
     identify_mc: int = 4000
-    plant_theta0: bool = False      # pin theta0 at database index 1
-    plant: tuple = ()               # further pinned indices, after theta0
+    plant: tuple = ()               # parameters pinned at indices 1, 2, ...
     per_trial_code_seed: bool = False  # fresh codebook training per trial
 
     def family(self) -> models.SourceFamily:
@@ -56,11 +55,9 @@ class ExperimentConfig:
         return scheme.SchemeConfig(n=n, **kw)
 
     def database(self, family) -> scheme.Database:
-        planted = (tuple(self.theta0),) if self.plant_theta0 else ()
-        planted += tuple(tuple(t) for t in self.plant)
         sc = self.scheme_config(self.n_grid[0])
         return scheme.Database(family=family, seed=sc.database_seed,
-                               prior=sc.prior, planted=planted)
+                               prior=sc.prior, planted=self.plant)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -78,13 +75,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 # top-level fields taken as they are, or else the ExperimentConfig default
 OPTIONAL = ("seed", "eval_blocks", "oracle_train_blocks", "identify_mc",
-            "plant_theta0", "per_trial_code_seed")
+            "per_trial_code_seed")
 # the JSON type of each top-level field and of its entries, checked before
 # any conversion (a JSON true is no integer here)
 TOP_TYPES = {
     **dict.fromkeys(("trials", "seed", "eval_blocks", "oracle_train_blocks",
                      "identify_mc"), (int, None)),
-    **dict.fromkeys(("plant_theta0", "per_trial_code_seed"), (bool, None)),
+    "per_trial_code_seed": (bool, None),
     "theta0": (list, None), "n_grid": (list, int), "plant": (list, list),
     "scheme": (dict, None),
 }

@@ -107,6 +107,16 @@ class SourceFamily:
         """One draw from the database prior W (positive continuous density)."""
         raise NotImplementedError
 
+    @staticmethod
+    def _prior_values(prior: dict | None, **defaults) -> list:
+        """The prior's value for each key, or else its default; a key that
+        the family does not read raises ValueError naming it."""
+        prior = prior or {}
+        unknown = sorted(str(k) for k in prior if k not in defaults)
+        if unknown:
+            raise ValueError("prior has unknown key(s): " + ", ".join(unknown))
+        return [prior.get(k, v) for k, v in defaults.items()]
+
     def mixing_bound(self, theta, k: int) -> float:
         self.validate(theta)
         return self.mixing.bound(k)
@@ -189,9 +199,8 @@ class GaussianIID(SourceFamily):
         return out[:C], 8.0 * (n + 10) * 2.0 ** -53 * scale
 
     def prior_draw(self, rng, prior=None):
-        prior = prior or {}
-        m_loc, m_scale = prior.get("m_loc", 0.0), prior.get("m_scale", 10.0)
-        loc, scale = prior.get("log_sigma_loc", 0.0), prior.get("log_sigma_scale", 1.0)
+        m_loc, m_scale, loc, scale = self._prior_values(
+            prior, m_loc=0.0, m_scale=10.0, log_sigma_loc=0.0, log_sigma_scale=1.0)
         # NumPy's normal draws lie within 13.8 scales of their mean (the
         # ziggurat's tail takes the log of a 53-bit uniform); with 40 scales
         # of room, sigma = exp(draw) neither overflows nor underflows to 0
@@ -300,9 +309,7 @@ class GaussianAR(SourceFamily):
         return out
 
     def prior_draw(self, rng, prior=None):
-        prior = prior or {}
-        lo = prior.get("low", -1.5)
-        hi = prior.get("high", 1.5)
+        lo, hi = self._prior_values(prior, low=-1.5, high=1.5)
         for _ in range(10_000):      # a prior with no stable mass fails
             cand = rng.uniform(lo, hi, size=self.p)
             try:
@@ -419,8 +426,7 @@ class HiddenMarkov(SourceFamily):
         return logsumexp(alpha, axis=1).reshape(count)
 
     def prior_draw(self, rng, prior=None):
-        prior = prior or {}
-        conc = prior.get("concentration", 1.0)
+        (conc,) = self._prior_values(prior, concentration=1.0)
         for _ in range(10_000):      # as for GaussianAR
             A = rng.dirichlet(np.full(self.M, conc), size=self.M)
             if np.all(A > self.a0):

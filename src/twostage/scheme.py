@@ -51,10 +51,8 @@ class SchemeConfig:
     distance_mc: int = 400          # samples per waiting-time distance probe
     mde_mc: int = 2000              # samples per model-side set probability
     train_blocks: int = 256         # codebook training budget
-    design_tol: float = 1e-6
     design_restarts: int = 1
-    rate_target: float = 1.0        # bits/letter sizing the initial codebook
-    max_initial_size: int = 256
+    max_initial_size: int = 256     # initial book size: min(this, 2^n)
     l_cap: int | None = None        # desk-scale clamp on the gap length
 
     def __post_init__(self):
@@ -71,10 +69,7 @@ class SchemeConfig:
             "integer distance_mc >= 1": whole(self.distance_mc) >= 1,
             "integer mde_mc >= 1": whole(self.mde_mc) >= 1,
             "integer train_blocks >= 1": whole(self.train_blocks) >= 1,
-            "finite design_tol >= 0": isinstance(self.design_tol, (int, float))
-                and 0 <= self.design_tol < math.inf,
             "integer design_restarts >= 1": whole(self.design_restarts) >= 1,
-            "rate_target >= 0": self.rate_target >= 0,
             "integer max_initial_size >= 1": whole(self.max_initial_size) >= 1,
             "integer l_cap >= 0": self.l_cap is None or whole(self.l_cap) >= 0,
         }
@@ -84,38 +79,25 @@ class SchemeConfig:
         if self.delta_mode not in ("practical", "paper"):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
 
-    def initial_size(self) -> int:
-        return int(min(self.max_initial_size,
-                       2 ** min(30, math.ceil(self.rate_target * self.n))))
 
-
-@dataclass(frozen=True)
-class MemoryLayout:
-    """Tiling of the memory X^0_{-m+1} into n estimation blocks of length n
-    interleaved with n gap blocks of length l."""
-
-    n: int
-    l_n: int
-    m_n: int
-    z_offsets: tuple
-
-    def extract_z(self, history: np.ndarray) -> np.ndarray:
-        if history.shape[0] != self.m_n:
-            raise ValueError(f"history has {history.shape[0]} letters, need {self.m_n}")
-        return np.stack([history[o:o + self.n] for o in self.z_offsets])
-
-
-def memory_layout(config: SchemeConfig) -> MemoryLayout:
-    """l_n = ceil(n^((2+eta)/r)), zero when r = inf; m_n = n (n + l_n)."""
-    n = config.n
+def gap_length(config: SchemeConfig) -> int:
+    """l_n = ceil(n^((2+eta)/r)), zero when r = inf.  The memory
+    X^0_{-m+1}, m = n (n + l_n), tiles into n estimation blocks of length n,
+    each followed by a gap of length l_n."""
     if math.isinf(config.r):
-        l_n = 0
-    else:
-        l_n = math.ceil(n ** ((2.0 + config.eta) / config.r))
-        if config.l_cap is not None:
-            l_n = min(l_n, int(config.l_cap))
-    return MemoryLayout(n=n, l_n=l_n, m_n=n * (n + l_n),
-                        z_offsets=tuple(j * (n + l_n) for j in range(n)))
+        return 0
+    l_n = math.ceil(config.n ** ((2.0 + config.eta) / config.r))
+    return l_n if config.l_cap is None else min(l_n, int(config.l_cap))
+
+
+def extract_z(config: SchemeConfig, history: np.ndarray) -> np.ndarray:
+    """The n estimation blocks of the memory, shape (n, n, ...)."""
+    n, l_n = config.n, gap_length(config)
+    if history.shape[0] != n * (n + l_n):
+        raise ValueError(f"history has {history.shape[0]} letters, "
+                         f"need {n * (n + l_n)}")
+    return np.ascontiguousarray(
+        history.reshape(n, n + l_n, *history.shape[1:])[:, :n])
 
 
 @dataclass(frozen=True)
@@ -158,7 +140,7 @@ class EncodedBlock:
         return 1 + len(self.s1) + len(self.s2)
 
     def stream(self) -> BitString:
-        return BitString([self.b]) + self.s1 + self.s2
+        return BitString(self.b, 1) + self.s1 + self.s2
 
 
 @dataclass(frozen=True)
@@ -228,15 +210,16 @@ def provision_codebook(config: SchemeConfig, family: SourceFamily,
     (code seed, database index) so both ends build the same book."""
     t = tuple(family.validate(theta_hat))
     key = (config.code_seed, config.n, config.lam, config.rho_max,
-           config.train_blocks, config.rate_target, config.max_initial_size,
-           config.design_tol, config.design_restarts, family.key, t, index)
+           config.train_blocks, config.max_initial_size,
+           config.design_restarts, family.key, t, index)
 
     def design():
         rng = rng_for(config.code_seed, TAG_TRAINING, index)
         X = family.sample_paths(np.asarray(t), config.n, config.train_blocks, rng)
-        return ecvq_design(X, config.lam, config.initial_size(), config.rho_max,
+        return ecvq_design(X, config.lam,
+                           min(config.max_initial_size, 2 ** min(30, config.n)),
+                           config.rho_max,
                            seed=derive_seed(config.code_seed, TAG_TRAINING, index),
-                           tolerance=config.design_tol,
                            restarts=config.design_restarts)
 
     return _book_cache.get_or_make(key, design)
@@ -258,7 +241,7 @@ def identify(config: SchemeConfig, db: Database, history,
     hist = np.asarray(history)
     if not np.all(np.isfinite(hist)):
         raise ValueError("history must be finite")
-    Z = memory_layout(config).extract_z(hist)
+    Z = extract_z(config, hist)
     if candidates is None:
         candidates = candidate_set(config, db)
     theta_tilde = mde_estimate(family, Z, candidates, config.mde_mc,
@@ -312,7 +295,6 @@ def decode_block(config: SchemeConfig, db: Database,
 def sample_scene(family: SourceFamily, theta, config: SchemeConfig,
                  seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One contiguous stationary path split into (memory, current block)."""
-    layout = memory_layout(config)
-    rng = rng_for(seed, TAG_SAMPLE)
-    path = family.sample_paths(theta, layout.m_n + config.n, 1, rng)[0]
-    return path[:layout.m_n], path[layout.m_n:]
+    m = config.n * (config.n + gap_length(config))
+    path = family.sample_paths(theta, m + config.n, 1, rng_for(seed, TAG_SAMPLE))[0]
+    return path[:m], path[m:]

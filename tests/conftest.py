@@ -9,6 +9,14 @@ import numpy as np
 import pytest
 
 from twostage import mde, scheme
+from twostage.bitcode import BitString
+
+
+def bitstring(bits) -> BitString:
+    """The BitString of a sequence of 0/1 digits, ints or characters: how
+    the tests cut stream prefixes and build fuzz streams."""
+    s = "".join(map(str, bits))
+    return BitString(int(s or "0", 2), len(s))
 
 
 @pytest.fixture(autouse=True)

@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import bitstring
 from twostage.bitcode import (BitReader, BitString, TruncatedStreamError,
-                              elias_decode, elias_encode)
+                              elias_encode)
 
 
 def test_smallest_codeword():
@@ -16,15 +17,18 @@ def test_gamma_construction_five():
 
 
 def test_decode_examples():
-    assert elias_decode(BitString(map(int, "1"))) == (1, 1)
-    assert elias_decode(BitString(map(int, "00101"))) == (5, 5)
+    for bits, value in (("1", 1), ("00101", 5), ("0001000", 8)):
+        r = BitReader(bitstring(bits))
+        assert r.read_gamma() == value
+        assert r.cursor == len(bits)
 
 
 def test_truncated_prefix():
-    with pytest.raises(TruncatedStreamError):
-        elias_decode(BitString(map(int, "00")))
-    with pytest.raises(TruncatedStreamError):
-        elias_decode(BitString(map(int, "0010")))
+    for bits in ("", "00", "0010", "000"):
+        r = BitReader(bitstring(bits))
+        with pytest.raises(TruncatedStreamError):
+            r.read_gamma()
+        assert r.cursor == 0        # a failed read consumes nothing
 
 
 def test_domain_error():
@@ -36,7 +40,7 @@ def test_domain_error():
 
 def test_round_trip_exhaustive():
     for i in range(1, 100_001):
-        assert elias_decode(elias_encode(i))[0] == i
+        assert BitReader(elias_encode(i)).read_gamma() == i
 
 
 def test_length_law():
@@ -59,9 +63,38 @@ def test_concatenation_round_trip(values):
     assert r.cursor == len(stream)
 
 
-def test_bitstring_bytes_round_trip():
-    s = BitString(map(int, "101100111010001"))
-    assert BitString.from_bytes(s.to_bytes(), len(s)) == s
+def pack_bits(bits) -> bytes:
+    """Reference packer: MSB first, one bit at a time, zero-padding only
+    the final byte."""
+    out = bytearray()
+    acc, k = 0, 0
+    for b in bits:
+        acc, k = (acc << 1) | b, k + 1
+        if k == 8:
+            out.append(acc)
+            acc, k = 0, 0
+    if k:
+        out.append(acc << (8 - k))
+    return bytes(out)
+
+
+@given(st.lists(st.integers(0, 1), max_size=80))
+def test_bitstring_bytes_round_trip(bits):
+    s = "".join(map(str, bits))
+    bs = BitString(int(s or "0", 2), len(s))
+    assert str(bs) == s and len(bs) == len(s)
+    assert bs.to_bytes() == pack_bits(bits)
+
+
+def test_bitstring_checks_its_width():
+    assert str(BitString(5, 6)) == "000101"
+    assert BitString(1, 3) != BitString(1, 4)
+    with pytest.raises(ValueError):
+        BitString(4, 2)
+    with pytest.raises(ValueError):
+        BitString(-1, 3)
+    with pytest.raises(AttributeError):
+        BitString(1, 1).value = 0
 
 
 def test_reader_cursor():
@@ -71,3 +104,12 @@ def test_reader_cursor():
     assert r.cursor == len(stream)
     with pytest.raises(TruncatedStreamError):
         r.read_bit()
+
+
+def test_read_bits_is_atomic():
+    r = BitReader(bitstring("1011001"))
+    assert r.read_bits(3) == 0b101
+    with pytest.raises(TruncatedStreamError):
+        r.read_bits(5)
+    assert r.cursor == 3
+    assert r.read_bits(4) == 0b1001 and r.read_bits(0) == 0

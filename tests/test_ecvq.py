@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ class TestRho:
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
     def test_spec_needs_finite_positive_rho(self, rho):
-        # from_bytes passes on the rho_max it reads
         with pytest.raises(ValueError, match="rho_max"):
             Codebook(n=1, codevectors=np.zeros((1, 1)), lengths=np.array([0]),
                      lam=0.5, rho_max=rho)
@@ -316,14 +316,32 @@ class TestLagrangianEval:
 
 class TestSerialization:
     def test_round_trip(self):
+        """to_bytes holds its documented layout, read back here field by
+        field: header, lambda, rho_max, float64 codevectors, u16 lengths."""
         X = GAUSS.sample_paths((0.0, 1.0), 4, 128, rng_for(17, 0))
         book = ecvq_design(X, lam=0.5, initial_size=16, rho_max=RHO, seed=17)
         blob = book.to_bytes()
-        back = Codebook.from_bytes(blob)
-        assert back.n == book.n
-        assert np.allclose(back.codevectors, book.codevectors)
-        assert np.array_equal(back.lengths, book.lengths)
+        head = struct.unpack_from("<4sBIIIdd", blob, 0)
+        assert head == (b"ECVQ", 1, book.n, book.size, 1, book.lam, book.rho_max)
+        K, off = book.size, struct.calcsize("<4sBIIIdd")
+        C = np.frombuffer(blob, "<f8", K * book.n, off).reshape(K, book.n)
+        lengths = np.frombuffer(blob, "<u2", K, off + 8 * C.size)
+        assert len(blob) == off + 8 * C.size + 2 * K
+        assert np.array_equal(C, book.codevectors)
+        assert np.array_equal(lengths, book.lengths)
+        back = Codebook(n=book.n, codevectors=C, lengths=lengths,
+                        lam=book.lam, rho_max=book.rho_max)
         assert back.codes == book.codes
+
+    def test_canonical_code_is_pinned(self):
+        def code(lengths):
+            return [str(c) for c in ecvq.canonical_code(lengths)]
+        assert code([1, 2, 3, 3]) == ["0", "10", "110", "111"]
+        assert code([3, 1, 3, 2]) == ["110", "0", "111", "10"]
+        assert code([2, 2, 3]) == ["00", "01", "100"]
+        assert code([0]) == [""]
+        with pytest.raises(ValueError, match="Kraft"):
+            code([1, 1, 1])
 
     def test_every_codeword_decodes_to_its_index(self):
         books = [ecvq_design(GAUSS.sample_paths((0.0, 1.0), 6, 256,
@@ -338,10 +356,6 @@ class TestSerialization:
                 assert ecvq_decode_index(book, reader) == j
                 assert reader.cursor == len(bits)
             assert book.decode_table is book.decode_table   # built once
-
-    def test_bad_magic(self):
-        with pytest.raises(ValueError, match="version-1"):
-            Codebook.from_bytes(b"JUNKxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
 
 
 # SHA-256 of the corpus below as designed by a per-cell centroid loop with

@@ -20,7 +20,7 @@ def tiny_raw(**kw):
         "n_grid": [4, 6],
         "trials": 2,
         "seed": 77,
-        "plant_theta0": True,
+        "plant": [[0.0, 1.0]],      # theta0 at database index 1
         "eval_blocks": 200,
         "identify_mc": 400,
         "scheme": {"lam": 0.5, "n_candidates": 4, "i_max": 50,
@@ -36,18 +36,19 @@ BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               ("n_candidates", -1), ("n_candidates", 0), ("rho_max", 0.0),
               ("rho_max", math.inf),
               ("train_blocks", 0), ("design_restarts", 0),
-              ("max_initial_size", 0), ("rate_target", -1.0), ("r", 0.0),
-              ("l_cap", -1), ("anchors", [[0.0, -1.0]]), ("design_tol", None),
+              ("max_initial_size", 0), ("r", 0.0),
+              ("l_cap", -1), ("anchors", [[0.0, -1.0]]),
               ("i_max", 2.5), ("prior", {"m_scale": -1.0}),
               # sigma = exp(draw) overflows in later draws, not the first
-              ("prior", {"log_sigma_loc": 708.0, "log_sigma_scale": 1.0})]
+              ("prior", {"log_sigma_loc": 708.0, "log_sigma_scale": 1.0}),
+              # prior keys that the family does not read were ignored
+              ("prior", {"m_scal": 0.001}), ("prior", {"lo": -0.1})]
 BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
            # each of these was silently coerced: a JSON integer that is not
            # a bool, a JSON boolean, a list, a list of lists
            ("trials", 2.7), ("trials", True), ("seed", 1.5),
            ("eval_blocks", "200"), ("oracle_train_blocks", True),
            ("identify_mc", 400.0), ("n_grid", "46"), ("n_grid", [4.0, 6]),
-           ("plant_theta0", 1),
            ("per_trial_code_seed", "false"), ("theta0", "01"), ("plant", ""),
            ("plant", ["01"]), ("scheme", [["lam", 0.5]])]
 
@@ -137,6 +138,17 @@ class TestConfig:
     def test_unread_or_coerced_key_is_named(self, key, changes):
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             build_config(tiny_raw(**changes))
+
+    @pytest.mark.parametrize("family,theta0,prior,key", [
+        ({"kind": "gaussian-iid"}, [0.0, 1.0], {"m_scal": 0.001}, "m_scal"),
+        (AR1, [0.5], {"lo": -0.1, "high": 1.0}, "lo"),
+        (HMM2, [0.8, 0.2, 0.3, 0.7], {"concentration": 2.0, "m_scale": 1.0},
+         "m_scale")])
+    def test_unread_prior_key_is_named(self, family, theta0, prior, key):
+        raw = tiny_raw(family=family, theta0=theta0, plant=[theta0])
+        raw["scheme"]["prior"] = prior
+        with pytest.raises(ConfigError, match=rf"unknown key\(s\): {key}$"):
+            build_config(raw)
 
     def test_anchors_alone_are_candidates(self):
         raw = tiny_raw()
@@ -280,8 +292,6 @@ FIELDS = {
     **{f: INTEGER for f in ("i_max", "n_candidates", "distance_mc", "mde_mc",
                             "train_blocks", "design_restarts",
                             "max_initial_size", "l_cap")},
-    "design_tol": st.one_of(st.floats(allow_nan=True, allow_infinity=True),
-                            ODD),
     "rho_max": st.one_of(st.floats(allow_nan=True, allow_infinity=True), ODD),
     "prior": st.one_of(ODD, st.dictionaries(
         st.sampled_from(["m_loc", "m_scale", "log_sigma_loc",
