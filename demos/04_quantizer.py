@@ -10,7 +10,7 @@ import numpy as np
 
 from twostage.bitcode import BitReader
 from twostage.ecvq import (ecvq_decode_index, ecvq_design, ecvq_encode,
-                           lagrangian_eval, rho_n)
+                           lagrangian_eval)
 from twostage.models import GaussianIID
 from twostage.rand import rng_for
 
@@ -29,13 +29,15 @@ for lam in (0.05, 0.2, 0.8, 3.0):
 
 book = ecvq_design(train, 0.2, 64, rho_max, seed=11)
 print(f"\nKraft sum of the 0.2-book: {book.kraft_sum():.4f} (<= 1)")
-print(f"max normalized length: {book.max_normalized_length():.3f}"
+print(f"max normalized length: {max(book.lengths) / n:.3f}"
       f" (cap {2 * rho_max / 0.2:.1f})")
 
 x = gauss.sample_paths((0.0, 1.0), n, 1, rng_for(11, 1))[0]
 idx, bits = ecvq_encode(book, x)
+# the distortion: per letter min(|x - c|, rho_max), averaged over the block
+rho = np.mean(np.minimum(np.abs(x - book.codevectors[idx]), rho_max))
 print(f"\none block -> codeword {idx} = '{bits}' "
-      f"({len(bits)} bits, rho_n = {rho_n(rho_max, x, book.codevectors[idx]):.4f})")
+      f"({len(bits)} bits, distortion = {rho:.4f})")
 
 print("decoder reads back codeword", ecvq_decode_index(book, BitReader(bits)))
 

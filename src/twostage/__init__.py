@@ -2,10 +2,9 @@
 stationary mixing sources."""
 
 from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
-from .distances import (DistanceEstimate, kl_gaussian_iid, smoothness_check,
-                        variational_exact_1d, variational_mc)
+from .distances import DistanceEstimate, variational_mc
 from .ecvq import (Codebook, LagrangianReport, ecvq_design, ecvq_encode,
-                   lagrangian_eval, rho_n)
+                   lagrangian_eval)
 from .mde import CandidateSet, mde_estimate, vc_bound
 from .models import (GaussianAR, GaussianIID, HiddenMarkov,
                      InvalidParameterError, SampleBlock, SourceFamily,

@@ -4,7 +4,7 @@ Subcommands:
     redundancy  --config PATH --out PATH   Lagrangian redundancy experiment
     identify    --config PATH --out PATH   source-identification experiment
 
-Exit status: 0 success, 2 config error.
+Exit status: 0 success, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         cfg = load_config(args.config)
         runner = (run_redundancy_experiment if args.command == "redundancy"

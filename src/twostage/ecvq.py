@@ -28,7 +28,6 @@ codevector) pairs to pay for the screen, such as one block, skips it.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,27 +50,14 @@ class LagrangianReport:
         return self.distortion + self.lam * self.rate
 
 
-def rho_n(rho_max: float, x, xhat) -> float:
-    """Per-letter average of min(base distance, rho_max); the base metric is
-    the absolute difference on R, the Euclidean norm on R^d.  Lies in
-    [0, rho_max]."""
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(xhat, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        d = np.abs(a - b)
-    else:
-        d = np.linalg.norm(a - b, axis=-1)
-    return float(np.mean(np.minimum(d, rho_max)))
-
-
 _CHUNK_ELEMS = 1 << 16   # 512 KiB of float64 per broadcast chunk
 
 
 def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
                         rho_max: float) -> np.ndarray:
-    """rho_n between every block and every codevector, shape (T, K)."""
+    """The distortion between every block and every codevector, shape
+    (T, K): the per-letter average of min(base distance, rho_max), where the
+    base metric is |x - c| on R and the Euclidean norm on R^d."""
     X = np.asarray(blocks, dtype=float)
     C = np.asarray(codevectors, dtype=float)
     T, K = X.shape[0], C.shape[0]
@@ -130,8 +116,9 @@ def _screen(letters, C: np.ndarray, rho_max: float) -> np.ndarray:
 
 
 def _rho_at(X: np.ndarray, C: np.ndarray, rho_max: float) -> np.ndarray:
-    """rho_n of each block against its own row of C, shape (T,), with the
-    per-element steps of ``pairwise_distortion`` (so equal to its entries)."""
+    """The distortion of each block against its own row of C, shape (T,),
+    with the per-element steps of ``pairwise_distortion`` (so equal to its
+    entries)."""
     d = X - C
     d = np.abs(d, out=d) if X.ndim == 2 else np.linalg.norm(d, axis=-1)
     np.minimum(d, rho_max, out=d)
@@ -264,19 +251,6 @@ class Codebook:
 
     def kraft_sum(self) -> float:
         return float(np.sum(2.0 ** -np.asarray(self.lengths, dtype=float)))
-
-    def max_normalized_length(self) -> float:
-        return float(np.max(self.lengths) / self.n)
-
-    def to_bytes(self) -> bytes:
-        """Versioned debug serialization: n, count, float64 vectors, u16 lengths."""
-        C = np.asarray(self.codevectors, dtype="<f8")
-        d = 1 if C.ndim == 2 else C.shape[2]
-        head = struct.pack("<4sBIII", b"ECVQ", 1, self.n, self.size, d)
-        return (head + struct.pack("<d", self.lam)
-                + struct.pack("<d", self.rho_max)
-                + C.tobytes()
-                + np.asarray(self.lengths, dtype="<u2").tobytes())
 
 
 def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
@@ -429,7 +403,7 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
     # dist, the screen of every codevector against every block (K, T), is
     # computed in full once, then pruned with C and refreshed only in the
     # rows of codevectors the centroid step moved; every decision below
-    # reads it.  d holds the exact rho_n of each block at its codevector.
+    # reads it.  d holds the exact distortion of each block at its codevector.
     letters = _letters(X)
     dist = _screen(letters, C, rho_max)
     assign = None

@@ -1,9 +1,11 @@
 """Every test starts from empty process-global caches, so no test depends on
 what another one left behind, and each passes alone or in any order.  The
-oracles that more than one test module compares against live here too."""
+oracles and byte helpers that the test modules compare against live here
+too."""
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +19,30 @@ def bitstring(bits) -> BitString:
     the tests cut stream prefixes and build fuzz streams."""
     s = "".join(map(str, bits))
     return BitString(int(s or "0", 2), len(s))
+
+
+def rho_n(rho_max: float, x, xhat) -> float:
+    """The distortion of one block against one codevector, letter by letter:
+    the per-letter average of min(base distance, rho_max), where the base
+    metric is |x - c| on R and the Euclidean norm on R^d; the reference the
+    ECVQ tests compare against."""
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(xhat, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    d = np.abs(a - b) if a.ndim == 1 else np.linalg.norm(a - b, axis=-1)
+    return float(np.mean(np.minimum(d, rho_max)))
+
+
+def codebook_bytes(book) -> bytes:
+    """A codebook's fields as bytes, for hashing and comparing books: the
+    header (b"ECVQ", version 1, n, size, letter dimension), lambda, rho_max,
+    the float64 codevectors and the u16 lengths, all little-endian."""
+    C = np.asarray(book.codevectors, dtype="<f8")
+    d = 1 if C.ndim == 2 else C.shape[2]
+    head = struct.pack("<4sBIIIdd", b"ECVQ", 1, book.n, book.size, d,
+                       book.lam, book.rho_max)
+    return head + C.tobytes() + np.asarray(book.lengths, dtype="<u2").tobytes()
 
 
 @pytest.fixture(autouse=True)

@@ -1,6 +1,6 @@
 """SciPy stays off the import path: a process that only codes Gaussian i.i.d.
-blocks never loads it, and the AR, HMM and exact 1-d paths that import it
-on first call give the same bits as in a process that already holds it."""
+blocks never loads it, and the AR and HMM paths that import it on first
+call give the same bits as in a process that already holds it."""
 
 import json
 import os
@@ -13,8 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 LAZY_CALLS = """
 import numpy as np
-from twostage.distances import variational_exact_1d
-from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
+from twostage.models import GaussianAR, HiddenMarkov
 from twostage.rand import rng_for
 
 blocks = rng_for(3, 0).standard_normal((5, 6))
@@ -23,8 +22,6 @@ hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 2.0],
 values = {
     "ar": GaussianAR(p=2).log_density_batch((0.3, -0.2), blocks),
     "hmm": hmm.log_density_batch((0.9, 0.1, 0.2, 0.8), blocks),
-    "exact_1d": variational_exact_1d(GaussianIID(), (0.0, 1.0),
-                                     (0.5, 1.3)).value,
 }
 bits = {k: np.asarray(v, dtype=float).tobytes().hex()
         for k, v in values.items()}

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from twostage.distances import (DistanceEstimate, UnsupportedFamilyError,
-                                gaussian_smoothness_constant, kl_gaussian_iid, smoothness_check,
-                                variational_exact_1d, variational_mc)
+from twostage.distances import DistanceEstimate, variational_mc
 from twostage.models import GaussianAR, GaussianIID
+from twostage.rand import rng_for
 
 GAUSS = GaussianIID()
 
@@ -15,25 +14,13 @@ GAUSS = GaussianIID()
 D_SHIFTED_NORMALS = 2 * (norm.cdf(0.5) - norm.cdf(-0.5))
 
 
-class TestExact1d:
-    def test_identical(self):
-        est = variational_exact_1d(GAUSS, (0.0, 1.0), (0.0, 1.0))
-        assert est.value == pytest.approx(0.0, abs=1e-9)
-        assert est.standard_error == 0.0
-
-    def test_unit_shift(self):
-        est = variational_exact_1d(GAUSS, (0.0, 1.0), (1.0, 1.0))
-        assert est.value == pytest.approx(D_SHIFTED_NORMALS, abs=1e-8)
-
-    def test_far_apart_saturates(self):
-        est = variational_exact_1d(GAUSS, (0.0, 1.0), (10.0, 1.0))
-        # exact value 2 - 4*Phi(-5), within 2e-6 of full separation
-        assert est.value == pytest.approx(2 - 4 * norm.cdf(-5.0), abs=1e-8)
-        assert est.value == pytest.approx(2.0, abs=2e-6)
-
-    def test_unsupported_family(self):
-        with pytest.raises(UnsupportedFamilyError):
-            variational_exact_1d(GaussianAR(p=1), [-0.5], [-0.4])
+def kl_from_densities(theta, theta_prime, n: int, num_samples: int, seed: int):
+    """(1/n) E_theta[log p_theta - log p_theta'] over n-blocks, from the
+    family's block log-densities, with its standard error."""
+    x = GAUSS.sample_paths(theta, n, num_samples, rng_for(seed, 0))
+    stat = (GAUSS.log_density_batch(theta, x)
+            - GAUSS.log_density_batch(theta_prime, x)) / n
+    return float(np.mean(stat)), float(np.std(stat, ddof=1) / math.sqrt(num_samples))
 
 
 class TestMonteCarlo:
@@ -73,46 +60,55 @@ class TestMonteCarlo:
 
 
 class TestKL:
+    """The closed form that the Pinsker checks use, against the block
+    log-densities that the Monte-Carlo distance reads."""
+
     def test_identical(self):
-        assert kl_gaussian_iid((0.0, 1.0), (0.0, 1.0)) == pytest.approx(0.0)
+        assert kl_from_densities((0.0, 1.0), (0.0, 1.0), 4, 100, seed=1) == (0.0, 0.0)
 
     def test_unit_shift(self):
-        assert kl_gaussian_iid((0.0, 1.0), (1.0, 1.0)) == pytest.approx(0.5)
+        kl, se = kl_from_densities((0.0, 1.0), (1.0, 1.0), 1, 100_000, seed=2)
+        assert abs(kl - 0.5) <= 3 * se
 
     def test_independent_of_n(self):
-        assert kl_gaussian_iid((0.2, 1.1), (0.0, 0.9), n=1) == \
-            kl_gaussian_iid((0.2, 1.1), (0.0, 0.9), n=17)
-
-    def test_sigma_domain(self):
-        with pytest.raises(ValueError):
-            kl_gaussian_iid((0.0, 0.0), (0.0, 1.0))
+        # the normalized block divergence is the one-letter divergence
+        # log(s'/s) + (s^2 + (m - m')^2) / 2 s'^2 - 1/2
+        want = math.log(0.9 / 1.1) + (1.1 ** 2 + 0.2 ** 2) / (2 * 0.9 ** 2) - 0.5
+        for n, seed in ((1, 3), (17, 4)):
+            kl, se = kl_from_densities((0.2, 1.1), (0.0, 0.9), n, 40_000, seed)
+            assert abs(kl - want) <= 3 * se
 
 
 class TestSmoothness:
-    def test_constant_closed_form(self):
-        assert gaussian_smoothness_constant((0.0, 1.0), 0.1) == pytest.approx(3.0 / 0.9)
-
     def test_kl_example(self):
         # theta=(0,1), theta'=(0.1,1): KL = 0.1^2 / 2 = 0.005
-        kl = kl_gaussian_iid((0.0, 1.0), (0.1, 1.0))
-        assert kl == pytest.approx(0.005, abs=1e-12)
+        kl, se = kl_from_densities((0.0, 1.0), (0.1, 1.0), 4, 100_000, seed=5)
+        assert abs(kl - 0.005) <= 3 * se
 
     def test_pinsker_chain(self):
-        d1 = variational_exact_1d(GAUSS, (0.0, 1.0), (1.0, 1.0)).value
-        assert d1 <= math.sqrt(2 * kl_gaussian_iid((0.0, 1.0), (1.0, 1.0)))
+        kl = 1.0 ** 2 / 2
+        assert D_SHIFTED_NORMALS <= math.sqrt(2 * kl)
+        est = variational_mc(GAUSS, (0.0, 1.0), (1.0, 1.0), 1, 100_000, seed=2)
+        assert est.value <= math.sqrt(2 * kl) + 3 * est.standard_error
 
     def test_grid_passes(self):
-        # the second grid's largest gap is smaller, which gives a smaller
-        # constant and so a tighter bound, and it reaches n = 16
+        # d_n / sqrt(n) <= c * |theta - theta'| + 3 SE with the closed-form
+        # constant c = 3 / (sigma - delta) of the delta-ball, delta the
+        # largest gap; the second grid's largest gap is smaller, which gives
+        # a smaller constant and so a tighter bound, and it reaches n = 16
+        t = np.array([0.0, 1.0])
         for gaps, ns, seed, samples in (([0.05, 0.15], [1, 2, 8], 99, 12_000),
                                         ([0.05, 0.1], [1, 4, 16], 20240, 8000)):
-            rows = smoothness_check(GAUSS, (0.0, 1.0), gaps, ns, seed=seed,
-                                    num_samples=samples)
-            assert rows and all(r.passed for r in rows)
-
-    def test_gaussian_iid_only(self):
-        with pytest.raises(UnsupportedFamilyError):
-            smoothness_check(GaussianAR(p=1), (0.5,), [0.05], [1], seed=0)
+            c = 3.0 / (t[1] - max(gaps))
+            for j, gap in enumerate(gaps):
+                for axis in range(2):
+                    tp = t + gap * np.eye(2)[axis]
+                    rhs = c * np.linalg.norm(tp - t)
+                    for i, n in enumerate(ns):
+                        est = variational_mc(GAUSS, t, tp, n, samples,
+                                             seed + 1000 * j + 10 * axis + i)
+                        assert (est.value / math.sqrt(n)
+                                <= rhs + 3 * est.standard_error / math.sqrt(n))
 
     def test_zero_gap_trivial(self):
         est = variational_mc(GAUSS, (0.0, 1.0), (0.0, 1.0), 5, 100, seed=0)

@@ -4,12 +4,13 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import codebook_bytes, rho_n
 from twostage import ecvq
 from twostage.bitcode import BitReader
 from twostage.distances import variational_mc
 from twostage.ecvq import (Codebook, LagrangianReport, ecvq_decode_index,
                            ecvq_design, ecvq_encode, lagrangian_eval,
-                           pairwise_distortion, rho_n)
+                           pairwise_distortion)
 from twostage.models import GaussianIID, HiddenMarkov
 from twostage.rand import TAG_EVAL, rng_for
 
@@ -21,13 +22,18 @@ class TestRho:
     def test_identity(self):
         x = np.array([0.3, -0.7, 2.0])
         assert rho_n(RHO, x, x) == 0.0
+        assert pairwise_distortion(x[None], x[None], RHO)[0, 0] == 0.0
 
     def test_cap_active(self):
         assert rho_n(RHO, np.array([0.0]), np.array([10.0])) == 1.0
+        assert pairwise_distortion(np.array([[0.0]]), np.array([[10.0]]),
+                                   RHO)[0, 0] == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            rho_n(RHO, np.zeros(3), np.zeros(4))
+        book = Codebook(n=4, codevectors=np.zeros((1, 4)),
+                        lengths=np.array([0]), lam=0.5, rho_max=RHO)
+        with pytest.raises(ValueError, match="codebook n"):
+            ecvq_encode(book, np.zeros(3))
 
     def test_symmetry_and_triangle_random(self):
         rng = rng_for(41, 0)
@@ -78,7 +84,7 @@ class TestDesign:
             lam = [0.2, 0.5, 1.0][s % 3]
             book = ecvq_design(X, lam=lam, initial_size=32, rho_max=RHO, seed=s)
             assert book.kraft_sum() <= 1.0 + 1e-12
-            assert book.max_normalized_length() <= 2 * RHO / lam + 1e-12
+            assert max(book.lengths) / book.n <= 2 * RHO / lam + 1e-12
 
     def test_lloyd_descent_monotone(self):
         for s in range(50):
@@ -316,11 +322,11 @@ class TestLagrangianEval:
 
 class TestSerialization:
     def test_round_trip(self):
-        """to_bytes holds its documented layout, read back here field by
-        field: header, lambda, rho_max, float64 codevectors, u16 lengths."""
+        """codebook_bytes holds its documented layout, read back here field
+        by field: header, lambda, rho_max, float64 codevectors, u16 lengths."""
         X = GAUSS.sample_paths((0.0, 1.0), 4, 128, rng_for(17, 0))
         book = ecvq_design(X, lam=0.5, initial_size=16, rho_max=RHO, seed=17)
-        blob = book.to_bytes()
+        blob = codebook_bytes(book)
         head = struct.unpack_from("<4sBIIIdd", blob, 0)
         assert head == (b"ECVQ", 1, book.n, book.size, 1, book.lam, book.rho_max)
         K, off = book.size, struct.calcsize("<4sBIIIdd")
@@ -398,7 +404,7 @@ def _corpus_designs():
 def _corpus_digest() -> str:
     h = hashlib.sha256()
     for book in _corpus_designs():
-        h.update(book.to_bytes())
+        h.update(codebook_bytes(book))
         h.update(repr(book.training_lagrangians).encode())
     return h.hexdigest()
 
@@ -408,7 +414,7 @@ def _corpus_digest() -> str:
 # a moved centroid can flip its cell between median and mean with the same
 # members.  Each tuple is (data and design seed, block length, lambda) on
 # GaussianIID (0, 1), 256 blocks, initial_size 64, rho_max 1; digests of
-# to_bytes() + repr(training_lagrangians) as designed by full recomputation.
+# codebook_bytes + repr(training_lagrangians) as designed by full recomputation.
 DIRTY_RULE_DESIGNS = [
     (30, 4, 0.05, "cd5ea1b0542d3e1f614dee2d34849ecdce7d61c6dc01bc4a955a1b28d006b89c"),
     (49, 4, 0.02, "9c8521b37ff5b6b33bddb44dfecde71961c54c3e7546a0b41b19801db73514e1"),
@@ -421,7 +427,7 @@ DIRTY_RULE_DESIGNS = [
 def test_design_revisits_cells_whose_codevector_moved(seed, n, lam, sha):
     X = GAUSS.sample_paths((0.0, 1.0), n, 256, rng_for(9000 + seed, n))
     book = ecvq_design(X, lam=lam, initial_size=64, rho_max=RHO, seed=seed)
-    h = hashlib.sha256(book.to_bytes())
+    h = hashlib.sha256(codebook_bytes(book))
     h.update(repr(book.training_lagrangians).encode())
     assert h.hexdigest() == sha
 

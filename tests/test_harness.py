@@ -242,6 +242,20 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["identify", "redundancy"])
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_bad_thread_count_is_a_usage_error(self, tmp_path, capsys,
+                                               command, threads):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_raw(n_grid=[4], trials=1)))
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(p), "--out", str(out),
+                      "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where,field,value", BAD_CONFIGS)
     def test_unrunnable_field_exit_two(self, tmp_path, capsys, where, field, value):
         # the redundancy runner reaches every field; each raised there or

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -165,3 +166,35 @@ class TestHiddenMarkov:
         assert X.shape == (3, 4, 2)
         ld = hmm.log_density_batch(theta, X)
         assert ld.shape == (3,) and np.all(np.isfinite(ld))
+
+
+# SHA-256 of log_density_batch over the seeded corpus below, recorded with
+# the per-candidate kernels (SciPy's logsumexp for the HMM forward pass); an
+# all-candidate AR or HMM kernel must keep these bits.
+DENSITY_CORPUS = [
+    ("ar2", GaussianAR(p=2), 81,
+     "70c973b97d7d2be2d1677692422f8016e8904869a943a70bd0ed2a2369e69a83"),
+    ("hmm2", HiddenMarkov(M=2, a0=0.02, emission_means=[-1.0, 2.0],
+                          emission_stds=[0.7, 1.1]), 82,
+     "1909d95b8d55ae0907fdc65387fe5edd3961f214a6f9facfbcd71c60fab34d76"),
+    ("hmm3", HiddenMarkov(M=3, a0=0.0, emission_means=[-2.0, 0.0, 2.0],
+                          emission_stds=[0.5, 1.0, 1.5]), 83,
+     "a42efce5b88a26ccb29afb60da5bb8a033a3459c5fcbf796e9a098cff66384a1"),
+]
+
+
+@pytest.mark.parametrize("family,seed,sha", [c[1:] for c in DENSITY_CORPUS],
+                         ids=[c[0] for c in DENSITY_CORPUS])
+def test_log_density_corpus_bytes_unchanged(family, seed, sha):
+    # five prior draws; at each block length, 40 blocks from each draw, as
+    # drawn and scaled by 5, scored under every draw, as MDE scores them
+    rng = rng_for(seed, 0)
+    thetas = [family.prior_draw(rng) for _ in range(5)]
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 8, 16):
+        for j, source in enumerate(thetas):
+            X = family.sample_paths(source, n, 40, rng_for(seed, 1, n, j))
+            for blocks in (X, 5.0 * X):
+                for theta in thetas:
+                    h.update(family.log_density_batch(theta, blocks).tobytes())
+    assert h.hexdigest() == sha
