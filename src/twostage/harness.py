@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distances, ecvq, mde, models, scheme
-from .lru import LruCache
 from .rand import TAG_TRIAL, derive_seed
 
 CSV_SCHEMA = "twostage-csv v1"
@@ -163,7 +162,7 @@ def _run_grid(cfg: ExperimentConfig, out_path: str, threads: int,
                 **trial_row(family, db, sc, candidates, scene, seed)}
 
     jobs = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    if threads <= 1:
+    if threads == 1:
         rows = [run(j) for j in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -204,8 +203,8 @@ def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
     baseline on a grid of block lengths; returns a summary dict and writes
     one CSV row per trial plus median/slope summary rows."""
     theta0 = np.asarray(cfg.theta0)
-    # (n, code seed) -> the oracle's Lagrangian; at most one per trial
-    oracles = LruCache(len(cfg.n_grid) * cfg.trials)
+    # (n, code seed) -> the oracle's Lagrangian; one entry per trial at most
+    oracles = {}
 
     def trial_row(family, db, sc, candidates, scene, seed):
         def lagrangian(sc, theta, index):   # of a book on fresh theta0 blocks
@@ -213,9 +212,10 @@ def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
             return ecvq.lagrangian_eval(book, family, theta0, cfg.eval_blocks,
                                         derive_seed(cfg.seed, TAG_TRIAL, sc.n))
 
-        oracle = oracles.get_or_make(   # a book trained on theta0 itself
-            (sc.n, sc.code_seed), lambda: lagrangian(dataclasses.replace(
-                sc, train_blocks=cfg.oracle_train_blocks), theta0, 0).lagrangian)
+        if (sc.n, sc.code_seed) not in oracles:   # a book trained on theta0
+            oracles[sc.n, sc.code_seed] = lagrangian(dataclasses.replace(
+                sc, train_blocks=cfg.oracle_train_blocks), theta0, 0).lagrangian
+        oracle = oracles[sc.n, sc.code_seed]
         enc = scheme.encode_block(sc, db, *scene, candidates=candidates)
         theta_hat = np.asarray(enc.theta_hat)
         rep = lagrangian(sc, theta_hat, scheme.book_index(enc.waiting_time))

@@ -14,11 +14,11 @@ kernel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lru import LruCache
 from .models import SourceFamily
 from .rand import TAG_PROB, rng_for
 
@@ -53,11 +53,10 @@ class CandidateSet:
 # C = 18); 8 keeps two such grids.  Worst case at the default C = 64: 8 x 2.1
 # MB = 17 MB.
 MODEL_FREQ_CACHE_BOUND = 8
-_model_freq_cache = LruCache(MODEL_FREQ_CACHE_BOUND)
 
 
 def clear_probability_cache() -> None:
-    _model_freq_cache.clear()
+    _model_tables.cache_clear()
 
 
 def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
@@ -88,17 +87,17 @@ def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
     return np.stack(out)
 
 
+@functools.lru_cache(maxsize=MODEL_FREQ_CACHE_BOUND)
 def _model_tables(family, candidates: CandidateSet, n: int, mc_budget: int,
                   seed: int) -> np.ndarray:
     """Cached MC estimates of P^n_theta(A_ab) for every candidate theta and
     ordered pair: [i] is the table of candidate i's own ``mc_budget`` blocks,
     drawn with ``seed + i``."""
-    key = (family.key, candidates.thetas, n, mc_budget, seed)
-    return _model_freq_cache.get_or_make(key, lambda: _pair_tables(
-        family, candidates, (family.sample_paths(t, n, mc_budget,
-                                                 rng_for(seed + i, TAG_PROB))
-                             for i, t in enumerate(candidates.thetas)),
-        mc_budget))
+    return _pair_tables(family, candidates,
+                        (family.sample_paths(t, n, mc_budget,
+                                             rng_for(seed + i, TAG_PROB))
+                         for i, t in enumerate(candidates.thetas)),
+                        mc_budget)
 
 
 def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,

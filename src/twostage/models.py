@@ -1,5 +1,5 @@
-"""Parametric stationary source families: sampling, exact block log-densities,
-and mixing metadata.
+"""Parametric stationary source families: sampling, exact block log-densities
+and database priors.
 
 Three families are provided:
 
@@ -45,23 +45,6 @@ class SampleBlock:
             raise ValueError(f"block claims n={self.n} but holds {v.shape[0]}")
 
 
-@dataclass(frozen=True)
-class MixingDescriptor:
-    """Upper-bound model for the beta-mixing coefficients: 0 for i.i.d.,
-    C * gamma^k for exponentially mixing families."""
-
-    kind: str  # "exact-zero" | "exponential"
-    C: float = 1.0
-    gamma: float = 0.5
-
-    def bound(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self.kind == "exact-zero":
-            return 0.0
-        return self.C * self.gamma ** k
-
-
 def as_theta(theta) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if arr.ndim != 1:
@@ -73,15 +56,20 @@ class SourceFamily:
     """Interface shared by the three concrete families."""
 
     tag: str
-    k: int                       # parameter dimension
-    mixing: MixingDescriptor
     letter_dim: int = 1          # d; letters live in R^d
 
     @property
     def key(self) -> tuple:
-        """Hashable spec of everything that sets samples and densities; the
-        caches key on it, since families sharing a tag can differ."""
+        """Hashable spec of everything that sets samples and densities.
+        Families compare and hash by it, so the caches share entries between
+        equal families built apart, and none between families that differ."""
         return (self.tag, self.letter_dim)
+
+    def __eq__(self, other):
+        return isinstance(other, SourceFamily) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def validate(self, theta) -> np.ndarray:
         raise NotImplementedError
@@ -117,19 +105,11 @@ class SourceFamily:
             raise ValueError("prior has unknown key(s): " + ", ".join(unknown))
         return [prior.get(k, v) for k, v in defaults.items()]
 
-    def mixing_bound(self, theta, k: int) -> float:
-        self.validate(theta)
-        return self.mixing.bound(k)
-
 
 class GaussianIID(SourceFamily):
     """All Gaussian i.i.d. processes, theta = (mean, std), std > 0."""
 
     tag = "gaussian-iid"
-    k = 2
-
-    def __init__(self):
-        self.mixing = MixingDescriptor("exact-zero")
 
     def validate(self, theta) -> np.ndarray:
         t = as_theta(theta)
@@ -223,12 +203,10 @@ class GaussianAR(SourceFamily):
 
     tag = "gaussian-ar"
 
-    def __init__(self, p: int, mixing_C: float = 1.0, mixing_gamma: float = 0.9):
+    def __init__(self, p: int):
         if p < 1:
             raise ValueError("AR order p must be >= 1")
         self.p = p
-        self.k = p
-        self.mixing = MixingDescriptor("exponential", mixing_C, mixing_gamma)
 
     @property
     def key(self) -> tuple:
@@ -257,20 +235,15 @@ class GaussianAR(SourceFamily):
             F[1:, :-1] = np.eye(p - 1)
         return F
 
-    def stationary_cov(self, theta) -> np.ndarray:
-        """Yule-Walker covariance of p consecutive letters."""
-        from scipy.linalg import solve_discrete_lyapunov
-        a = self.validate(theta)
-        F = self._companion(a)
+    def _head_cholesky(self, a: np.ndarray, q: int) -> np.ndarray:
+        """Lower Cholesky factor of the covariance of the first q letters,
+        from the Yule-Walker covariance G of p consecutive letters; ``a``
+        must be validated."""
+        from scipy.linalg import cholesky, solve_discrete_lyapunov
         E = np.zeros((self.p, self.p))
         E[0, 0] = 1.0
-        G = solve_discrete_lyapunov(F, E)
-        return 0.5 * (G + G.T)
-
-    def _head_cholesky(self, a: np.ndarray, q: int) -> np.ndarray:
-        """Lower Cholesky factor of the covariance of the first q letters."""
-        from scipy.linalg import cholesky
-        return cholesky(self.stationary_cov(a)[:q, :q], lower=True)
+        G = solve_discrete_lyapunov(self._companion(a), E)
+        return cholesky((0.5 * (G + G.T))[:q, :q], lower=True)
 
     def sample_paths(self, theta, n, count, rng):
         a = self.validate(theta)
@@ -326,16 +299,13 @@ class HiddenMarkov(SourceFamily):
 
     tag = "hmm"
 
-    def __init__(self, M: int, a0: float,
-                 emission_means, emission_stds,
-                 mixing_C: float = 1.0, mixing_gamma: float = 0.9):
+    def __init__(self, M: int, a0: float, emission_means, emission_stds):
         if M < 1:
             raise ValueError("M must be >= 1")
         if not 0 <= a0 < 1.0 / M:
             raise ValueError("need 0 <= a0 < 1/M for a nonempty parameter set")
         self.M = M
         self.a0 = float(a0)
-        self.k = M * M
         means = np.asarray(emission_means, dtype=float)
         stds = np.asarray(emission_stds, dtype=float)
         if means.ndim == 1:
@@ -349,7 +319,6 @@ class HiddenMarkov(SourceFamily):
         self.means = means
         self.stds = stds
         self.letter_dim = means.shape[1]
-        self.mixing = MixingDescriptor("exponential", mixing_C, mixing_gamma)
 
     @property
     def key(self) -> tuple:
@@ -437,9 +406,8 @@ class HiddenMarkov(SourceFamily):
 # the fields of each family kind's config mapping, beside "kind"
 FAMILY_FIELDS = {
     "gaussian-iid": (),
-    "gaussian-ar": ("p", "mixing_C", "mixing_gamma"),
-    "hmm": ("M", "a0", "emission_means", "emission_stds", "mixing_C",
-            "mixing_gamma"),
+    "gaussian-ar": ("p",),
+    "hmm": ("M", "a0", "emission_means", "emission_stds"),
 }
 
 
@@ -456,11 +424,10 @@ def make_family(spec: dict) -> SourceFamily:
     for name in ("p", "M"):
         if name in spec and type(spec[name]) is not int:   # nor a bool
             raise ValueError(f"family field {name} must be an integer")
-    mixing = {k: float(spec[k]) for k in ("mixing_C", "mixing_gamma") if k in spec}
     if kind == "gaussian-iid":
         return GaussianIID()
     if kind == "gaussian-ar":
-        return GaussianAR(p=spec["p"], **mixing)
+        return GaussianAR(p=spec["p"])
     return HiddenMarkov(M=spec["M"], a0=float(spec["a0"]),
                         emission_means=spec["emission_means"],
-                        emission_stds=spec["emission_stds"], **mixing)
+                        emission_stds=spec["emission_stds"])

@@ -12,6 +12,7 @@ Wire format per block, bit exact:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,6 @@ import numpy as np
 from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
 from .distances import variational_mc
 from .ecvq import Codebook, ecvq_design, ecvq_decode_index, ecvq_encode
-from .lru import LruCache
 from .mde import CandidateSet, mde_estimate, vc_bound
 from .models import SampleBlock, SourceFamily
 from .rand import TAG_DATABASE, TAG_DISTANCE, TAG_MDE, TAG_SAMPLE, TAG_TRAINING, rng_for
@@ -191,11 +191,10 @@ def waiting_time(db: Database, theta_tilde, tol: float, n: int,
 
 # a seed-0 unit of the acceptance-grid redundancy experiment holds 16 books
 BOOK_CACHE_BOUND = 128
-_book_cache = LruCache(BOOK_CACHE_BOUND)
 
 
 def clear_codebook_cache() -> None:
-    _book_cache.clear()
+    _book.cache_clear()
 
 
 def book_index(T: int | None) -> int:
@@ -208,21 +207,21 @@ def provision_codebook(config: SchemeConfig, family: SourceFamily,
                        theta_hat, index: int) -> Codebook:
     """Train the second-stage codebook for theta_hat; seeded by
     (code seed, database index) so both ends build the same book."""
-    t = tuple(family.validate(theta_hat))
-    key = (config.code_seed, config.n, config.lam, config.rho_max,
-           config.train_blocks, config.max_initial_size,
-           config.design_restarts, family.key, t, index)
+    return _book(config.code_seed, config.n, config.lam, config.rho_max,
+                 config.train_blocks, config.max_initial_size,
+                 config.design_restarts, family,
+                 tuple(family.validate(theta_hat)), index)
 
-    def design():
-        rng = rng_for(config.code_seed, TAG_TRAINING, index)
-        X = family.sample_paths(np.asarray(t), config.n, config.train_blocks, rng)
-        return ecvq_design(X, config.lam,
-                           min(config.max_initial_size, 2 ** min(30, config.n)),
-                           config.rho_max,
-                           seed=derive_seed(config.code_seed, TAG_TRAINING, index),
-                           restarts=config.design_restarts)
 
-    return _book_cache.get_or_make(key, design)
+@functools.lru_cache(maxsize=BOOK_CACHE_BOUND)
+def _book(code_seed, n, lam, rho_max, train_blocks, max_initial_size,
+          restarts, family, t, index) -> Codebook:
+    """``provision_codebook``'s design, keyed on everything it reads."""
+    rng = rng_for(code_seed, TAG_TRAINING, index)
+    X = family.sample_paths(np.asarray(t), n, train_blocks, rng)
+    return ecvq_design(X, lam, min(max_initial_size, 2 ** min(30, n)), rho_max,
+                       seed=derive_seed(code_seed, TAG_TRAINING, index),
+                       restarts=restarts)
 
 
 def candidate_set(config: SchemeConfig, db: Database) -> CandidateSet:

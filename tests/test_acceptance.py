@@ -250,7 +250,7 @@ def test_criterion_9_vc_accounting(vc_deviation_bound):
     C = len(cands)
     off = ~np.eye(C, dtype=bool)
     # the table of (0, 1), candidate 1, drawn with seed 89 + 1 = 90
-    ref = mde._model_tables(GAUSS, cands, 1, 200_000, seed=89)[1]
+    ref = mde._model_tables(GAUSS, cands, 1, 200_000, 89)[1]
     grid_n = (512, 1024, 2048)
     eps_grid = (0.5, 0.6, 0.7, 0.9)
     checked = 0

@@ -78,6 +78,10 @@ HMM2 = {"kind": "hmm", "M": 2, "a0": 0.05, "emission_means": [1.0, -1.0],
 NAMED_KEYS = [   # (key, the changes to tiny_raw)
     ("eval_block", {"eval_block": 10}),
     ("mixing_c", {"family": AR1 | {"mixing_c": 5.0}, "theta0": [0.5]}),
+    # no family reads mixing constants: the scheme reads only r
+    ("mixing_C", {"family": AR1 | {"mixing_C": 5.0}, "theta0": [0.5]}),
+    ("mixing_gamma", {"family": HMM2 | {"mixing_gamma": 0.5},
+                      "theta0": [0.8, 0.2, 0.3, 0.7]}),
     ("p", {"family": AR1 | {"p": 2.7}, "theta0": [0.5, 0.1]}),
     ("p", {"family": AR1 | {"p": True}, "theta0": [0.5]}),
     ("M", {"family": HMM2 | {"M": 2.9}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
@@ -190,6 +194,17 @@ class TestExperiments:
         run_redundancy_experiment(cfg, str(a), threads=1)
         run_redundancy_experiment(cfg, str(b), threads=2)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("runner", [run_redundancy_experiment,
+                                        run_identification_experiment])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_raises(self, tmp_path, runner, threads):
+        # the thread pool refuses fewer than one worker, before any trial runs
+        out = tmp_path / "o.csv"
+        with pytest.raises(ValueError, match="max_workers"):
+            runner(build_config(tiny_raw(n_grid=[4], trials=1)), str(out),
+                   threads=threads)
+        assert not out.exists()
 
     def test_experiments_share_the_first_stage(self, tmp_path):
         # each (n, trial) draws one scene and runs one first stage, whichever

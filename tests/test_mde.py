@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ from scipy.stats import norm
 
 from twostage import mde
 from twostage.distances import variational_mc
-from twostage.lru import LruCache
 from twostage.mde import (MODEL_FREQ_CACHE_BOUND, CandidateSet,
-                          TooFewCandidatesError, _model_tables, _pair_tables,
+                          TooFewCandidatesError, _pair_tables,
                           clear_probability_cache, mde_estimate,
                           u_statistic_all, vc_bound)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
@@ -23,6 +23,16 @@ def membership(family, cands, X):
     against b."""
     X = np.asarray(X)
     return _pair_tables(family, cands, [X], len(X))[0]
+
+
+def table_stacks() -> int:
+    return mde._model_tables.cache_info().currsize
+
+
+def shrink_table_cache(monkeypatch, bound: int) -> None:
+    """Rebind ``mde._model_tables`` to the same tables under a smaller bound."""
+    monkeypatch.setattr(mde, "_model_tables",
+                        functools.lru_cache(bound)(mde._model_tables.__wrapped__))
 
 
 def exact_logdens(family, cands, X):
@@ -104,20 +114,20 @@ class TestSetProbability:
     drawn with the stack's seed."""
 
     def test_crossing_probability(self):
-        p = _model_tables(GAUSS, PAIR, 1, 50_000, seed=3)[0][0, 1]
+        p = mde._model_tables(GAUSS, PAIR, 1, 50_000, 3)[0][0, 1]
         se = math.sqrt(p * (1 - p) / 50_000)
         assert abs(p - norm.cdf(0.5)) <= 3 * se
 
     def test_complement_sums_to_one(self):
-        F = _model_tables(GAUSS, PAIR, 1, 50_000, seed=4)[0]
+        F = mde._model_tables(GAUSS, PAIR, 1, 50_000, 4)[0]
         se1, se2 = (math.sqrt(p * (1 - p) / 50_000) for p in (F[0, 1], F[1, 0]))
         assert abs(F[0, 1] + F[1, 0] - 1.0) <= 3 * (se1 + se2) + 1e-12
 
     def test_in_unit_interval_and_cached(self):
         clear_probability_cache()
-        a = _model_tables(GAUSS, PAIR, 2, 1000, seed=5)
-        b = _model_tables(GAUSS, PAIR, 2, 1000, seed=5)
-        assert b is a and len(mde._model_freq_cache) == 1
+        a = mde._model_tables(GAUSS, PAIR, 2, 1000, 5)
+        b = mde._model_tables(GAUSS, PAIR, 2, 1000, 5)
+        assert b is a and table_stacks() == 1
         assert a.shape == (2, 2, 2) and np.all((0.0 <= a) & (a <= 1.0))
 
 
@@ -195,7 +205,7 @@ class TestModelTables:
             if isinstance(family, RoundedGaussian):
                 integer_ties += ties
             monkeypatch.setattr(GaussianIID, "log_density_batch", counting)
-            got = _model_tables(family, cands, n, B, seed)
+            got = mde._model_tables(family, cands, n, B, seed)
             monkeypatch.setattr(GaussianIID, "log_density_batch", exact)
             assert np.array_equal(got, want), (family.tag, thetas, n, B)
             # one call per candidate on the blocks of one set
@@ -324,10 +334,21 @@ class TestCacheKeys:
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
         cands = CandidateSet.build(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
         clear_probability_cache()
-        fresh = _model_tables(far, cands, 3, 2000, seed=9)
+        fresh = mde._model_tables(far, cands, 3, 2000, 9)
         clear_probability_cache()
-        _model_tables(near, cands, 3, 2000, seed=9)
-        assert np.array_equal(_model_tables(far, cands, 3, 2000, seed=9), fresh)
+        mde._model_tables(near, cands, 3, 2000, 9)
+        assert np.array_equal(mde._model_tables(far, cands, 3, 2000, 9), fresh)
+
+    def test_equal_families_built_apart_share_a_table_stack(self):
+        cands = CandidateSet.build(self._hmm([-3.0, 3.0]),
+                                   [self.THETA, (0.3, 0.7, 0.6, 0.4)])
+        first = mde._model_tables(self._hmm([-3.0, 3.0]), cands, 3, 500, 9)
+        hits = mde._model_tables.cache_info().hits
+        assert mde._model_tables(self._hmm([-3.0, 3.0]), cands, 3, 500, 9) is first
+        assert mde._model_tables.cache_info().hits == hits + 1
+        other = mde._model_tables(self._hmm([-0.2, 0.2]), cands, 3, 500, 9)
+        assert other is not first and table_stacks() == 2
+        assert mde._model_tables.cache_info().hits == hits + 1
 
     def test_u_statistic_keys_on_emissions(self):
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
@@ -352,23 +373,23 @@ class TestBoundedCaches:
         for n, Z in Zs.items():
             clear_probability_cache()
             fresh[n] = u_statistic_all(GAUSS, Z, cands, 500, seed=13)
-        monkeypatch.setattr(mde, "_model_freq_cache", LruCache(2))
+        shrink_table_cache(monkeypatch, 2)
         for k in range(6):
             n = (3, 4, 5)[k % 3]
             assert np.array_equal(u_statistic_all(GAUSS, Zs[n], cands, 500,
                                                   seed=13), fresh[n])
-            assert len(mde._model_freq_cache) == min(k + 1, 2)
+            assert table_stacks() == min(k + 1, 2)
 
     def test_probability_cache_stays_within_bound(self, monkeypatch):
-        monkeypatch.setattr(mde, "_model_freq_cache", LruCache(1))
-        first = _model_tables(GAUSS, PAIR, 2, 500, seed=1)
-        _model_tables(GAUSS, PAIR, 2, 500, seed=2)
-        assert len(mde._model_freq_cache) == 1
-        again = _model_tables(GAUSS, PAIR, 2, 500, seed=1)
+        shrink_table_cache(monkeypatch, 1)
+        first = mde._model_tables(GAUSS, PAIR, 2, 500, 1)
+        mde._model_tables(GAUSS, PAIR, 2, 500, 2)
+        assert table_stacks() == 1
+        again = mde._model_tables(GAUSS, PAIR, 2, 500, 1)
         assert again is not first and np.array_equal(again, first)
 
     def test_module_cache_never_exceeds_its_bound(self):
         for n in range(1, MODEL_FREQ_CACHE_BOUND + 3):
             Z = GAUSS.sample_paths((0.0, 1.0), n, 8, rng_for(14, n))
             u_statistic_all(GAUSS, Z, PAIR, 50, seed=15)
-            assert len(mde._model_freq_cache) == min(n, MODEL_FREQ_CACHE_BOUND)
+            assert table_stacks() == min(n, MODEL_FREQ_CACHE_BOUND)

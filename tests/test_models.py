@@ -62,10 +62,6 @@ class TestGaussianIID:
             gauss.validate(theta)
         assert str(err.value) == message
 
-    def test_mixing_zero(self, gauss):
-        for k in (1, 5, 100):
-            assert gauss.mixing_bound((0.0, 1.0), k) == 0.0
-
 
 class TestGaussianAR:
     def test_yule_walker_variance(self):
@@ -115,12 +111,6 @@ class TestGaussianAR:
         want = multivariate_normal(mean=np.zeros(n), cov=cov).logpdf(x)
         got = ar.log_density_batch([a], x)
         assert np.allclose(got, want, atol=1e-10)
-
-    def test_mixing_exponential(self):
-        ar = GaussianAR(p=1, mixing_C=1.0, mixing_gamma=0.5)
-        assert ar.mixing_bound([-0.5], 3) == pytest.approx(0.125)
-        bounds = [ar.mixing_bound([-0.5], k) for k in range(1, 101)]
-        assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 class TestHiddenMarkov:

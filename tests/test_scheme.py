@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -10,7 +11,6 @@ from scipy.stats import kstest, norm
 from conftest import bitstring, codebook_bytes
 from twostage import scheme
 from twostage.bitcode import BitString, elias_encode
-from twostage.lru import LruCache
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.scheme import (Database, MalformedStreamError, SchemeConfig,
                              book_index, candidate_set, clear_codebook_cache,
@@ -22,14 +22,15 @@ from twostage.scheme import (Database, MalformedStreamError, SchemeConfig,
 GAUSS = GaussianIID()
 
 
-def blocking_bound(family, theta, config) -> float:
+def blocking_bound(family, theta, config, C=1.0, gamma=0.9) -> float:
     """(n-1) * beta(l_n): the total-variation cost of treating the
-    interleaved estimation blocks as i.i.d.; exactly 0 for i.i.d. sources."""
-    n, l_n = config.n, gap_length(config)
-    if l_n == 0:
-        return 0.0 if family.mixing.kind == "exact-zero" else \
-            (n - 1) * family.mixing_bound(theta, 1)
-    return (n - 1) * family.mixing_bound(theta, l_n)
+    interleaved estimation blocks as i.i.d.; exactly 0 for i.i.d. sources,
+    and beta(k) = C gamma^k (k >= 1) for the exponentially mixing ones, with
+    C and gamma taken as test data."""
+    family.validate(theta)
+    if family.tag == "gaussian-iid":
+        return 0.0
+    return (config.n - 1) * C * gamma ** max(gap_length(config), 1)
 
 
 def small_config(**kw):
@@ -38,6 +39,16 @@ def small_config(**kw):
                 c_delta=1.0, database_seed=11, code_seed=12)
     base.update(kw)
     return SchemeConfig(**base)
+
+
+def book_size() -> int:
+    return scheme._book.cache_info().currsize
+
+
+def shrink_book_cache(monkeypatch, bound: int) -> None:
+    """Rebind ``scheme._book`` to the same design under a smaller bound."""
+    monkeypatch.setattr(scheme, "_book",
+                        functools.lru_cache(bound)(scheme._book.__wrapped__))
 
 
 class TestMemoryLayout:
@@ -231,7 +242,7 @@ class TestRoundTrip:
         stream = BitString(0, 1) + elias_encode(cfg.i_max + 1)
         with pytest.raises(MalformedStreamError, match="i_max"):
             decode_block(cfg, db, stream)
-        assert len(scheme._book_cache) == 0
+        assert book_size() == 0
 
     def test_non_finite_input_rejected(self):
         cfg = small_config()
@@ -318,6 +329,20 @@ class TestCodebookCacheKey:
         book = provision_codebook(cfg, vector, self.THETA, 1)
         assert book.codevectors.shape[1:] == (cfg.n, 2)
 
+    def test_equal_families_built_apart_share_a_book(self):
+        def hmm(means):
+            return HiddenMarkov(M=2, a0=0.05, emission_means=means,
+                                emission_stds=[1.0, 1.0])
+
+        cfg = small_config()
+        first = provision_codebook(cfg, hmm([-1.0, 1.0]), self.THETA, 1)
+        hits = scheme._book.cache_info().hits
+        assert provision_codebook(cfg, hmm([-1.0, 1.0]), self.THETA, 1) is first
+        assert scheme._book.cache_info().hits == hits + 1
+        other = provision_codebook(cfg, hmm([-1.0, 2.0]), self.THETA, 1)
+        assert other is not first and book_size() == 2
+        assert scheme._book.cache_info().hits == hits + 1
+
 
 class TestIdentify:
     def test_first_stage_of_the_encoder_without_a_codebook(self):
@@ -325,7 +350,7 @@ class TestIdentify:
         db = Database(family=GAUSS, seed=cfg.database_seed)
         hist, cur = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=109)
         T, theta_tilde, theta_hat = identify(cfg, db, hist)
-        assert len(scheme._book_cache) == 0
+        assert book_size() == 0
         enc = encode_block(cfg, db, hist, cur)
         assert T == enc.waiting_time
         assert tuple(theta_tilde) == enc.theta_tilde
@@ -351,27 +376,36 @@ class TestIdentify:
 
 
 class TestBoundedCaches:
-    def test_lru_drops_the_least_recently_used(self):
-        cache, made = LruCache(2), []
+    TINY = small_config(train_blocks=16, max_initial_size=4)
 
-        def get(key):
-            return cache.get_or_make(key, lambda: made.append(key) or key)
+    def test_lru_drops_the_least_recently_used(self, monkeypatch):
+        shrink_book_cache(monkeypatch, 2)
+        designed = []
+        for index in (1, 2, 1, 3, 1, 2):
+            misses = scheme._book.cache_info().misses
+            provision_codebook(self.TINY, GAUSS, (0.0, 1.0), index)
+            if scheme._book.cache_info().misses > misses:
+                designed.append(index)
+            assert book_size() <= 2
+        # 1 stayed cached by use; 2 was dropped for 3 and designed again
+        assert designed == [1, 2, 3, 2]
 
-        for key in ("a", "b", "a", "c", "a", "b"):
-            assert get(key) == key
-            assert len(cache) <= 2
-        # "a" stayed cached by use; "b" was dropped for "c" and made again
-        assert made == ["a", "b", "c", "b"]
-
-    def test_threads_share_a_bounded_cache(self):
-        cache, wrong = LruCache(2), []
+    def test_threads_share_a_bounded_cache(self, monkeypatch):
+        # five books cycled through room for two: the threads evict and
+        # design concurrently, and every one of them sees the same bytes
+        want = {i: codebook_bytes(provision_codebook(self.TINY, GAUSS,
+                                                     (0.0, 1.0), i))
+                for i in range(1, 6)}
+        shrink_book_cache(monkeypatch, 2)
+        wrong = []
 
         def work(offset):
             try:
-                for i in range(20_000):
-                    key = (offset + i) % 5
-                    if cache.get_or_make(key, lambda: key * 10) != key * 10:
-                        wrong.append(key)
+                for i in range(40):
+                    index = (offset + i) % 5 + 1
+                    book = provision_codebook(self.TINY, GAUSS, (0.0, 1.0), index)
+                    if codebook_bytes(book) != want[index] or book_size() > 2:
+                        wrong.append(index)
             except Exception as exc:   # a torn table raises in the thread
                 wrong.append(exc)
 
@@ -386,25 +420,24 @@ class TestBoundedCaches:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert wrong == [] and len(cache) == 2
+        assert wrong == [] and book_size() == 2
 
     def test_evicted_book_is_redesigned_byte_identical(self, monkeypatch):
-        monkeypatch.setattr(scheme, "_book_cache", LruCache(2))
+        shrink_book_cache(monkeypatch, 2)
         cfg = small_config()
         first = provision_codebook(cfg, GAUSS, (0.0, 1.0), 1)
         for index in (2, 3, 4):
             provision_codebook(cfg, GAUSS, (0.0, 1.0), index)
-            assert len(scheme._book_cache) <= 2
+            assert book_size() <= 2
         again = provision_codebook(cfg, GAUSS, (0.0, 1.0), 1)
         assert again is not first
         assert codebook_bytes(again) == codebook_bytes(first)
 
     def test_default_book_bound_holds(self):
-        assert scheme._book_cache.bound == scheme.BOOK_CACHE_BOUND
-        cfg = small_config(train_blocks=16, max_initial_size=4)
+        assert scheme._book.cache_info().maxsize == scheme.BOOK_CACHE_BOUND
         for index in range(1, scheme.BOOK_CACHE_BOUND + 3):
-            provision_codebook(cfg, GAUSS, (0.0, 1.0), index)
-        assert len(scheme._book_cache) == scheme.BOOK_CACHE_BOUND
+            provision_codebook(self.TINY, GAUSS, (0.0, 1.0), index)
+        assert book_size() == scheme.BOOK_CACHE_BOUND
 
 
 FUZZ_CONFIG = small_config(n=2, i_max=4, train_blocks=16, max_initial_size=4)
@@ -424,4 +457,4 @@ def test_decoder_is_total(bits):
         assert dec.bits_consumed <= len(bits)
         assert dec.xhat.values.shape[0] == FUZZ_CONFIG.n
     # caches are emptied once per test, so this counts over every example
-    assert len(scheme._book_cache) <= FUZZ_CONFIG.i_max
+    assert book_size() <= FUZZ_CONFIG.i_max
