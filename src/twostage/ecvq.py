@@ -4,22 +4,28 @@ The second-stage block codes are realized by Lagrangian Lloyd descent:
 assignment minimizes distortion + lambda * length / n, centroids are updated
 under the clipped metric (with a guard so the training Lagrangian never
 increases), and real-valued codeword lengths track the empirical usage.
-The iterations are incremental: the centroid step updates only the dirty
-cells (those that gained or lost blocks or whose codevector last moved), with
-one sort per cell-width class for the medians and a keep test certified by a
-rounding bound; the distortion screen, refreshed only in the rows of moved
-codevectors, gives the next iteration's assignment.
+Each iteration recomputes only what changed.  The centroid step updates only
+the dirty cells (those that gained or lost blocks or whose codevector last
+moved), with one sort per cell-width class for the medians and a keep test
+certified by a rounding bound; one bincount gives the cell sizes and the
+unused codevectors to prune.  The distortion screen is refreshed only in the
+rows of moved codevectors, and the exact distortion of each block at its
+codevector is carried from one iteration to the next, recomputed only for
+blocks that changed codeword or whose codevector moved.  An iteration in
+which no block changes codeword, after a step that moved no codevector, is a
+fixed point: it only repeats the training Lagrangian, so with a positive
+tolerance the loop records it and stops there.
 After convergence the lengths are rounded to an integer prefix code by the
 canonical-Kraft procedure, and the normalized-length cap 2*rho_max/lambda is
 enforced constructively.
 
 Every nearest-codeword decision (the design's assignments, its trim and final
 Lagrangian, ``lagrangian_eval`` and ``ecvq_encode``) goes through
-``_nearest``: a float32 screen of every (codevector, block) distortion,
+``_choose``: a float32 screen of every (codevector, block) distortion,
 computed one letter at a time, certifies per block that its smallest cost
 beats every other by more than twice a rounding bound; the other blocks are
-decided by the exact float64 matrix, and the exact distortion is computed at
-the chosen codeword only.  So the choices and values are those of
+decided by the exact float64 matrix.  ``_nearest`` adds the exact distortion
+at the chosen codeword only.  So the choices and values are those of
 ``pairwise_distortion`` and ``np.argmin``, bit for bit.  Vector letters are
 screened by the exact matrix itself, and a call with too few (block,
 codevector) pairs to pay for the screen, such as one block, skips it.
@@ -89,12 +95,12 @@ def _letters(X: np.ndarray):
         return X, None
     with np.errstate(over="ignore"):
         L = np.array(X.T, dtype=np.float32, order="C")
-    return L, np.max(np.abs(L), axis=0)
+    return L, np.abs(L).max(axis=0)
 
 
 def _screen(letters, C: np.ndarray, rho_max: float) -> np.ndarray:
     """Distortion of every block against every codevector, shape (K, T):
-    float32 within ``_nearest``'s bound for scalar letters, summed one letter
+    float32 within ``_choose``'s bound for scalar letters, summed one letter
     at a time; ``pairwise_distortion`` itself for vector letters."""
     L, xmax = letters
     if xmax is None:
@@ -155,8 +161,8 @@ def _bound(letters, C: np.ndarray, ell: np.ndarray, rho_max: float):
     n = L.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         scale = (np.float32(n + 5) * np.float32(rho_max) + xmax
-                 + np.max(np.abs(C.astype(np.float32)))
-                 + np.float32(3) * np.max(np.abs(ell.astype(np.float32))))
+                 + np.abs(C.astype(np.float32)).max()
+                 + np.float32(3) * np.abs(ell.astype(np.float32)).max())
     return 2.0 ** -23 * scale.astype(float) + 2.0 ** -146 if n < 1 << 20 else np.inf
 
 
@@ -166,16 +172,14 @@ def _bound(letters, C: np.ndarray, ell: np.ndarray, rho_max: float):
 _SCREEN_MIN_PAIRS = 4096
 
 
-def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
-             rho_max: float, letters=None, D=None):
-    """(idx, d): idx = np.argmin(pairwise_distortion(X, C, rho_max) + ell,
-    axis=1), ties to the first index, and d its distortions there, both bit
-    for bit.  ``letters`` and ``D`` are ``_letters(X)`` and its screen of C,
-    when the caller keeps them."""
+def _choose(X: np.ndarray, C: np.ndarray, ell: np.ndarray, rho_max: float,
+            letters=None, D=None) -> np.ndarray:
+    """np.argmin(pairwise_distortion(X, C, rho_max) + ell, axis=1), ties to
+    the first index, bit for bit.  ``letters`` and ``D`` are ``_letters(X)``
+    and its screen of C, when the caller keeps them."""
     K = C.shape[0]
     if D is None and X.shape[0] * K < _SCREEN_MIN_PAIRS:
-        idx = np.argmin(pairwise_distortion(X, C, rho_max) + ell, axis=1)
-        return idx, _rho_at(X, C[idx], rho_max)
+        return np.argmin(pairwise_distortion(X, C, rho_max) + ell, axis=1)
     own = D is None
     letters = _letters(X) if letters is None else letters
     D = _screen(letters, C, rho_max) if own else D
@@ -186,15 +190,23 @@ def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
         # bound of its smallest (the threshold rounded up); a NaN threshold
         # takes none, an infinite one all.  near: 1 there, 0 elsewhere, in
         # place of the costs
-        top = np.min(cost, axis=0) + 2.0 * _bound(letters, C, ell, rho_max)
+        top = cost.min(axis=0) + 2.0 * _bound(letters, C, ell, rho_max)
         near = np.less_equal(cost, np.nextafter(top.astype(D.dtype), np.inf),
                              out=cost, casting="unsafe")
     # one product gives each block the index of its near cost and their count
-    idx, count = np.stack((np.arange(K), np.ones(K))).astype(D.dtype) @ near
+    idx, count = np.array((np.arange(K), np.ones(K)), dtype=D.dtype) @ near
     idx, redo = idx.astype(np.intp), count != 1
     if redo.any():
         exact = pairwise_distortion(X[redo], C, rho_max) + ell
         idx[redo] = np.argmin(exact, axis=1)
+    return idx
+
+
+def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
+             rho_max: float, letters=None, D=None):
+    """(idx, d): ``_choose``'s idx and the distortions there, bit for bit
+    the entries of ``pairwise_distortion``."""
+    idx = _choose(X, C, ell, rho_max, letters, D)
     return idx, _rho_at(X, C[idx], rho_max)
 
 
@@ -254,56 +266,65 @@ class Codebook:
 
 
 def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
-                   rho_max: float, dirty: np.ndarray) -> np.ndarray:
-    """Guarded centroid update of the dirty cells, in place on C; returns
-    the mask of cells whose codevector changed, compared bit for bit.
+                   sizes: np.ndarray, rho_max: float,
+                   dirty: np.ndarray) -> np.ndarray:
+    """Guarded centroid update of the dirty cells, in place on C, given each
+    cell's member count ``sizes``; returns the mask of cells whose
+    codevector changed, compared bit for bit.
 
     A scalar-letter cell moves to its median under the clipped metric, or to
     its mean when the cap never binds in it; a vector-letter cell moves to
     its mean.  The move is kept only if it does not raise the cell cost.
     Bitwise as a per-cell loop: one sort per width class gives all medians
-    (each (cell, letter) padded with +inf to the next power of two of the
-    cell size), kept by reordered cost sums that differ beyond a rounding
-    bound.  Mean cells, zero median letters (np.partition orders -0.0 and
-    0.0 its own way) and open keep tests are stacked by size and reduced
-    along the stacking axis, each cell by exactly its own reductions.  A
-    clean cell (same members and codevector) maps to its codevector again.
+    (each cell's rows padded with +inf rows to the next power of two of the
+    cell size, and each letter sorted down them), kept by reordered cost
+    sums that differ beyond a rounding bound.  Mean cells, zero median
+    letters (np.partition orders -0.0 and 0.0 its own way) and open keep
+    tests are stacked by size and reduced along the stacking axis, each cell
+    by exactly its own reductions.  A clean cell (same members and
+    codevector) maps to its codevector again.
     """
-    def letter_dist(diff):
-        return np.abs(diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
+    def letter_dist(diff):     # in place on diff for scalar letters
+        return np.abs(diff, out=diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
 
     K, n = C.shape[0], X.shape[1]
-    sizes = np.bincount(assign, minlength=K)
     mine = np.flatnonzero(dirty[assign])
-    rows = mine[np.argsort(assign[mine], kind="stable")]
+    # a stable sort by cell; a narrow key sorts by radix
+    rows = mine[assign[mine].astype(np.min_scalar_type(K)).argsort(kind="stable")]
     Xs, cell_of = X[rows], assign[rows]   # dirty cells contiguous, rows in order
-    d_old = letter_dist(Xs - C[cell_of])
+    cost_old = letter_dist(Xs - C[cell_of])
     clipped = np.zeros(K, dtype=bool)
     if X.ndim == 2:
-        clipped[cell_of[np.any(d_old >= rho_max, axis=1)]] = True
-    cost_old = np.minimum(d_old, rho_max)
+        clipped[cell_of[(cost_old >= rho_max).any(axis=1)]] = True
+    np.minimum(cost_old, rho_max, out=cost_old)
     span = np.where(dirty, sizes, 0)
-    starts = np.cumsum(span) - span
+    starts = span.cumsum() - span
     moved = np.zeros(K, dtype=bool)
     exact, f = dirty & ~clipped, np.flatnonzero(clipped)
     if f.size:
         cnt = sizes[f]
         w = np.ones_like(cnt) << np.frexp(cnt - 1)[1]    # >= cnt, a power of 2
-        order = np.argsort(w, kind="stable")
-        base = (np.cumsum(n * w[order]) - n * w[order])[np.argsort(order)]
-        slot = base[:, None] + w[:, None] * np.arange(n)  # (cell f[i], letter j)
+        # each cell's rows, padded with +inf rows to w, from row base of buf;
+        # the cells in order of width, so that each width class is one run
+        order = w.argsort(kind="stable")
+        ws = w[order]
+        ends = ws.cumsum()
+        base = np.empty_like(ends)
+        base[order] = ends - ws
         fr, k = np.flatnonzero(clipped[cell_of]), np.repeat(np.arange(f.size), cnt)
-        buf, xf = np.full(int(n * w.sum()), np.inf), Xs[fr]
-        buf[slot[k] + (fr - starts[f][k])[:, None]] = xf
-        for width in np.unique(w):                # each class is one run
-            lo, hi = base[w == width].min(), base[w == width].max() + n * width
-            buf[lo:hi].reshape(-1, width).sort(axis=1)
-        lo, hi = slot + ((cnt - 1) // 2)[:, None], slot + (cnt // 2)[:, None]
-        cand = np.where(lo == hi, buf[lo], (buf[lo] + buf[hi]) / 2)   # np.median's
+        buf, xf = np.full((int(ends[-1]), n), np.inf), Xs[fr]
+        buf[base[k] + fr - starts[f][k]] = xf
+        last = np.flatnonzero(np.append(ws[1:] != ws[:-1], True))
+        lo = 0
+        for width, hi in zip(ws[last].tolist(), ends[last].tolist()):
+            buf[lo:hi].reshape(-1, width, n).sort(axis=1)
+            lo = hi
+        lo, hi = buf[base + (cnt - 1) // 2], buf[base + cnt // 2]
+        cand = np.where((cnt % 2 == 1)[:, None], lo, (lo + hi) / 2)   # np.median's
         new = np.abs(np.subtract(xf, cand[k], out=xf), out=xf)   # in place: a
         np.minimum(new, rho_max, out=new)                        # smaller peak RSS
-        s_new, s_old = (np.add.reduceat(np.add.reduce(c, axis=1), np.cumsum(cnt) - cnt)
-                        for c in (new, cost_old[fr]))
+        seg = (cnt.cumsum() - cnt) * n             # each cell's terms, in turn
+        s_new, s_old = (np.add.reduceat(c.ravel(), seg) for c in (new, cost_old[fr]))
         # keep is s_new/m <= s_old/m on the exact path's sums of these m
         # non-negative terms.  Any order of the sum is within (m-1)u/(1-(m-1)u)
         # of the real one, u = 2^-53 (Higham, Accuracy and Stability, §4.2):
@@ -312,12 +333,12 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
         # + m 2^-1074 (subnormal quotients).  Rounding here adds a few u.
         m, diff = cnt * n, s_new - s_old
         bound = 4.0 * ((m + 2) * 2.0 ** -53 * (s_new + s_old) + m * 2.0 ** -1074)
-        same = np.all(cand.view(np.uint64) == C[f].view(np.uint64), axis=1)
-        sure = ~np.any(cand == 0, axis=1) & (same | (np.abs(diff) > bound))
+        same = (cand.view(np.uint64) == C[f].view(np.uint64)).all(axis=1)
+        sure = ~(cand == 0).any(axis=1) & (same | (np.abs(diff) > bound))
         keep = sure & (diff < 0)                  # never a cell that is same
         C[f[keep]], moved[f[keep]] = cand[keep], True
         exact[f[~sure]] = True
-    for size in np.unique(sizes[exact]):
+    for size in set(sizes[exact].tolist()):
         cells = np.flatnonzero(exact & (sizes == size))
         at = starts[cells, None] + np.arange(size)   # (cells, size) into Xs
         G = Xs[at]
@@ -396,40 +417,56 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
     K = min(initial_size, distinct.shape[0])
     pick = rng.choice(distinct.shape[0], size=K, replace=False)
     C = distinct[pick].copy()
-    lengths = np.full(K, np.log2(K) if K > 1 else 0.0)
+    # the length term of the Lagrangian, lambda/n times the real lengths
+    ell = lam * np.full(K, np.log2(K) if K > 1 else 0.0) / n
 
     history = []
     prev_J = np.inf
     # dist, the screen of every codevector against every block (K, T), is
     # computed in full once, then pruned with C and refreshed only in the
     # rows of codevectors the centroid step moved; every decision below
-    # reads it.  d holds the exact distortion of each block at its codevector.
+    # reads it.  d holds the exact distortion of each block at its
+    # codevector, recomputed only in the rows that changed codeword or whose
+    # codevector moved.
     letters = _letters(X)
     dist = _screen(letters, C, rho_max)
+    d = np.empty(T)
     assign = None
     moved = np.ones(K, dtype=bool)    # every cell is dirty at first
     for _ in range(max_iter):
-        new, d = _nearest(X, C, lam * lengths / n, rho_max, letters, dist)
+        new = _choose(X, C, ell, rho_max, letters, dist)
         # a cell is dirty if it gained or lost rows, or if its codevector
         # moved in the last step (which can flip it between median and mean)
         dirty = moved
-        if assign is not None:
-            flip = new != assign
-            dirty[new[flip]] = dirty[assign[flip]] = True
+        if assign is None:
+            redo = np.ones(T, dtype=bool)
+        else:
+            redo = new != assign        # rows that changed codeword
+            if tolerance > 0 and not redo.any() and not dirty.any():
+                # a fixed point: no row changed codeword and no codevector
+                # moved, so the iteration would only repeat J, and the
+                # tolerance test would stop the loop
+                history.append(prev_J)
+                break
+            dirty[new[redo]] = dirty[assign[redo]] = True
         # prune unused codevectors
-        used, assign = np.unique(new, return_inverse=True)
-        if used.size < C.shape[0]:
-            C, lengths, dist = C[used], lengths[used], dist[used]
-            dirty = dirty[used]
-        counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
-        moved = _centroid_step(X, C, assign, rho_max, dirty)
+        counts = np.bincount(new, minlength=C.shape[0])
+        if counts.all():
+            assign = new
+        else:
+            used = counts > 0
+            assign = (used.cumsum() - 1)[new]
+            C, dist, dirty, counts = C[used], dist[used], dirty[used], counts[used]
+        moved = _centroid_step(X, C, assign, counts, rho_max, dirty)
         # length step: ideal lengths from empirical usage
-        lengths = -np.log2(counts / T)
+        ell = lam * -np.log2(counts / T) / n
         if moved.any():
             dist[moved] = _screen(letters, C[moved], rho_max)
-            redo = moved[assign]        # rows whose codevector moved
+            redo |= moved[assign]       # rows whose codevector moved
+        if redo.any():
             d[redo] = _rho_at(X[redo], C[assign[redo]], rho_max)
-        J = float(np.mean(d + lam * lengths[assign] / n))
+        v = d + ell[assign]
+        J = float(np.add.reduce(v) / v.size)    # np.mean's own steps
         history.append(J)
         if prev_J - J < tolerance:
             break
@@ -442,7 +479,7 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
         counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
         keep = np.sort(np.argsort(-counts, kind="stable")[:max_size])
         C, dist = C[keep], dist[keep]
-        assign, _ = _nearest(X, C, np.zeros(C.shape[0]), rho_max, letters, dist)
+        assign = _choose(X, C, np.zeros(C.shape[0]), rho_max, letters, dist)
         used, assign = np.unique(assign, return_inverse=True)
         C, dist = C[used], dist[used]
     counts = np.bincount(assign, minlength=C.shape[0]).astype(float)
@@ -462,7 +499,7 @@ def ecvq_encode(book: Codebook, x) -> tuple[int, BitString]:
     if xa.shape[0] != book.n:
         raise ValueError(f"block length {xa.shape[0]} != codebook n {book.n}")
     ell = book.lam * np.asarray(book.lengths) / book.n
-    idx = int(_nearest(xa[None, ...], book.codevectors, ell, book.rho_max)[0][0])
+    idx = int(_choose(xa[None, ...], book.codevectors, ell, book.rho_max)[0])
     return idx, book.codes[idx]
 
 

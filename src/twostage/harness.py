@@ -141,6 +141,8 @@ def _run_grid(cfg: ExperimentConfig, out_path: str, threads: int,
     scene, seed)`` for the experiment's own columns.  The CSV holds the trial rows, the
     median of column ``measure`` per block length and the rows of
     ``summary(xs, medians)``, which also returns extra summary entries."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     family = cfg.family()
     db = cfg.database(family)
     per_n = {}

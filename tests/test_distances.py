@@ -86,9 +86,10 @@ class TestSmoothness:
         assert abs(kl - 0.005) <= 3 * se
 
     def test_pinsker_chain(self):
+        # the estimate is the closed form, which Pinsker's bound caps
         kl = 1.0 ** 2 / 2
-        assert D_SHIFTED_NORMALS <= math.sqrt(2 * kl)
         est = variational_mc(GAUSS, (0.0, 1.0), (1.0, 1.0), 1, 100_000, seed=2)
+        assert abs(est.value - D_SHIFTED_NORMALS) <= 3 * est.standard_error
         assert est.value <= math.sqrt(2 * kl) + 3 * est.standard_error
 
     def test_grid_passes(self):

@@ -248,6 +248,17 @@ class TestNearest:
                                   axis=1) > 1)
         assert flips >= 50 and ties >= 50
 
+    def test_choice_alone_equals_nearest_choice(self):
+        # with and without a kept screen, which the choice only reads
+        for X, C, ell, rho in _nearest_cases():
+            want = ecvq._nearest(X, C, ell, rho)[0]
+            assert np.array_equal(ecvq._choose(X, C, ell, rho), want)
+            letters = ecvq._letters(X)
+            D = ecvq._screen(letters, C, rho)
+            kept = D.copy()
+            assert np.array_equal(ecvq._choose(X, C, ell, rho, letters, D), want)
+            assert D.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("base", ["absolute-difference", "euclidean"])
     @pytest.mark.parametrize("n", [1, 5, 7, 8, 13, 32])
     @pytest.mark.parametrize("T", [3, 700])
@@ -432,6 +443,41 @@ def test_design_revisits_cells_whose_codevector_moved(seed, n, lam, sha):
     assert h.hexdigest() == sha
 
 
+# A design whose Lloyd run reaches an exact fixed point at its 9th iteration
+# (no block changes codeword, after a centroid step that moved nothing):
+# GaussianIID (0, 1), n = 8, 256 blocks, lambda 0.05, initial_size 16,
+# rho_max 1, seed 0.  Each case is (keyword arguments, centroid steps run,
+# training Lagrangians, SHA-256 of codebook_bytes + repr(training_lagrangians)
+# as designed by a loop that ran every iteration in full).  With a positive
+# tolerance the fixed-point iteration appends the repeated J without a
+# centroid step; with tolerance 0 every iteration runs up to max_iter.
+FIXED_POINT_DESIGNS = [
+    ({}, 8, 9,
+     "86d954564f79b1d02a6d2f9b38d1bb512af7e7651f6d0861cf3ee10658d218ce"),
+    ({"tolerance": 0.0, "max_iter": 14}, 14, 14,
+     "c98678f2f859e1800d59e90f0ccbd3360bc43a1ee947436d0d64b65ff8a0edfc"),
+    ({"max_iter": 9}, 8, 9,
+     "86d954564f79b1d02a6d2f9b38d1bb512af7e7651f6d0861cf3ee10658d218ce"),
+]
+
+
+@pytest.mark.parametrize("kwargs,steps,iters,sha", FIXED_POINT_DESIGNS,
+                         ids=["tol1e-6", "tol0", "max_iter9"])
+def test_fixed_point_exit_keeps_the_design(monkeypatch, kwargs, steps, iters, sha):
+    calls = []
+    step = ecvq._centroid_step
+    monkeypatch.setattr(ecvq, "_centroid_step",
+                        lambda *a: calls.append(1) or step(*a))
+    X = GAUSS.sample_paths((0.0, 1.0), 8, 256, rng_for(8800, 8))
+    book = ecvq_design(X, lam=0.05, initial_size=16, rho_max=RHO, seed=0,
+                       **kwargs)
+    h = hashlib.sha256(codebook_bytes(book))
+    h.update(repr(book.training_lagrangians).encode())
+    assert h.hexdigest() == sha
+    assert (len(calls), len(book.training_lagrangians)) == (steps, iters)
+    assert book.training_lagrangians[8] == book.training_lagrangians[7]
+
+
 def _reference_centroid_step(X, C, assign, rho, dirty):
     """The centroid step before the width-class sort: every dirty cell, one
     size at a time, through np.mean's and np.median's own reductions."""
@@ -510,6 +556,8 @@ def test_centroid_step_matches_per_size_reference(kind):
         X, C, assign, rho, dirty = _step_case(rng, kind)
         C_ref = C.copy()
         moved_ref = _reference_centroid_step(X, C_ref, assign, rho, dirty.copy())
-        moved = ecvq._centroid_step(X, C, assign, rho, dirty.copy())
+        moved = ecvq._centroid_step(X, C, assign,
+                                    np.bincount(assign, minlength=C.shape[0]),
+                                    rho, dirty.copy())
         assert np.array_equal(moved, moved_ref)
         assert C.tobytes() == C_ref.tobytes()

@@ -199,9 +199,9 @@ class TestExperiments:
                                         run_identification_experiment])
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_raises(self, tmp_path, runner, threads):
-        # the thread pool refuses fewer than one worker, before any trial runs
+        # the runner refuses fewer than one thread, before any trial runs
         out = tmp_path / "o.csv"
-        with pytest.raises(ValueError, match="max_workers"):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
             runner(build_config(tiny_raw(n_grid=[4], trials=1)), str(out),
                    threads=threads)
         assert not out.exists()

@@ -80,6 +80,16 @@ class TestMembership:
         assert F[0, 1] == 0.0 and F[1, 0] == 0.0
         assert calls == [1, 1]
 
+    @pytest.mark.parametrize("B", [200, 1500, 80_000])
+    def test_counts_equal_count_nonzero(self, B):
+        # the tables count in uint8, uint16 and uint32; the blocks lie mostly
+        # below the crossing at 1/2, so that from B = 1500 on one count
+        # overflows the next narrower type
+        X = rng_for(3, B).normal(-1.0, 1.0, size=(B, 1))
+        F = membership(GAUSS, PAIR, X)
+        assert F.tobytes() == exact_membership(GAUSS, PAIR, X).tobytes()
+        assert B < 256 or F[0, 1] * B > np.iinfo(np.uint8 if B < 65536 else np.uint16).max
+
     def test_order_exact_on_corpus(self):
         # the tables from the block sums equal the exact stack bit for bit:
         # scales far apart, mirrored (+-m, s) pairs on blocks summing to
