@@ -385,8 +385,10 @@ def ecvq_design(training, lam: float, initial_size: int, rho_max: float,
     restarts > 1, Lloyd runs from several seeded initializations and the
     book with the lowest training Lagrangian wins (deterministic in seed).
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not lam >= 0:                # NaN too
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if initial_size < 1:
         raise ValueError("initial_size must be >= 1")
     if restarts < 1:

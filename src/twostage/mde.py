@@ -9,7 +9,8 @@ block length one cached stack of C tables, one per candidate's own blocks,
 built in one workspace.  Membership needs only the order of the candidates'
 log-densities on each block, which a family may supply from cheaper values
 with an error bound; blocks the bound cannot settle fall back to the exact
-kernel.
+kernel.  A settled block has no ties, so there each unordered pair of
+candidates is compared once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SourceFamily
+from .models import SourceFamily, gaussian_bound_coefficients
 from .rand import TAG_PROB, rng_for
 
 
@@ -56,7 +57,9 @@ MODEL_FREQ_CACHE_BOUND = 8
 
 
 def clear_probability_cache() -> None:
+    """Empty the model-table stacks and the Gaussian bound coefficients."""
     _model_tables.cache_clear()
+    gaussian_bound_coefficients.cache_clear()
 
 
 def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
@@ -68,10 +71,15 @@ def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
     where the family's bound cannot separate two neighbours (the smallest
     gap is not above twice the bound, which NaN fails too), the block is
     scored again with the exact ``log_density_batch``, so the tables equal
-    those of the exact log-densities, ties included."""
+    those of the exact log-densities, ties included.  A block the bound
+    settles has no ties, so each pair a < b is compared once and b beats a
+    on the rest of the blocks, less the rescored ones where neither beats
+    the other (a tie, or -inf against -inf)."""
     C = len(candidates)
+    ia, ib = np.triu_indices(C, 1)
+    rows = np.cumsum([0, *range(C - 1, 0, -1)])   # the pairs (a, b > a) of a
     srt, gap = np.empty((C, B)), np.empty((C - 1, B))
-    beats = np.empty((C, C, B), dtype=bool)
+    beats = np.empty((len(ia), B), dtype=bool)
     count = np.min_scalar_type(B)    # the narrowest unsigned type to hold B
     out = []
     for X in block_sets:
@@ -80,11 +88,18 @@ def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
         srt.sort(axis=0)
         np.subtract(srt[1:], srt[:-1], out=gap)
         redo = ~(gap.min(axis=0) > 2.0 * bound)
+        neither = 0
         if redo.any():
-            vals[:, redo] = np.stack([family.log_density_batch(np.asarray(t), X[redo])
-                                      for t in candidates.thetas])
-        np.greater(vals[:, None, :], vals[None, :, :], out=beats)
-        out.append(beats.view(np.uint8).sum(axis=2, dtype=count) / B)
+            vals[:, redo] = ex = np.stack([family.log_density_batch(np.asarray(t), X[redo])
+                                           for t in candidates.thetas])
+            wins = np.count_nonzero(ex[:, None, :] > ex[None, :, :], axis=2)
+            neither = (ex.shape[1] - wins - wins.T)[ia, ib]
+        for a in range(C - 1):
+            np.greater(vals[a], vals[a + 1:], out=beats[rows[a]:rows[a + 1]])
+        table = np.zeros((C, C), dtype=np.intp)
+        table[ia, ib] = beats.view(np.uint8).sum(axis=1, dtype=count)
+        table[ib, ia] = B - table[ia, ib] - neither
+        out.append(table / B)
     return np.stack(out)
 
 

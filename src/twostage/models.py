@@ -19,6 +19,7 @@ Gaussian i.i.d. path never loads it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,40 +126,29 @@ class GaussianIID(SourceFamily):
 
     def sample_paths(self, theta, n, count, rng):
         m, s = self.validate(theta)
-        return m + s * rng.standard_normal((count, n))
+        x = rng.standard_normal((count, n))
+        x *= s
+        x += m
+        return x
 
     def log_density_batch(self, theta, blocks):
         m, s = self.validate(theta)
         x = np.atleast_2d(np.asarray(blocks, dtype=float))
-        n = x.shape[1]
-        z = (x - m) / s
-        return -0.5 * np.sum(z * z, axis=1) - n * (0.5 * LOG_2PI + np.log(s))
+        z = x - m
+        z /= s
+        z *= z
+        return -0.5 * np.add.reduce(z, axis=1) - x.shape[1] * (0.5 * LOG_2PI + np.log(s))
 
     def log_density_bounds(self, thetas, blocks):
         """All candidates at once from the block sums S1 = sum x,
-        S2 = sum x^2 and A1 = sum |x|: the values are
-        -0.5 S2 / s^2 + (m / s^2) S1 + (-0.5 n m^2 / s^2 - K), with K the
-        float ``log_density_batch`` subtracts."""
-        ms = np.array(thetas, dtype=float)
-        if ms.shape[1:] != (2,) or not np.all(np.isfinite(ms)) \
-                or np.any(ms[:, 1] <= 0):
-            for t in thetas:
-                self.validate(t)            # raises with the reason
+        S2 = sum x^2 and A1 = sum |x|, against the cached coefficients of
+        ``gaussian_bound_coefficients``."""
         x = np.atleast_2d(np.asarray(blocks, dtype=float))
         B, n = x.shape
+        coef = gaussian_bound_coefficients(tuple(map(tuple, thetas)), n)
         ones = np.ones(n)
-        S1, S2, A1 = x @ ones, (x * x) @ ones, np.abs(x) @ ones
-        m, s2 = ms[:, 0], ms[:, 1] * ms[:, 1]
-        K = np.array([n * (0.5 * LOG_2PI + np.log(s)) for s in ms[:, 1]])
-        nm2 = n * m * m / s2
-        # one product against the rows [S2, S1, A1, 1]: the first C rows are
-        # the values, the last C the scales M_a + |K_a| of the bound below
-        C = len(ms)
-        coef = np.zeros((2 * C, 4))
-        coef[:C, 0], coef[:C, 1], coef[:C, 3] = -0.5 / s2, m / s2, -0.5 * nm2 - K
-        coef[C:, 0], coef[C:, 2], coef[C:, 3] = 1.0 / s2, 2.0 * np.abs(m) / s2, nm2 + np.abs(K)
-        out = coef @ np.stack((S2, S1, A1, np.ones(B)))
-        # Error bound, u = 2^-53, v the real value -Q - K with
+        out = coef @ np.stack(((x * x) @ ones, x @ ones, np.abs(x) @ ones, np.ones(B)))
+        # Error bound, u = 2^-53, v the real value -Q - K of candidate a with
         # Q = sum (x_i - m)^2 / (2 s^2) and M = (S2 + 2|m| A1 + n m^2) / s^2,
         # so that Q <= M / 2:
         # * log_density_batch: each ((x_i - m) / s)^2 is within 5u of its real
@@ -169,14 +159,15 @@ class GaussianIID(SourceFamily):
         #   n u S2 (any order, so BLAS may sum); the coefficients carry a
         #   few u of their own terms; the 4-term product rounds at most 3
         #   times: within (n/2+5)u M + 4u|K| of v.
-        # Together under (n+10)u (M + |K|); the factor 8 covers second-order
-        # terms, the rounded sums and products inside the scale and the
-        # rounding of this bound.  Flooring the scale at the smallest normal
+        # Together under (n+10)u (M + |K|), which the scale row bounds for
+        # every candidate; the factor 8 covers second-order terms, the rounded
+        # sums, coefficients and products inside the scale and the rounding
+        # of this bound.  Flooring the scale at the smallest normal
         # float covers the absolute errors of underflowing products (under
         # 3n+10 of them, each at most 2^-1075).  Overflow gives inf or NaN,
         # which no ordering test passes.
-        scale = np.maximum(np.max(out[C:], axis=0), np.finfo(float).tiny)
-        return out[:C], 8.0 * (n + 10) * 2.0 ** -53 * scale
+        scale = np.maximum(out[-1], np.finfo(float).tiny)
+        return out[:-1], 8.0 * (n + 10) * 2.0 ** -53 * scale
 
     def prior_draw(self, rng, prior=None):
         m_loc, m_scale, loc, scale = self._prior_values(
@@ -192,6 +183,27 @@ class GaussianIID(SourceFamily):
         m = rng.normal(m_loc, m_scale)
         s = float(np.exp(rng.normal(loc, scale)))
         return np.array([m, s])
+
+
+# one entry per (candidate tuple, block length): a run needs one per length
+@functools.lru_cache(maxsize=16)
+def gaussian_bound_coefficients(thetas: tuple, n: int) -> np.ndarray:
+    """Read-only (C + 1, 4) coefficients of ``GaussianIID.log_density_bounds``
+    on the rows [S2, S1, A1, 1]: row a < C gives candidate a's value
+    -0.5 S2 / s^2 + (m / s^2) S1 + (-0.5 n m^2 / s^2 - K), K the float
+    ``log_density_batch`` subtracts; row C, the bound's scale, the largest
+    coefficient of each term of (S2 + 2|m| A1 + n m^2) / s^2 + |K|."""
+    for t in thetas:
+        GaussianIID().validate(t)
+    ms = np.array(thetas, dtype=float)
+    m, s2 = ms[:, 0], ms[:, 1] * ms[:, 1]
+    K = np.array([n * (0.5 * LOG_2PI + np.log(s)) for s in ms[:, 1]])
+    nm2 = n * m * m / s2
+    coef = np.zeros((len(ms) + 1, 4))
+    coef[:-1, 0], coef[:-1, 1], coef[:-1, 3] = -0.5 / s2, m / s2, -0.5 * nm2 - K
+    coef[-1] = np.max(1.0 / s2), 0.0, np.max(2.0 * np.abs(m) / s2), np.max(nm2 + np.abs(K))
+    coef.flags.writeable = False
+    return coef
 
 
 class GaussianAR(SourceFamily):

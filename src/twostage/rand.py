@@ -31,4 +31,4 @@ def derive_seed(seed: int, *path: int) -> int:
     """A well-separated 63-bit child seed for the same (seed, path) key."""
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
                                 spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1))
+    return int(ss.generate_state(1, np.uint64)[0]) >> 1

@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from twostage.distances import DistanceEstimate, variational_mc
-from twostage.models import GaussianAR, GaussianIID
-from twostage.rand import rng_for
+from twostage.models import GaussianAR, GaussianIID, InvalidParameterError
+from twostage.rand import TAG_DISTANCE, rng_for
 
 GAUSS = GaussianIID()
 
@@ -57,6 +57,51 @@ class TestMonteCarlo:
         ar = GaussianAR(p=1)
         est = variational_mc(ar, [-0.5], [-0.3], 6, 20_000, seed=7)
         assert 0.0 < est.value < 2.0
+
+
+    @pytest.mark.parametrize("theta,theta_prime", [
+        ((0.0, -1.0), (0.0, -1.0)), ((0.0, -1.0), (0.0, 1.0)),
+        ((0.0, 1.0), (0.0, -1.0)), ((0.0, 1.0), (np.nan, 1.0))])
+    def test_invalid_theta_raises(self, theta, theta_prime):
+        with pytest.raises(InvalidParameterError):
+            variational_mc(GAUSS, theta, theta_prime, 3, 50, seed=8)
+
+
+def reference_estimate(family, theta, theta_prime, n, num_samples, seed):
+    """(value, standard error) as np.mean and np.std(ddof=1) / sqrt(N) of the
+    one-sided statistic, formed out of place."""
+    x = family.sample_paths(theta, n, num_samples, rng_for(seed, TAG_DISTANCE))
+    log_ratio = family.log_density_batch(theta_prime, x) - family.log_density_batch(theta, x)
+    stat = 2.0 * np.maximum(0.0, -np.expm1(np.minimum(log_ratio, 0.0)))
+    se = float(np.std(stat, ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0
+    return min(float(np.mean(stat)), 2.0), se
+
+
+def test_estimate_equals_reference_bit_for_bit():
+    # n from 1 to 40, sample counts from one (no standard error) to odd
+    # ones, and pairs from a 1e-3 nudge (a ratio near 1) to far apart (a
+    # statistic near 2 on most samples); a few AR(2) pairs besides
+    rng = rng_for(2028, 0)
+    ar = GaussianAR(p=2)
+    cases = 0
+    for N in (1, 2, 400, 1000, 1199):
+        for n in (1, 2, 3, 7, 16, 29, 40):
+            m, s = rng.normal(0.0, 2.0), math.exp(rng.normal(0.0, 0.5))
+            for shift in (1e-3, 0.1, 5.0):
+                theta = (m, s)
+                theta_prime = (m + shift * rng.normal(), s * math.exp(shift * rng.normal()))
+                seed = int(rng.integers(2**31))
+                got = variational_mc(GAUSS, theta, theta_prime, n, N, seed)
+                want = reference_estimate(GAUSS, theta, theta_prime, n, N, seed)
+                assert (got.value.hex(), got.standard_error.hex()) == \
+                    (want[0].hex(), want[1].hex()), (N, n, shift)
+                cases += 1
+        a, b = rng.uniform(-0.4, 0.4, (2, 2))
+        seed = int(rng.integers(2**31))
+        got = variational_mc(ar, a, b, 5, N, seed)
+        want = reference_estimate(ar, a, b, 5, N, seed)
+        assert (got.value.hex(), got.standard_error.hex()) == (want[0].hex(), want[1].hex())
+    assert cases == 105
 
 
 class TestKL:

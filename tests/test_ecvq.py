@@ -109,6 +109,15 @@ class TestDesign:
         with pytest.raises(ValueError, match="non-finite"):
             ecvq_design(X, lam=0.5, initial_size=4, rho_max=RHO, seed=0)
 
+    @pytest.mark.parametrize("lam,max_iter,name", [
+        (0.5, 0, "max_iter"), (0.5, -3, "max_iter"),
+        (float("nan"), 200, "lam"), (-0.5, 200, "lam")])
+    def test_bad_arguments_rejected_by_name(self, lam, max_iter, name):
+        # a NaN lambda fails no lam < 0 test
+        X = GAUSS.sample_paths((0.0, 1.0), 4, 64, rng_for(31, 0))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ecvq_design(X, lam, 8, RHO, 0, max_iter=max_iter)
+
 
 class TestEncode:
     def _toy_book(self):

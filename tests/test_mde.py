@@ -80,6 +80,28 @@ class TestMembership:
         assert F[0, 1] == 0.0 and F[1, 0] == 0.0
         assert calls == [1, 1]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_ties_and_minus_inf_equal_exact_tables(self):
+        # each pair is compared once on the blocks the bound settles; here
+        # N(0,1) and N(1,1) tie on blocks summing to 1, and on blocks of
+        # +-1e200 every candidate but the wide one scores -inf (the squares
+        # overflow), so no two of them beat each other there
+        cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0), (3.0, 2.0),
+                                           (0.0, 1e100)])
+        X = rng_for(4, 0).normal(size=(400, 2))
+        X[:80] = [0.25, 0.75]
+        X[80:140] = 1e200
+        X[140:170] = [-1e200, 1e200]
+        L = exact_logdens(GAUSS, cands, X)
+        assert np.count_nonzero(L[0] == L[1]) >= 170
+        assert np.all(np.isneginf(L[:3, 80:170])) and np.all(np.isfinite(L[3]))
+        for Xb in (X, X[:170], X[50:300:3], X[160:170]):
+            F = membership(GAUSS, cands, Xb)
+            assert F.tobytes() == exact_membership(GAUSS, cands, Xb).tobytes()
+        # the last set holds -inf blocks only
+        assert F[0, 1] == F[1, 0] == F[0, 2] == 0.0 and F[3, 0] == 1.0
+
     @pytest.mark.parametrize("B", [200, 1500, 80_000])
     def test_counts_equal_count_nonzero(self, B):
         # the tables count in uint8, uint16 and uint32; the blocks lie mostly

@@ -159,9 +159,12 @@ class TestHiddenMarkov:
 
 
 # SHA-256 of log_density_batch over the seeded corpus below, recorded with
-# the per-candidate kernels (SciPy's logsumexp for the HMM forward pass); an
-# all-candidate AR or HMM kernel must keep these bits.
+# the per-candidate kernels (SciPy's logsumexp for the HMM forward pass, the
+# out-of-place (x - m) / s for the Gaussian); an all-candidate AR or HMM
+# kernel, or a Gaussian one with fewer temporaries, must keep these bits.
 DENSITY_CORPUS = [
+    ("gaussian-iid", GaussianIID(), 80,
+     "55d2124f7e53667021ebc6b35f7e2df10cfea2d511e1bf28977dd7b7edfdf236"),
     ("ar2", GaussianAR(p=2), 81,
      "70c973b97d7d2be2d1677692422f8016e8904869a943a70bd0ed2a2369e69a83"),
     ("hmm2", HiddenMarkov(M=2, a0=0.02, emission_means=[-1.0, 2.0],
