@@ -19,16 +19,17 @@ After convergence the lengths are rounded to an integer prefix code by the
 canonical-Kraft procedure, and the normalized-length cap 2*rho_max/lambda is
 enforced constructively.
 
-Every nearest-codeword decision (the design's assignments, its trim and final
-Lagrangian, ``lagrangian_eval`` and ``ecvq_encode``) goes through
-``_choose``: a float32 screen of every (codevector, block) distortion,
-computed one letter at a time, certifies per block that its smallest cost
-beats every other by more than twice a rounding bound; the other blocks are
-decided by the exact float64 matrix.  ``_nearest`` adds the exact distortion
-at the chosen codeword only.  So the choices and values are those of
-``pairwise_distortion`` and ``np.argmin``, bit for bit.  Vector letters are
-screened by the exact matrix itself, and a call with too few (block,
-codevector) pairs to pay for the screen, such as one block, skips it.
+Every distortion is formed by one kernel, ``_rho``: the letter costs
+min(base distance, rho_max).  Every nearest-codeword decision over many
+blocks (the design's assignments, its trim and final Lagrangian, and
+``lagrangian_eval``) goes through ``_choose``: a float32 screen of every
+(codevector, block) distortion, computed one letter at a time and kept by
+the caller, certifies per block that its smallest cost beats every other by
+more than twice a rounding bound; the other blocks are decided by the exact
+float64 matrix.  So the choices are those of ``pairwise_distortion`` and
+``np.argmin``, bit for bit, and ``_rho_at`` gives the distortions there.
+Vector letters are screened by the exact matrix itself.  ``ecvq_encode``
+codes one block, where no screen pays, by the exact argmin.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ class LagrangianReport:
 _CHUNK_ELEMS = 1 << 16   # 512 KiB of float64 per broadcast chunk
 
 
+def _rho(diff: np.ndarray, rho_max, vector: bool) -> np.ndarray:
+    """The letter costs min(base distance, rho_max) of diff = x - c: |diff|
+    on R, in place on diff; the Euclidean norm over the last axis on R^d."""
+    d = np.linalg.norm(diff, axis=-1) if vector else np.abs(diff, out=diff)
+    return np.minimum(d, rho_max, out=d)
+
+
 def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
                         rho_max: float) -> np.ndarray:
     """The distortion between every block and every codevector, shape
@@ -76,12 +84,7 @@ def pairwise_distortion(blocks: np.ndarray, codevectors: np.ndarray,
     for lo in range(0, T, step):
         hi = min(T, lo + step)
         d = np.subtract(X[lo:hi, None, ...], C[None, :, ...], out=buf[:hi - lo])
-        if X.ndim == 2:
-            np.abs(d, out=d)
-        else:
-            d = np.linalg.norm(d, axis=-1)
-        np.minimum(d, rho_max, out=d)
-        np.add.reduce(d, axis=-1, out=out[lo:hi])
+        np.add.reduce(_rho(d, rho_max, X.ndim == 3), axis=-1, out=out[lo:hi])
     out /= n    # the mean over letters, as np.mean divides its sum
     return out
 
@@ -112,9 +115,7 @@ def _screen(letters, C: np.ndarray, rho_max: float) -> np.ndarray:
         buf = np.empty_like(acc)
         for j in range(n):
             d = buf if j else acc
-            np.subtract(L[j], C32[:, j, None], out=d)
-            np.abs(d, out=d)
-            np.minimum(d, rho, out=d)
+            _rho(np.subtract(L[j], C32[:, j, None], out=d), rho, False)
             if j:
                 np.add(acc, d, out=acc)
         acc /= np.float32(n)
@@ -125,10 +126,7 @@ def _rho_at(X: np.ndarray, C: np.ndarray, rho_max: float) -> np.ndarray:
     """The distortion of each block against its own row of C, shape (T,),
     with the per-element steps of ``pairwise_distortion`` (so equal to its
     entries)."""
-    d = X - C
-    d = np.abs(d, out=d) if X.ndim == 2 else np.linalg.norm(d, axis=-1)
-    np.minimum(d, rho_max, out=d)
-    return np.add.reduce(d, axis=-1) / X.shape[1]
+    return np.add.reduce(_rho(X - C, rho_max, X.ndim == 3), axis=-1) / X.shape[1]
 
 
 def _bound(letters, C: np.ndarray, ell: np.ndarray, rho_max: float):
@@ -155,7 +153,7 @@ def _bound(letters, C: np.ndarray, ell: np.ndarray, rho_max: float):
     #   (n+2) 2^-53 (rho + |ell|) + 2^-1074 < u(rho + |ell|).
     # Together under u((n+5) rho~ + xmax + cmax + 3 ellmax) + 3 eta for n
     # below 2^20; doubling covers second-order terms and the rounding of the
-    # float32 scale below and of the threshold in _nearest.  The scale is inf
+    # float32 scale below and of the threshold in _choose.  The scale is inf
     # or NaN when a cast overflowed or ell is NaN, and no block passes
     # against it; when it is finite, every screened cost is finite.
     n = L.shape[0]
@@ -166,26 +164,14 @@ def _bound(letters, C: np.ndarray, ell: np.ndarray, rho_max: float):
     return 2.0 ** -23 * scale.astype(float) + 2.0 ** -146 if n < 1 << 20 else np.inf
 
 
-# below this many (block, codevector) pairs a screen's per-letter loop costs
-# more than the exact matrix it would spare: one block against 64 codevectors
-# of 32 letters is 0.02 ms exact and 0.16 ms screened
-_SCREEN_MIN_PAIRS = 4096
-
-
 def _choose(X: np.ndarray, C: np.ndarray, ell: np.ndarray, rho_max: float,
-            letters=None, D=None) -> np.ndarray:
+            letters, D) -> np.ndarray:
     """np.argmin(pairwise_distortion(X, C, rho_max) + ell, axis=1), ties to
-    the first index, bit for bit.  ``letters`` and ``D`` are ``_letters(X)``
-    and its screen of C, when the caller keeps them."""
+    the first index, bit for bit, given ``letters = _letters(X)`` and its
+    screen ``D = _screen(letters, C, rho_max)``, which it only reads."""
     K = C.shape[0]
-    if D is None and X.shape[0] * K < _SCREEN_MIN_PAIRS:
-        return np.argmin(pairwise_distortion(X, C, rho_max) + ell, axis=1)
-    own = D is None
-    letters = _letters(X) if letters is None else letters
-    D = _screen(letters, C, rho_max) if own else D
     with np.errstate(over="ignore", invalid="ignore"):
-        # the costs, in place of the screen when it is this call's own
-        cost = np.add(D, ell.astype(D.dtype)[:, None], out=D if own else None)
+        cost = D + ell.astype(D.dtype)[:, None]
         # a block is certified when one cost alone lies within twice the
         # bound of its smallest (the threshold rounded up); a NaN threshold
         # takes none, an infinite one all.  near: 1 there, 0 elsewhere, in
@@ -200,14 +186,6 @@ def _choose(X: np.ndarray, C: np.ndarray, ell: np.ndarray, rho_max: float,
         exact = pairwise_distortion(X[redo], C, rho_max) + ell
         idx[redo] = np.argmin(exact, axis=1)
     return idx
-
-
-def _nearest(X: np.ndarray, C: np.ndarray, ell: np.ndarray,
-             rho_max: float, letters=None, D=None):
-    """(idx, d): ``_choose``'s idx and the distortions there, bit for bit
-    the entries of ``pairwise_distortion``."""
-    idx = _choose(X, C, ell, rho_max, letters, D)
-    return idx, _rho_at(X, C[idx], rho_max)
 
 
 def canonical_code(lengths) -> list[BitString]:
@@ -284,19 +262,15 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
     by exactly its own reductions.  A clean cell (same members and
     codevector) maps to its codevector again.
     """
-    def letter_dist(diff):     # in place on diff for scalar letters
-        return np.abs(diff, out=diff) if X.ndim == 2 else np.linalg.norm(diff, axis=-1)
-
-    K, n = C.shape[0], X.shape[1]
+    K, n, vector = C.shape[0], X.shape[1], X.ndim == 3
     mine = np.flatnonzero(dirty[assign])
     # a stable sort by cell; a narrow key sorts by radix
     rows = mine[assign[mine].astype(np.min_scalar_type(K)).argsort(kind="stable")]
     Xs, cell_of = X[rows], assign[rows]   # dirty cells contiguous, rows in order
-    cost_old = letter_dist(Xs - C[cell_of])
+    cost_old = _rho(Xs - C[cell_of], rho_max, vector)
     clipped = np.zeros(K, dtype=bool)
-    if X.ndim == 2:
+    if not vector:      # min(d, rho_max) >= rho_max exactly where d >= rho_max
         clipped[cell_of[(cost_old >= rho_max).any(axis=1)]] = True
-    np.minimum(cost_old, rho_max, out=cost_old)
     span = np.where(dirty, sizes, 0)
     starts = span.cumsum() - span
     moved = np.zeros(K, dtype=bool)
@@ -321,8 +295,8 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
             lo = hi
         lo, hi = buf[base + (cnt - 1) // 2], buf[base + cnt // 2]
         cand = np.where((cnt % 2 == 1)[:, None], lo, (lo + hi) / 2)   # np.median's
-        new = np.abs(np.subtract(xf, cand[k], out=xf), out=xf)   # in place: a
-        np.minimum(new, rho_max, out=new)                        # smaller peak RSS
+        # in place on xf: a smaller peak RSS
+        new = _rho(np.subtract(xf, cand[k], out=xf), rho_max, False)
         seg = (cnt.cumsum() - cnt) * n             # each cell's terms, in turn
         s_new, s_old = (np.add.reduceat(c.ravel(), seg) for c in (new, cost_old[fr]))
         # keep is s_new/m <= s_old/m on the exact path's sums of these m
@@ -349,7 +323,7 @@ def _centroid_step(X: np.ndarray, C: np.ndarray, assign: np.ndarray,
             lo, hi = (size - 1) // 2, size // 2
             part = np.partition(G[med], (lo, hi), axis=1)
             cand[med] = np.add.reduce(part[:, lo:hi + 1], axis=1) / (hi - lo + 1)
-        new = np.minimum(letter_dist(G - cand[:, None]), rho_max)
+        new = _rho(G - cand[:, None], rho_max, vector)
         m = new[0].size
         keep = (np.add.reduce(new.reshape(len(cells), m), axis=1) / m
                 <= np.add.reduce(cost_old[at].reshape(len(cells), m), axis=1) / m)
@@ -393,6 +367,8 @@ def ecvq_design(training, lam: float, initial_size: int, rho_max: float,
         raise ValueError("initial_size must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not 0 < rho_max < np.inf:     # NaN fails too
+        raise ValueError(f"rho_max must be finite and > 0, got {rho_max}")
     X = np.asarray(training, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("training set is empty")
@@ -489,8 +465,8 @@ def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,
     book = Codebook(n=n, codevectors=C, lengths=int_lengths, lam=lam,
                     rho_max=rho_max, training_lagrangians=tuple(history))
     ell = lam * int_lengths / n
-    idx, d = _nearest(X, C, ell, rho_max, letters, dist)
-    J = float(np.mean(d + ell[idx]))
+    idx = _choose(X, C, ell, rho_max, letters, dist)
+    J = float(np.mean(_rho_at(X, C[idx], rho_max) + ell[idx]))
     return book, J
 
 
@@ -501,7 +477,8 @@ def ecvq_encode(book: Codebook, x) -> tuple[int, BitString]:
     if xa.shape[0] != book.n:
         raise ValueError(f"block length {xa.shape[0]} != codebook n {book.n}")
     ell = book.lam * np.asarray(book.lengths) / book.n
-    idx = int(_choose(xa[None, ...], book.codevectors, ell, book.rho_max)[0])
+    idx = int(np.argmin(pairwise_distortion(xa[None], book.codevectors,
+                                            book.rho_max)[0] + ell))
     return idx, book.codes[idx]
 
 
@@ -527,8 +504,10 @@ def lagrangian_eval(book: Codebook, family: SourceFamily, theta,
     family.validate(theta)
     rng = rng_for(seed, TAG_EVAL)
     X = family.sample_paths(theta, book.n, num_blocks, rng)
-    ell = book.lam * np.asarray(book.lengths) / book.n
-    idx, d_vals = _nearest(X, book.codevectors, ell, book.rho_max)
+    C, ell = book.codevectors, book.lam * np.asarray(book.lengths) / book.n
+    letters = _letters(X)
+    idx = _choose(X, C, ell, book.rho_max, letters, _screen(letters, C, book.rho_max))
+    d_vals = _rho_at(X, C[idx], book.rho_max)
     r_vals = np.asarray(book.lengths)[idx] / book.n
     d_se = float(np.std(d_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0
     r_se = float(np.std(r_vals, ddof=1) / np.sqrt(num_blocks)) if num_blocks > 1 else 0.0

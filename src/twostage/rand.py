@@ -20,15 +20,16 @@ TAG_TRIAL = 7
 TAG_MDE = 8
 
 
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
+                                  spawn_key=tuple(int(p) for p in path))
+
+
 def rng_for(seed: int, *path: int) -> np.random.Generator:
     """Deterministic generator for a (seed, path) key, random-access safe."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
-                                spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """A well-separated 63-bit child seed for the same (seed, path) key."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
-                                spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0]) >> 1
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0]) >> 1

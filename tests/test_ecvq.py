@@ -109,14 +109,19 @@ class TestDesign:
         with pytest.raises(ValueError, match="non-finite"):
             ecvq_design(X, lam=0.5, initial_size=4, rho_max=RHO, seed=0)
 
-    @pytest.mark.parametrize("lam,max_iter,name", [
-        (0.5, 0, "max_iter"), (0.5, -3, "max_iter"),
-        (float("nan"), 200, "lam"), (-0.5, 200, "lam")])
-    def test_bad_arguments_rejected_by_name(self, lam, max_iter, name):
-        # a NaN lambda fails no lam < 0 test
+    @pytest.mark.parametrize("lam,max_iter,rho,name", [
+        pytest.param(0.5, 0, RHO, "max_iter", id="0.5-0-max_iter"),
+        pytest.param(0.5, -3, RHO, "max_iter", id="0.5--3-max_iter"),
+        pytest.param(float("nan"), 200, RHO, "lam", id="nan-200-lam"),
+        pytest.param(-0.5, 200, RHO, "lam", id="-0.5-200-lam"),
+        *(pytest.param(0.5, 200, rho, "rho_max", id=f"{rho}-rho_max")
+          for rho in (-1.0, 0.0, float("nan"), float("inf")))])
+    def test_bad_arguments_rejected_by_name(self, lam, max_iter, rho, name):
+        # a NaN lambda fails no lam < 0 test; a bad rho_max is refused before
+        # any Lloyd work
         X = GAUSS.sample_paths((0.0, 1.0), 4, 64, rng_for(31, 0))
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            ecvq_design(X, lam, 8, RHO, 0, max_iter=max_iter)
+            ecvq_design(X, lam, 8, rho, 0, max_iter=max_iter)
 
 
 class TestEncode:
@@ -237,18 +242,18 @@ def _nearest_cases():
 
 class TestNearest:
     def test_screened_choice_is_exact_argmin_on_corpus(self):
-        # every decision, by the default path and with the screen forced,
-        # equals the dense float64 argmin; the corpus must hold blocks on
-        # which the screen alone picks another codevector, and exact ties
+        # every decision equals the dense float64 argmin and leaves the kept
+        # screen as it was; the corpus must hold blocks on which the screen
+        # alone picks another codevector, and exact ties
         flips = ties = 0
         for X, C, ell, rho in _nearest_cases():
             exact = pairwise_distortion(X, C, rho) + ell
             want = np.argmin(exact, axis=1)
             letters = ecvq._letters(X)
             D = ecvq._screen(letters, C, rho)
-            assert np.array_equal(ecvq._nearest(X, C, ell, rho)[0], want)
-            assert np.array_equal(
-                ecvq._nearest(X, C, ell, rho, letters, D)[0], want)
+            kept = D.copy()
+            assert np.array_equal(ecvq._choose(X, C, ell, rho, letters, D), want)
+            assert D.tobytes() == kept.tobytes()
             with np.errstate(invalid="ignore"):
                 cost = D + ell.astype(D.dtype)[:, None]
                 unique = np.sum(cost == np.min(cost, axis=0), axis=0) == 1
@@ -256,17 +261,6 @@ class TestNearest:
             ties += np.sum(np.sum(exact == np.min(exact, axis=1)[:, None],
                                   axis=1) > 1)
         assert flips >= 50 and ties >= 50
-
-    def test_choice_alone_equals_nearest_choice(self):
-        # with and without a kept screen, which the choice only reads
-        for X, C, ell, rho in _nearest_cases():
-            want = ecvq._nearest(X, C, ell, rho)[0]
-            assert np.array_equal(ecvq._choose(X, C, ell, rho), want)
-            letters = ecvq._letters(X)
-            D = ecvq._screen(letters, C, rho)
-            kept = D.copy()
-            assert np.array_equal(ecvq._choose(X, C, ell, rho, letters, D), want)
-            assert D.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("base", ["absolute-difference", "euclidean"])
     @pytest.mark.parametrize("n", [1, 5, 7, 8, 13, 32])
@@ -277,27 +271,33 @@ class TestNearest:
         X = rng.normal(size=(T,) + shape)
         C = rng.normal(size=(24,) + shape)
         ell = 0.5 * rng.integers(0, 6, 24) / n
-        idx, d = ecvq._nearest(X, C, ell, RHO)
+        letters = ecvq._letters(X)
+        idx = ecvq._choose(X, C, ell, RHO, letters, ecvq._screen(letters, C, RHO))
+        d = ecvq._rho_at(X, C[idx], RHO)
         full = pairwise_distortion(X, C, RHO)
+        assert np.array_equal(idx, np.argmin(full + ell, axis=1))
         assert d.tobytes() == full[np.arange(T), idx].tobytes()
 
 
 class TestLagrangianEval:
     def test_matches_encode_then_measure(self):
-        # the encoder's choice (ecvq_encode, block by block) measured with
-        # rho_n, against the evaluator's one distortion matrix
+        # the encoder's choice (ecvq_encode, block by block, exact) measured
+        # with pairwise_distortion, against the evaluator's screened choice,
+        # on few blocks and on many
         X = GAUSS.sample_paths((0.0, 1.0), 4, 256, rng_for(31, 0))
-        book = ecvq_design(X, lam=0.5, initial_size=16, rho_max=RHO, seed=31)
-        got = lagrangian_eval(book, GAUSS, (0.0, 1.0), 700, seed=32)
-        Y = GAUSS.sample_paths((0.0, 1.0), 4, 700, rng_for(32, TAG_EVAL))
-        idx = np.array([ecvq_encode(book, y)[0] for y in Y])
-        d = pairwise_distortion(Y, book.codevectors, RHO)[np.arange(700), idx]
-        r = np.asarray(book.lengths)[idx] / book.n
-        want = LagrangianReport(
-            np.mean(d), np.mean(r), 0.5,
-            distortion_se=np.std(d, ddof=1) / np.sqrt(700),
-            rate_se=np.std(r, ddof=1) / np.sqrt(700))
-        assert got == want
+        book = ecvq_design(X, lam=0.05, initial_size=16, rho_max=RHO, seed=31)
+        assert book.size == 16
+        for T in (5, 700):
+            got = lagrangian_eval(book, GAUSS, (0.0, 1.0), T, seed=32)
+            Y = GAUSS.sample_paths((0.0, 1.0), 4, T, rng_for(32, TAG_EVAL))
+            idx = np.array([ecvq_encode(book, y)[0] for y in Y])
+            d = pairwise_distortion(Y, book.codevectors, RHO)[np.arange(T), idx]
+            r = np.asarray(book.lengths)[idx] / book.n
+            want = LagrangianReport(
+                np.mean(d), np.mean(r), 0.05,
+                distortion_se=np.std(d, ddof=1) / np.sqrt(T),
+                rate_se=np.std(r, ddof=1) / np.sqrt(T))
+            assert got == want
 
     def test_report_identity(self):
         rep = LagrangianReport(distortion=0.1, rate=0.5, lam=0.3)
