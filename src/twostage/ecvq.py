@@ -374,7 +374,7 @@ def ecvq_design(training, lam: float, initial_size: int, rho_max: float,
         raise ValueError("training set is empty")
     if not np.all(np.isfinite(X)):
         raise ValueError("training blocks contain non-finite values")
-    distinct = np.unique(X.reshape(len(X), -1), axis=0).reshape((-1,) + X.shape[1:])
+    distinct = _distinct(X)
     best = best_J = None
     for r in range(restarts):
         book, J = _design_once(X, distinct, lam, initial_size, rho_max,
@@ -382,6 +382,19 @@ def ecvq_design(training, lam: float, initial_size: int, rho_max: float,
         if best is None or J < best_J:
             best, best_J = book, J
     return best
+
+
+def _distinct(X: np.ndarray) -> np.ndarray:
+    """The distinct training blocks, in np.unique(axis=0)'s order and bytes.
+    np.unique sorts whole rows as records; when the sorted first letters
+    have no tie under float equality (so -0.0 and 0.0 tie), every row is
+    distinct and that one column's sort is already np.unique's order."""
+    flat = X.reshape(len(X), -1)
+    order = np.argsort(flat[:, 0])
+    first = flat[order, 0]
+    if np.all(first[1:] != first[:-1]):
+        return X[order]
+    return np.unique(flat, axis=0).reshape((-1,) + X.shape[1:])
 
 
 def _design_once(X: np.ndarray, distinct: np.ndarray, lam: float,

@@ -80,6 +80,13 @@ class SourceFamily:
         """Stationary paths, shape (count, n) or (count, n, d)."""
         raise NotImplementedError
 
+    def sample_chunks(self, theta, n: int, count: int,
+                      rng: np.random.Generator):
+        """Consecutive row blocks of ``sample_paths(theta, n, count, rng)``,
+        which they join into bit for bit, each drawn when asked for.  Here
+        one block: a family whose draw is not row by row keeps it whole."""
+        yield self.sample_paths(theta, n, count, rng)
+
     def log_density_batch(self, theta, blocks: np.ndarray) -> np.ndarray:
         """log p_theta^n(x^n) for each row of ``blocks``."""
         raise NotImplementedError
@@ -130,6 +137,15 @@ class GaussianIID(SourceFamily):
         x *= s
         x += m
         return x
+
+    def sample_chunks(self, theta, n, count, rng):
+        """Blocks of 50, 50, 100, 200, ... rows: the normals fill row by row,
+        so consecutive draws continue one draw's stream."""
+        done = 0
+        while done < count:
+            rows = min(max(done, 50), count - done)
+            yield self.sample_paths(theta, n, rows, rng)
+            done += rows
 
     def log_density_batch(self, theta, blocks):
         m, s = self.validate(theta)

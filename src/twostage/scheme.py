@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
-from .distances import variational_mc
+# bench/spans.py wraps variational_mc under this module's name too
+from .distances import exceeds, variational_mc  # noqa: F401
 from .ecvq import Codebook, ecvq_design, ecvq_decode_index, ecvq_encode
 from .mde import CandidateSet, mde_estimate, vc_bound
 from .models import SampleBlock, SourceFamily
@@ -179,12 +180,11 @@ def waiting_time(db: Database, theta_tilde, tol: float, n: int,
                  mc_budget: int, seed: int, i_max: int) -> int | None:
     """First database index whose estimated d_n to theta_tilde is <= tol;
     None is the +infinity marker (i_max exhausted)."""
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not tol >= 0:     # NaN fails too
+        raise ValueError(f"tolerance tol must be >= 0, got {tol}")
     for i in range(1, i_max + 1):
-        est = variational_mc(db.family, db.point(i), theta_tilde, n,
-                             mc_budget, derive_seed(seed, TAG_DISTANCE, i))
-        if est.value <= tol:
+        if not exceeds(db.family, db.point(i), theta_tilde, n, mc_budget,
+                       derive_seed(seed, TAG_DISTANCE, i), tol):
             return i
     return None
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from twostage.distances import DistanceEstimate, variational_mc
-from twostage.models import GaussianAR, GaussianIID, InvalidParameterError
+from twostage import distances
+from twostage.distances import DistanceEstimate, exceeds, variational_mc
+from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
+                             InvalidParameterError)
 from twostage.rand import TAG_DISTANCE, rng_for
 
 GAUSS = GaussianIID()
@@ -65,6 +67,8 @@ class TestMonteCarlo:
     def test_invalid_theta_raises(self, theta, theta_prime):
         with pytest.raises(InvalidParameterError):
             variational_mc(GAUSS, theta, theta_prime, 3, 50, seed=8)
+        with pytest.raises(InvalidParameterError):
+            exceeds(GAUSS, theta, theta_prime, 3, 50, seed=8, tol=0.5)
 
 
 def reference_estimate(family, theta, theta_prime, n, num_samples, seed):
@@ -102,6 +106,143 @@ def test_estimate_equals_reference_bit_for_bit():
         want = reference_estimate(ar, a, b, 5, N, seed)
         assert (got.value.hex(), got.standard_error.hex()) == (want[0].hex(), want[1].hex())
     assert cases == 105
+
+
+HMM2 = HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 2.0],
+                   emission_stds=[0.7, 1.1])
+
+
+def decision_corpus():
+    """(family, theta, theta', n, N, seed) on Gaussian i.i.d., AR(2) and
+    HMM(2) pairs, n from 1 to 33, N from 1 (no stop test) to 1000 (six
+    blocks of the i.i.d. draw), pairs from equal to far apart."""
+    rng = rng_for(2029, 0)
+    ar = GaussianAR(p=2)
+    for N in (1, 2, 50, 51, 100, 101, 400, 1000):
+        for n in (1, 2, 5, 16, 33):
+            m, s = rng.normal(0.0, 2.0), math.exp(rng.normal(0.0, 0.5))
+            for shift in (0.0, 1e-3, 0.05, 0.3, 5.0):
+                theta_prime = (m + shift * rng.normal(), s * math.exp(shift * rng.normal()))
+                yield GAUSS, (m, s), theta_prime, n, N, int(rng.integers(2**31))
+        for n in (1, 3, 8):
+            a, b = rng.uniform(-0.4, 0.4, (2, 2))
+            yield ar, a, b, n, N, int(rng.integers(2**31))
+        if N <= 400:
+            p, q = rng.uniform(0.1, 0.9, 2)
+            yield (HMM2, (p, 1 - p, 1 - q, q), (0.5, 0.5, 0.5, 0.5), 4, N,
+                   int(rng.integers(2**31)))
+
+
+def corpus_tolerances(value: float) -> list:
+    """0, the estimate and its neighbours 1 ulp away, the range's edge 2,
+    3 above it, a NaN and values either side of the estimate."""
+    return [0.0, value, math.nextafter(value, math.inf),
+            math.nextafter(value, -math.inf), 0.5 * value, 1.5 * value,
+            2.0, 3.0, math.nan]
+
+
+def test_exceeds_decides_as_the_estimate():
+    # tol at the estimate, where a prefix often runs above the mean, fails
+    # a stop test that compares the prefix mean with tol
+    decisions = stopped = 0
+    for family, theta, theta_prime, n, N, seed in decision_corpus():
+        value = variational_mc(family, theta, theta_prime, n, N, seed).value
+        for tol in corpus_tolerances(value):
+            if tol < 0:
+                continue
+            want = not value <= tol
+            assert exceeds(family, theta, theta_prime, n, N, seed, tol) is want, \
+                (family.tag, theta, theta_prime, n, N, seed, tol)
+            decisions += 1
+    assert decisions == 2028
+
+
+def test_chunked_statistic_equals_one_shot():
+    # each block's statistic, a short array through NumPy's dispatched
+    # expm1, equals its rows of the one-shot statistic bit for bit
+    rng = rng_for(2030, 0)
+    for N in (1, 51, 101, 400, 1000):
+        for n in (1, 4, 17):
+            theta = (rng.normal(), math.exp(rng.normal(0.0, 0.5)))
+            theta_prime = (theta[0] + 0.2 * rng.normal(), theta[1])
+            seed = int(rng.integers(2**31))
+            x = GAUSS.sample_paths(theta, n, N, rng_for(seed, TAG_DISTANCE))
+            whole = distances._statistic(GAUSS, theta, theta_prime, x)
+            chunks = GAUSS.sample_chunks(theta, n, N, rng_for(seed, TAG_DISTANCE))
+            got = np.concatenate([distances._statistic(GAUSS, theta, theta_prime, c)
+                                  for c in chunks])
+            assert got.tobytes() == whole.tobytes(), (N, n)
+
+
+class CountingIID(GaussianIID):
+    """Gaussian i.i.d. that counts the rows it draws."""
+
+    rows = 0
+
+    def sample_paths(self, theta, n, count, rng):
+        self.rows += count
+        return super().sample_paths(theta, n, count, rng)
+
+
+def test_exceeds_draws_only_the_deciding_rows():
+    # the prefix must prove the mean of all N rows above tol, so a far pair
+    # (a statistic of 2 on every row) stops at the first block boundary past
+    # N tol / 2 rows; tol >= 2, or a pair within tol, needs every row
+    for theta_prime, tol, rows in (((40.0, 1.0), 0.1, 50), ((40.0, 1.0), 0.5, 200),
+                                   ((40.0, 1.0), 2.0, 400),
+                                   ((0.0, 1.0 + 1e-9), 0.5, 400)):
+        family = CountingIID()
+        decided = exceeds(family, (0.0, 1.0), theta_prime, 4, 400, 3, tol)
+        assert decided is (rows < 400) and family.rows == rows
+
+
+class NaNAfter(GaussianIID):
+    """Gaussian i.i.d. whose log-density of theta' is NaN on every row from
+    row ``start`` of the blocks it is given."""
+
+    def __init__(self, theta_prime, start):
+        self.theta_prime, self.start = tuple(theta_prime), start
+
+    def log_density_batch(self, theta, blocks):
+        out = super().log_density_batch(theta, blocks)
+        if tuple(theta) == self.theta_prime:
+            out[self.start:] = np.nan
+        return out
+
+
+class TestExceedsErrors:
+    def test_nan_statistic_raises_as_the_estimate(self):
+        family = NaNAfter((0.5, 1.0), start=10)
+        with pytest.raises(ValueError, match="must lie in"):
+            variational_mc(family, (0.0, 1.0), (0.5, 1.0), 3, 400, seed=1)
+        with pytest.raises(ValueError, match="must lie in"):
+            exceeds(family, (0.0, 1.0), (0.5, 1.0), 3, 400, seed=1, tol=0.1)
+
+    def test_nan_after_deciding_prefix_counts_as_exceeded(self):
+        # the documented edge: rows past the deciding prefix are never drawn,
+        # so their NaN raises nothing, where the full estimate raises
+        theta, theta_prime = (0.0, 1.0), (40.0, 1.0)
+        seed = 2
+        with pytest.raises(ValueError):
+            variational_mc(NaNAfter(theta_prime, start=300), theta, theta_prime,
+                           3, 400, seed)
+        assert exceeds(NaNAfter(theta_prime, start=300), theta, theta_prime,
+                       3, 400, seed, tol=1.0)
+
+    @pytest.mark.parametrize("n,num_samples", [(0, 10), (3, 0), (-1, 5)])
+    def test_bad_sizes_raise_as_the_estimate(self, n, num_samples):
+        for theta_prime in ((0.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError) as want:
+                variational_mc(GAUSS, (0.0, 1.0), theta_prime, n, num_samples, 1)
+            with pytest.raises(ValueError) as got:
+                exceeds(GAUSS, (0.0, 1.0), theta_prime, n, num_samples, 1, 0.5)
+            assert str(got.value) == str(want.value)
+
+    def test_equal_thetas_validate_and_never_exceed(self):
+        assert not exceeds(GAUSS, (0.0, 1.0), (0.0, 1.0), 3, 100, 1, 0.0)
+        assert exceeds(GAUSS, (0.0, 1.0), (0.0, 1.0), 3, 100, 1, math.nan)
+        with pytest.raises(InvalidParameterError):
+            exceeds(GAUSS, (0.0, -1.0), (0.0, -1.0), 3, 100, 1, 0.5)
 
 
 class TestKL:

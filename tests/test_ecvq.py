@@ -384,6 +384,42 @@ class TestSerialization:
             assert book.decode_table is book.decode_table   # built once
 
 
+def distinct_cases():
+    """Training sets for the distinct-block step: tie-free first letters
+    (the one-column sort), and first-letter ties, duplicate rows and
+    -0.0 beside 0.0 (np.unique itself); scalar, one-letter and vector
+    letters, negative and rounded values."""
+    rng = rng_for(2031, 0)
+    for shape in ((1, 1), (2, 3), (64, 1), (64, 5), (300, 8), (40, 4, 2), (50, 1, 3)):
+        X = rng.normal(scale=3.0, size=shape)
+        yield X, True
+        yield np.round(X, 1), None             # ties or not, as rounding falls
+        if shape[0] > 1:
+            dup = X.copy()
+            dup[1:shape[0] // 2 + 1] = X[0]    # duplicate rows
+            yield dup, False
+            tied = X.copy()                     # first-letter ties, rows distinct
+            tied.reshape(len(X), -1)[1::2, 0] = tied.flat[0]
+            yield tied, False
+            signed = X.copy()                   # equal as floats, not as bytes
+            signed.reshape(len(X), -1)[:2, 0] = (0.0, -0.0)
+            yield signed, False
+            yield -X, True
+
+
+def test_distinct_blocks_as_np_unique():
+    paths = set()
+    for X, fast in distinct_cases():
+        want = np.unique(X.reshape(len(X), -1), axis=0).reshape((-1,) + X.shape[1:])
+        got = ecvq._distinct(X)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), X.shape
+        first = np.sort(X.reshape(len(X), -1)[:, 0])
+        tie_free = bool(np.all(first[1:] != first[:-1]))
+        assert fast is None or tie_free is fast
+        paths.add(tie_free)
+    assert paths == {True, False}
+
+
 # SHA-256 of the corpus below as designed by a per-cell centroid loop with
 # two distortion matrices per Lloyd iteration; the design must not move it.
 CORPUS_SHA256 = "9c61702bf7b8239e2e9a72cf62dab464f4e316376cce6ac00bdc346bdd9d23c0"

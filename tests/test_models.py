@@ -158,6 +158,51 @@ class TestHiddenMarkov:
         assert ld.shape == (3,) and np.all(np.isfinite(ld))
 
 
+class TestSampleChunks:
+    @pytest.mark.parametrize("count", [1, 49, 50, 51, 100, 101, 400, 1000])
+    def test_gaussian_chunks_join_into_one_draw(self, gauss, count):
+        # blocks of 50, 50, 100, 200, ... rows, bit for bit the one-shot
+        # draw, and scored row by row as the one-shot batch is at every
+        # block boundary
+        theta, other = (0.3, 1.7), (-0.2, 0.9)
+        for n in (1, 4, 33):
+            whole = gauss.sample_paths(theta, n, count, rng_for(5, n))
+            chunks = list(gauss.sample_chunks(theta, n, count, rng_for(5, n)))
+            sizes = [len(c) for c in chunks]
+            full = [50, 50, 100, 200, 400, 800]
+            assert sizes[:-1] == full[:len(sizes) - 1]
+            assert 1 <= sizes[-1] <= full[len(sizes) - 1] and sum(sizes) == count
+            assert np.concatenate(chunks).tobytes() == whole.tobytes()
+            for t in (theta, other):
+                batch = gauss.log_density_batch(t, whole)
+                per_chunk = [gauss.log_density_batch(t, c) for c in chunks]
+                assert np.concatenate(per_chunk).tobytes() == batch.tobytes()
+
+    def test_chunks_are_drawn_when_asked(self, gauss):
+        def position(rng):
+            state = rng.bit_generator.state
+            return tuple(state["state"]["counter"]), state["buffer_pos"]
+
+        rng = rng_for(6, 0)
+        chunks = gauss.sample_chunks((0.0, 1.0), 3, 400, rng)
+        assert position(rng) == position(rng_for(6, 0))
+        assert len(next(chunks)) == 50
+        after_first = position(rng)
+        ref = rng_for(6, 0)
+        ref.standard_normal((50, 3))
+        assert after_first == position(ref)      # nothing drawn ahead
+        next(chunks)
+        assert position(rng) != after_first
+
+    def test_ar_and_hmm_draw_one_block(self, hmm2):
+        for family, theta in ((GaussianAR(p=2), (0.3, -0.2)),
+                              (hmm2, (0.8, 0.2, 0.3, 0.7))):
+            whole = family.sample_paths(theta, 6, 400, rng_for(7, 0))
+            chunks = list(family.sample_chunks(theta, 6, 400, rng_for(7, 0)))
+            assert len(chunks) == 1
+            assert chunks[0].tobytes() == whole.tobytes()
+
+
 # SHA-256 of log_density_batch over the seeded corpus below, recorded with
 # the per-candidate kernels (SciPy's logsumexp for the HMM forward pass, the
 # out-of-place (x - m) / s for the Gaussian); an all-candidate AR or HMM

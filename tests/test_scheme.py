@@ -11,7 +11,9 @@ from scipy.stats import kstest, norm
 from conftest import bitstring, codebook_bytes
 from twostage import scheme
 from twostage.bitcode import BitString, elias_encode
+from twostage.distances import variational_mc
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
+from twostage.rand import TAG_DISTANCE, derive_seed, rng_for
 from twostage.scheme import (Database, MalformedStreamError, SchemeConfig,
                              book_index, candidate_set, clear_codebook_cache,
                              decode_block, delta_schedule, encode_block,
@@ -155,6 +157,38 @@ class TestWaitingTime:
         db = Database(family=GAUSS, seed=1)
         with pytest.raises(ValueError):
             waiting_time(db, (0.0, 1.0), -0.1, 4, 100, seed=5, i_max=5)
+
+    def test_nan_tolerance_rejected(self):
+        db = Database(family=GAUSS, seed=1)
+        with pytest.raises(ValueError, match="tol"):
+            waiting_time(db, (0.0, 1.0), math.nan, 4, 100, seed=5, i_max=5)
+
+    def test_same_waiting_time_as_full_estimates(self):
+        # the search on full estimates, probe by probe, against the one that
+        # stops each probe early: planted hits at 1, 3 and 7, prior points,
+        # and tolerances from 0 (every search exhausts i_max) to 2 (T = 1)
+        def reference(db, theta_tilde, tol, n, mc_budget, seed, i_max):
+            for i in range(1, i_max + 1):
+                est = variational_mc(db.family, db.point(i), theta_tilde, n,
+                                     mc_budget, derive_seed(seed, TAG_DISTANCE, i))
+                if est.value <= tol:
+                    return i
+            return None
+
+        rng = rng_for(31, 0)
+        results = []
+        for planted in ((), ((0.0, 1.0),), ((3.0, 9.0), (1.0, 2.0), (0.0, 1.0)),
+                        tuple((float(k), 1.0) for k in range(6, 0, -1)) + ((0.0, 1.0),)):
+            db = Database(family=GAUSS, seed=int(rng.integers(100)), planted=planted)
+            for n in (2, 4, 9):
+                theta_tilde = (0.05 * rng.normal(), math.exp(0.05 * rng.normal()))
+                for tol in (0.0, 0.1, 0.4, 1.0, 1.9, 2.0):
+                    for N in (40, 400):
+                        seed = int(rng.integers(2**31))
+                        want = reference(db, theta_tilde, tol, n, N, seed, 12)
+                        assert waiting_time(db, theta_tilde, tol, n, N, seed, 12) == want
+                        results.append(want)
+        assert None in results and 1 in results and 3 in results and 7 in results
 
 
 class TestRoundTrip:
