@@ -10,6 +10,7 @@ Exit status: 0 success, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (ConfigError, load_config, run_identification_experiment,
@@ -26,29 +27,28 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", required=True, help="output CSV path")
-        sp.add_argument("--threads", type=int, default=1)
     return p
 
 
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        parser.error("argument --out: no such directory: "
+                     + os.path.dirname(args.out))
     try:
         cfg = load_config(args.config)
         runner = (run_redundancy_experiment if args.command == "redundancy"
                   else run_identification_experiment)
-        summary = runner(cfg, args.out, threads=args.threads)
+        summary = runner(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    meds = " ".join(f"n={n}: {m:.5f}" for n, m in summary["medians"].items())
     if args.command == "redundancy":
-        meds = " ".join(f"n={n}: {m:.5f}" for n, m in summary["medians"].items())
         print(f"median redundancy per block length: {meds}")
         print(f"fitted log-log slope vs sqrt(V log n / n): {summary['slope']:.3f}")
     else:
-        meds = " ".join(f"n={n}: {m:.5f}" for n, m in summary["medians"].items())
         print(f"median identification distance per block length: {meds}")
     print(f"wrote {args.out}")
     return 0

@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,46 +131,42 @@ def build_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def _run_grid(cfg: ExperimentConfig, out_path: str, threads: int,
-              header: list[str], measure: str, trial_row,
+def _one_thread(threads) -> None:   # trials run in one loop
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
+
+
+def _run_grid(cfg: ExperimentConfig, out_path: str, header: list[str],
+              measure: str, trial_row,
               summary=lambda xs, medians: ([], {})) -> dict:
     """The grid loop of both experiments: per block length the scheme config,
-    candidates and x value; per trial (in grid order at any ``threads``) its
-    seed, code seed and scene, then ``trial_row(family, db, sc, candidates,
-    scene, seed)`` for the experiment's own columns.  The CSV holds the trial rows, the
-    median of column ``measure`` per block length and the rows of
+    candidates and x value; per trial (in grid order) its seed, code seed and
+    scene, then ``trial_row(family, db, sc, candidates, scene, seed)`` for the
+    experiment's own columns.  The CSV holds the trial rows, the median of
+    column ``measure`` per block length and the rows of
     ``summary(xs, medians)``, which also returns extra summary entries."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     family = cfg.family()
     db = cfg.database(family)
-    per_n = {}
+    per_n, xs = {}, {}
     for n in cfg.n_grid:
         sc, V = cfg.scheme_config(n), mde.vc_bound(family, n)
-        x = math.sqrt(V * math.log(n) / n)    # the redundancy rate's scale
-        per_n[n] = (sc, scheme.candidate_set(sc, db), x)
+        xs[n] = math.sqrt(V * math.log(n) / n)    # the redundancy rate's scale
+        per_n[n] = (sc, scheme.candidate_set(sc, db))
 
-    def run(job):
-        n, trial = job
-        sc, candidates, x = per_n[n]
+    def run(n, trial):
+        sc, candidates = per_n[n]
         seed = derive_seed(cfg.seed, TAG_TRIAL, n, trial)
         if cfg.per_trial_code_seed:
             # the code seed also seeds the waiting-time distance probes
             sc = dataclasses.replace(sc, code_seed=derive_seed(seed, 7))
         scene = scheme.sample_scene(family, np.asarray(cfg.theta0), sc, seed)
-        return {"kind": "trial", "n": n, "trial": trial, "x_value": x,
+        return {"kind": "trial", "n": n, "trial": trial, "x_value": xs[n],
                 "seed": seed, "tol": scheme.waiting_tolerance(sc, family),
                 **trial_row(family, db, sc, candidates, scene, seed)}
 
-    jobs = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    if threads == 1:
-        rows = [run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
+    rows = [run(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
     medians = {n: float(np.median([r[measure] for r in rows if r["n"] == n]))
                for n in cfg.n_grid}
-    xs = {n: per_n[n][2] for n in cfg.n_grid}
     tail, extra = summary(xs, medians)
     with open(out_path, "w", newline="") as fh:
         fh.write(f"# {CSV_SCHEMA}\n")
@@ -203,7 +198,9 @@ def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
                               threads: int = 1) -> dict:
     """Measure the Lagrangian of the universal code against the oracle
     baseline on a grid of block lengths; returns a summary dict and writes
-    one CSV row per trial plus median/slope summary rows."""
+    one CSV row per trial plus median/slope summary rows.  ``threads`` must
+    be 1; the keyword goes once ``bench/workloads.py`` stops passing it."""
+    _one_thread(threads)
     theta0 = np.asarray(cfg.theta0)
     # (n, code seed) -> the oracle's Lagrangian; one entry per trial at most
     oracles = {}
@@ -239,7 +236,7 @@ def run_redundancy_experiment(cfg: ExperimentConfig, out_path: str,
         return ([{"kind": "slope", "redundancy": slope, "seed": cfg.seed}],
                 {"x_values": xs, "slope": slope})
 
-    return _run_grid(cfg, out_path, threads, REDUNDANCY_HEADER, "redundancy",
+    return _run_grid(cfg, out_path, REDUNDANCY_HEADER, "redundancy",
                      trial_row, slope_row)
 
 
@@ -253,7 +250,9 @@ IDENTIFY_HEADER = [
 def run_identification_experiment(cfg: ExperimentConfig, out_path: str,
                                   threads: int = 1) -> dict:
     """Measure d_n(theta0, theta_hat) per trial with its triangle
-    decomposition through the MDE output theta_tilde."""
+    decomposition through the MDE output theta_tilde.  ``threads`` must be
+    1; the keyword goes once ``bench/workloads.py`` stops passing it."""
+    _one_thread(threads)
     theta0 = np.asarray(cfg.theta0)
 
     def trial_row(family, db, sc, candidates, scene, seed):
@@ -270,5 +269,5 @@ def run_identification_experiment(cfg: ExperimentConfig, out_path: str,
             "d_se": est0h.standard_error + est0t.standard_error + estth.standard_error,
         }
 
-    return _run_grid(cfg, out_path, threads, IDENTIFY_HEADER,
+    return _run_grid(cfg, out_path, IDENTIFY_HEADER,
                      "d_theta0_theta_hat", trial_row)

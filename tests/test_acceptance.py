@@ -196,8 +196,7 @@ def _trend_config():
 
 def test_criterion_7_redundancy_trend(tmp_path):
     cfg = harness.build_config(_trend_config())
-    summary = harness.run_redundancy_experiment(
-        cfg, str(tmp_path / "red.csv"), threads=1)
+    summary = harness.run_redundancy_experiment(cfg, str(tmp_path / "red.csv"))
     meds = [summary["medians"][n] for n in cfg.n_grid]
     strict = all(a > b for a, b in zip(meds, meds[1:]))
     slope = summary["slope"]
@@ -210,8 +209,7 @@ def test_criterion_7_redundancy_trend(tmp_path):
 
 def test_criterion_8_identification_trend(tmp_path):
     cfg = harness.build_config(_trend_config())
-    summary = harness.run_identification_experiment(
-        cfg, str(tmp_path / "id.csv"), threads=1)
+    summary = harness.run_identification_experiment(cfg, str(tmp_path / "id.csv"))
     meds = [summary["medians"][n] for n in cfg.n_grid]
     strict = all(a > b for a, b in zip(meds, meds[1:]))
     probe_se = 2.0 / math.sqrt(cfg.scheme_config(4).distance_mc)

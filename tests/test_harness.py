@@ -42,7 +42,12 @@ BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               # sigma = exp(draw) overflows in later draws, not the first
               ("prior", {"log_sigma_loc": 708.0, "log_sigma_scale": 1.0}),
               # prior keys that the family does not read were ignored
-              ("prior", {"m_scal": 0.001}), ("prior", {"lo": -0.1})]
+              ("prior", {"m_scal": 0.001}), ("prior", {"lo": -0.1}),
+              ("code_seed", "x"), ("code_seed", None),
+              # each of these ran on a value coerced to an integer or a float
+              ("code_seed", 1.5), ("code_seed", True), ("database_seed", 2.5),
+              ("lam", True), ("eta", True), ("r", True), ("c_delta", True),
+              ("rho_max", True)]
 BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
            # each of these was silently coerced: a JSON integer that is not
            # a bool, a JSON boolean, a list, a list of lists
@@ -188,23 +193,19 @@ class TestExperiments:
         run_redundancy_experiment(build_config(tiny_raw()), str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = build_config(tiny_raw())
-        a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        run_redundancy_experiment(cfg, str(a), threads=1)
-        run_redundancy_experiment(cfg, str(b), threads=2)
-        assert a.read_bytes() == b.read_bytes()
-
     @pytest.mark.parametrize("runner", [run_redundancy_experiment,
                                         run_identification_experiment])
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_thread_count_below_one_raises(self, tmp_path, runner, threads):
-        # the runner refuses fewer than one thread, before any trial runs
-        out = tmp_path / "o.csv"
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            runner(build_config(tiny_raw(n_grid=[4], trials=1)), str(out),
-                   threads=threads)
-        assert not out.exists()
+    def test_only_one_thread_runs(self, tmp_path, runner):
+        # trials run in one loop: the runner takes threads=1 and refuses any
+        # other count before a trial runs or the CSV opens
+        cfg = build_config(tiny_raw(n_grid=[4], trials=1))
+        for threads in (0, 2):
+            out = tmp_path / f"t{threads}.csv"
+            with pytest.raises(ValueError, match="threads"):
+                runner(cfg, str(out), threads=threads)
+            assert not out.exists()
+        runner(cfg, str(tmp_path / "t1.csv"), threads=1)
+        assert (tmp_path / "t1.csv").exists()
 
     def test_experiments_share_the_first_stage(self, tmp_path):
         # each (n, trial) draws one scene and runs one first stage, whichever
@@ -258,9 +259,10 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["identify", "redundancy"])
-    @pytest.mark.parametrize("threads", ["-3", "0"])
+    @pytest.mark.parametrize("threads", ["-3", "0", "1", "2"])
     def test_bad_thread_count_is_a_usage_error(self, tmp_path, capsys,
                                                command, threads):
+        # there is no --threads option: every count is an unknown argument
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(tiny_raw(n_grid=[4], trials=1)))
         out = tmp_path / "o.csv"
@@ -270,6 +272,21 @@ class TestCli:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["identify", "redundancy"])
+    def test_out_in_missing_directory_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, command):
+        # refused before the config loads, not after every trial has run
+        def never(*args, **kwargs):
+            raise AssertionError("called before the --out check")
+        for name in ("load_config", "run_identification_experiment",
+                     "run_redundancy_experiment"):
+            monkeypatch.setattr(cli, name, never)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(tmp_path / "cfg.json"),
+                      "--out", str(tmp_path / "no" / "o.csv")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where,field,value", BAD_CONFIGS)
     def test_unrunnable_field_exit_two(self, tmp_path, capsys, where, field, value):
@@ -286,8 +303,7 @@ class TestCli:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(tiny_raw(n_grid=[4], trials=1)))
         out = tmp_path / "red.csv"
-        rc = cli.main(["redundancy", "--config", str(p), "--out", str(out),
-                       "--threads", "1"])
+        rc = cli.main(["redundancy", "--config", str(p), "--out", str(out)])
         assert rc == 0 and out.exists()
         assert "median redundancy" in capsys.readouterr().out
 
