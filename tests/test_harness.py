@@ -195,15 +195,25 @@ class TestExperiments:
 
     @pytest.mark.parametrize("runner", [run_redundancy_experiment,
                                         run_identification_experiment])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_raises(self, tmp_path, runner, threads):
+        # the runner refuses fewer than one thread, before any trial runs
+        out = tmp_path / "o.csv"
+        with pytest.raises(ValueError, match="threads must be 1"):
+            runner(build_config(tiny_raw(n_grid=[4], trials=1)), str(out),
+                   threads=threads)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runner", [run_redundancy_experiment,
+                                        run_identification_experiment])
     def test_only_one_thread_runs(self, tmp_path, runner):
-        # trials run in one loop: the runner takes threads=1 and refuses any
-        # other count before a trial runs or the CSV opens
+        # trials run in one loop: the runner takes threads=1 and refuses more
+        # threads before a trial runs or the CSV opens
         cfg = build_config(tiny_raw(n_grid=[4], trials=1))
-        for threads in (0, 2):
-            out = tmp_path / f"t{threads}.csv"
-            with pytest.raises(ValueError, match="threads"):
-                runner(cfg, str(out), threads=threads)
-            assert not out.exists()
+        out = tmp_path / "t2.csv"
+        with pytest.raises(ValueError, match="threads must be 1"):
+            runner(cfg, str(out), threads=2)
+        assert not out.exists()
         runner(cfg, str(tmp_path / "t1.csv"), threads=1)
         assert (tmp_path / "t1.csv").exists()
 
