@@ -8,24 +8,23 @@ on byte padding.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 class TruncatedStreamError(ValueError):
     """Raised when a stream ends in the middle of a codeword."""
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BitString:
     """Immutable bit sequence: ``value`` written in ``length`` bits, MSB first."""
 
-    __slots__ = ("value", "length")
+    value: int = 0
+    length: int = 0
 
-    def __init__(self, value: int = 0, length: int = 0):
-        if not 0 <= value < 1 << length:
-            raise ValueError(f"{value} does not fit in {length} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitString is immutable")
+    def __post_init__(self):
+        if not 0 <= self.value < 1 << self.length:
+            raise ValueError(f"{self.value} does not fit in {self.length} bits")
 
     def __len__(self) -> int:
         return self.length
@@ -33,13 +32,6 @@ class BitString:
     def __add__(self, other: "BitString") -> "BitString":
         return BitString((self.value << other.length) | other.value,
                          self.length + other.length)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitString) and \
-            (self.value, self.length) == (other.value, other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.length))
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""

@@ -36,6 +36,8 @@ def main(argv=None) -> int:
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         parser.error("argument --out: no such directory: "
                      + os.path.dirname(args.out))
+    if os.path.isdir(args.out):
+        parser.error("argument --out: is a directory: " + args.out)
     try:
         cfg = load_config(args.config)
         runner = (run_redundancy_experiment if args.command == "redundancy"

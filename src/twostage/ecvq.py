@@ -514,7 +514,6 @@ def lagrangian_eval(book: Codebook, family: SourceFamily, theta,
     distortion, on fresh blocks from P_theta coded as the encoder would."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    family.validate(theta)
     rng = rng_for(seed, TAG_EVAL)
     X = family.sample_paths(theta, book.n, num_blocks, rng)
     C, ell = book.codevectors, book.lam * np.asarray(book.lengths) / book.n

@@ -30,20 +30,13 @@ class TooFewCandidatesError(ValueError):
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite ordered list of valid, distinct parameter vectors."""
+    """Finite list of valid, distinct parameter vectors, in first-seen order."""
 
     thetas: tuple
 
     @classmethod
     def build(cls, family: SourceFamily, candidates) -> "CandidateSet":
-        seen = set()
-        out = []
-        for c in candidates:
-            t = tuple(family.validate(c))
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        return cls(tuple(out))
+        return cls(tuple(dict.fromkeys(tuple(family.validate(c)) for c in candidates)))
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -150,16 +143,8 @@ def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,
 
 
 def vc_bound(family: SourceFamily, n: int) -> float:
-    """VC-dimension bound of the n-block Yatracos class (base-2 logs):
-    12 log2(12e) for Gaussian i.i.d., (4p+4) log2(8e) for AR(p) and
-    4M^2 log2(4en) for an M-state HMM."""
+    """VC-dimension bound of the n-block Yatracos class: the family's own
+    ``vc_bound`` (base-2 logs)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    e = float(np.e)
-    if family.tag == "gaussian-iid":
-        return float(12.0 * np.log2(12.0 * e))
-    if family.tag == "gaussian-ar":
-        return float((4.0 * family.p + 4.0) * np.log2(8.0 * e))
-    if family.tag == "hmm":
-        return float(4.0 * family.M * family.M * np.log2(4.0 * e * n))
-    raise ValueError(f"no VC formula for family {family.tag!r}")
+    return family.vc_bound(n)

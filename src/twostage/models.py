@@ -57,14 +57,17 @@ class SourceFamily:
     """Interface shared by the three concrete families."""
 
     tag: str
+    fields: tuple = ()           # the constructor's arguments and config fields
     letter_dim: int = 1          # d; letters live in R^d
 
     @property
     def key(self) -> tuple:
-        """Hashable spec of everything that sets samples and densities.
-        Families compare and hash by it, so the caches share entries between
-        equal families built apart, and none between families that differ."""
-        return (self.tag, self.letter_dim)
+        """(tag, d, each field's value, arrays as flat tuples): all that sets
+        samples and densities.  Families compare and hash by it, so equal
+        families built apart share cache entries, and differing ones none."""
+        values = (getattr(self, f) for f in self.fields)
+        return (self.tag, self.letter_dim,
+                *(tuple(v.ravel()) if isinstance(v, np.ndarray) else v for v in values))
 
     def __eq__(self, other):
         return isinstance(other, SourceFamily) and self.key == other.key
@@ -89,6 +92,10 @@ class SourceFamily:
 
     def log_density_batch(self, theta, blocks: np.ndarray) -> np.ndarray:
         """log p_theta^n(x^n) for each row of ``blocks``."""
+        raise NotImplementedError
+
+    def vc_bound(self, n: int) -> float:
+        """VC-dimension bound of the n-block Yatracos class (base-2 logs)."""
         raise NotImplementedError
 
     def log_density_bounds(self, thetas, blocks: np.ndarray):
@@ -185,6 +192,10 @@ class GaussianIID(SourceFamily):
         scale = np.maximum(out[-1], np.finfo(float).tiny)
         return out[:-1], 8.0 * (n + 10) * 2.0 ** -53 * scale
 
+    def vc_bound(self, n):
+        """12 log2(12e), whatever n."""
+        return float(12.0 * np.log2(12.0 * np.e))
+
     def prior_draw(self, rng, prior=None):
         m_loc, m_scale, loc, scale = self._prior_values(
             prior, m_loc=0.0, m_scale=10.0, log_sigma_loc=0.0, log_sigma_scale=1.0)
@@ -230,15 +241,12 @@ class GaussianAR(SourceFamily):
     """
 
     tag = "gaussian-ar"
+    fields = ("p",)
 
     def __init__(self, p: int):
         if p < 1:
             raise ValueError("AR order p must be >= 1")
         self.p = p
-
-    @property
-    def key(self) -> tuple:
-        return (self.tag, self.letter_dim, self.p)
 
     def validate(self, theta) -> np.ndarray:
         t = as_theta(theta)
@@ -255,22 +263,16 @@ class GaussianAR(SourceFamily):
                 f"(min |root| = {np.min(np.abs(roots)):.6f})")
         return t
 
-    def _companion(self, a: np.ndarray) -> np.ndarray:
-        p = self.p
-        F = np.zeros((p, p))
-        F[0, :] = -a
-        if p > 1:
-            F[1:, :-1] = np.eye(p - 1)
-        return F
-
     def _head_cholesky(self, a: np.ndarray, q: int) -> np.ndarray:
-        """Lower Cholesky factor of the covariance of the first q letters,
-        from the Yule-Walker covariance G of p consecutive letters; ``a``
-        must be validated."""
+        """Lower Cholesky factor of the covariance of the first q letters, from
+        the Yule-Walker covariance G = F G F' + E of p consecutive letters, F
+        the companion matrix of ``a``, which must be validated."""
         from scipy.linalg import cholesky, solve_discrete_lyapunov
+        F = np.eye(self.p, k=-1)
+        F[0] = -a
         E = np.zeros((self.p, self.p))
         E[0, 0] = 1.0
-        G = solve_discrete_lyapunov(self._companion(a), E)
+        G = solve_discrete_lyapunov(F, E)
         return cholesky((0.5 * (G + G.T))[:q, :q], lower=True)
 
     def sample_paths(self, theta, n, count, rng):
@@ -309,6 +311,10 @@ class GaussianAR(SourceFamily):
             out += -0.5 * np.sum(resid * resid, axis=1) - 0.5 * (n - p) * LOG_2PI
         return out
 
+    def vc_bound(self, n):
+        """(4p + 4) log2(8e), whatever n."""
+        return float((4.0 * self.p + 4.0) * np.log2(8.0 * np.e))
+
     def prior_draw(self, rng, prior=None):
         lo, hi = self._prior_values(prior, low=-1.5, high=1.5)
         for _ in range(10_000):      # a prior with no stable mass fails
@@ -326,6 +332,7 @@ class HiddenMarkov(SourceFamily):
     entries > a0 and unit row sums."""
 
     tag = "hmm"
+    fields = ("M", "a0", "emission_means", "emission_stds")
 
     def __init__(self, M: int, a0: float, emission_means, emission_stds):
         if M < 1:
@@ -344,14 +351,9 @@ class HiddenMarkov(SourceFamily):
             raise ValueError("emission arrays must have shape (M,) or (M, d)")
         if np.any(stds <= 0):
             raise ValueError("emission stds must be positive")
-        self.means = means
-        self.stds = stds
+        self.emission_means = means
+        self.emission_stds = stds
         self.letter_dim = means.shape[1]
-
-    @property
-    def key(self) -> tuple:
-        return (self.tag, self.letter_dim, self.M, self.a0,
-                tuple(self.means.ravel()), tuple(self.stds.ravel()))
 
     def validate(self, theta) -> np.ndarray:
         t = as_theta(theta)
@@ -370,27 +372,25 @@ class HiddenMarkov(SourceFamily):
                 f"transition rows must sum to 1, got {rowsums}")
         return t
 
-    def transition_matrix(self, theta) -> np.ndarray:
-        return self.validate(theta).reshape(self.M, self.M)
-
-    def stationary_dist(self, theta) -> np.ndarray:
-        A = self.transition_matrix(theta)
+    def chain(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """(A, pi): the validated transition matrix and its stationary
+        distribution."""
+        A = self.validate(theta).reshape(self.M, self.M)
         w, v = np.linalg.eig(A.T)
         i = int(np.argmin(np.abs(w - 1.0)))
         pi = np.real(v[:, i])
         pi = np.abs(pi)
-        return pi / pi.sum()
+        return A, pi / pi.sum()
 
     def _emission_logpdf(self, x: np.ndarray) -> np.ndarray:
         """x shape (count, d) -> per-state log densities, shape (count, M)."""
-        z = (x[:, None, :] - self.means[None, :, :]) / self.stds[None, :, :]
+        z = (x[:, None, :] - self.emission_means) / self.emission_stds
         return (-0.5 * np.sum(z * z, axis=2)
-                - np.sum(np.log(self.stds), axis=1)[None, :]
+                - np.sum(np.log(self.emission_stds), axis=1)[None, :]
                 - 0.5 * self.letter_dim * LOG_2PI)
 
     def sample_paths(self, theta, n, count, rng):
-        A = self.transition_matrix(theta)
-        pi = self.stationary_dist(theta)
+        A, pi = self.chain(theta)
         cum_pi = np.cumsum(pi)
         cum_A = np.cumsum(A, axis=1)
         states = np.empty((count, n), dtype=np.int64)
@@ -400,27 +400,27 @@ class HiddenMarkov(SourceFamily):
             rows = cum_A[states[:, t - 1]]
             states[:, t] = (u[:, t][:, None] > rows).sum(axis=1)
         noise = rng.standard_normal((count, n, self.letter_dim))
-        x = self.means[states] + self.stds[states] * noise
+        x = self.emission_means[states] + self.emission_stds[states] * noise
         if self.letter_dim == 1:
             return x[:, :, 0]
         return x
 
     def log_density_batch(self, theta, blocks):
         from scipy.special import logsumexp
-        A = self.transition_matrix(theta)
-        pi = self.stationary_dist(theta)
+        A, pi = self.chain(theta)
         x = np.asarray(blocks, dtype=float)
         if self.letter_dim == 1 and x.ndim == 2:
             x = x[:, :, None]
-        elif x.ndim == 2:
-            x = x[None, :, :]
-        count, n = x.shape[0], x.shape[1]
         logA = np.log(A)
         alpha = np.log(pi)[None, :] + self._emission_logpdf(x[:, 0, :])
-        for t in range(1, n):
+        for t in range(1, x.shape[1]):
             trans = logsumexp(alpha[:, :, None] + logA[None, :, :], axis=1)
             alpha = trans + self._emission_logpdf(x[:, t, :])
-        return logsumexp(alpha, axis=1).reshape(count)
+        return logsumexp(alpha, axis=1)
+
+    def vc_bound(self, n):
+        """4 M^2 log2(4en): it grows with n."""
+        return float(4.0 * self.M * self.M * np.log2(4.0 * np.e * n))
 
     def prior_draw(self, rng, prior=None):
         (conc,) = self._prior_values(prior, concentration=1.0)
@@ -431,31 +431,20 @@ class HiddenMarkov(SourceFamily):
         raise ValueError("no transition matrix above a0 in 10,000 prior draws")
 
 
-# the fields of each family kind's config mapping, beside "kind"
-FAMILY_FIELDS = {
-    "gaussian-iid": (),
-    "gaussian-ar": ("p",),
-    "hmm": ("M", "a0", "emission_means", "emission_stds"),
-}
-
-
 def make_family(spec: dict) -> SourceFamily:
-    """Build a family from a plain config mapping (see harness docs); a key
-    that the kind does not read, or a p or M that is no integer, is an
-    error."""
+    """Build a family from a config mapping of its tag and its fields (see
+    harness docs); a key that the kind does not read, a p or M that is no
+    integer, or an a0 that is no number, is an error."""
     kind = spec.get("kind")
-    if kind not in FAMILY_FIELDS:
+    cls = next((c for c in (GaussianIID, GaussianAR, HiddenMarkov) if c.tag == kind), None)
+    if cls is None:
         raise ValueError(f"unknown family kind: {kind!r}")
-    unknown = sorted(set(spec) - {"kind", *FAMILY_FIELDS[kind]})
+    unknown = sorted(set(spec) - {"kind", *cls.fields})
     if unknown:
         raise ValueError(f"unknown {kind} field(s): " + ", ".join(unknown))
     for name in ("p", "M"):
         if name in spec and type(spec[name]) is not int:   # nor a bool
             raise ValueError(f"family field {name} must be an integer")
-    if kind == "gaussian-iid":
-        return GaussianIID()
-    if kind == "gaussian-ar":
-        return GaussianAR(p=spec["p"])
-    return HiddenMarkov(M=spec["M"], a0=float(spec["a0"]),
-                        emission_means=spec["emission_means"],
-                        emission_stds=spec["emission_stds"])
+    if "a0" in spec and type(spec["a0"]) not in (int, float):
+        raise ValueError("family field a0 must be a number")
+    return cls(*(spec[f] for f in cls.fields))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +61,11 @@ class SchemeConfig:
         def whole(v):   # a non-integer, or a bool, becomes NaN
             return v if type(v) is int or isinstance(v, np.integer) else math.nan
 
-        def real(v):    # a bool becomes NaN
-            return math.nan if isinstance(v, (bool, np.bool_)) else v
+        def real(v):    # anything but a real number, or a bool, becomes NaN
+            return v if isinstance(v, numbers.Real) and type(v) is not bool else math.nan
 
         checks = {   # written so that NaN fails every check
-            "integer n >= 1": whole(self.n) >= 1,
+            "integer n >= 2": whole(self.n) >= 2,
             "integer i_max >= 1": whole(self.i_max) >= 1,
             "lambda > 0": real(self.lam) > 0, "eta > 0": real(self.eta) > 0,
             "r > 0": real(self.r) > 0, "c_delta >= 0": real(self.c_delta) >= 0,
@@ -72,7 +73,7 @@ class SchemeConfig:
             "integer code_seed": whole(self.code_seed) == self.code_seed,
             "integer n_candidates >= 0": whole(self.n_candidates) >= 0,
             "at least one MDE candidate (n_candidates or anchors)":
-                self.n_candidates + len(self.anchors) >= 1,
+                whole(self.n_candidates) + len(self.anchors) >= 1,
             "finite rho_max > 0": 0 < real(self.rho_max) < math.inf,
             "integer distance_mc >= 1": whole(self.distance_mc) >= 1,
             "integer mde_mc >= 1": whole(self.mde_mc) >= 1,

@@ -56,8 +56,7 @@ def hmm_brute_force():
     """log p(x) of a hidden-Markov block as a direct sum over every state
     sequence: the oracle for the forward recursion."""
     def log_density(hmm, theta, x) -> float:
-        A = hmm.transition_matrix(theta)
-        pi = hmm.stationary_dist(theta)
+        A, pi = hmm.chain(theta)
         xs = np.asarray(x, dtype=float).reshape(-1, hmm.letter_dim)
         emis = np.exp(hmm._emission_logpdf(xs))
         total = 0.0

@@ -1,0 +1,142 @@
+"""The contract every source family keeps, checked family by family: its key
+is the tag, the letter dimension and each constructor field, so equal
+families share cache entries and families that differ in any field do not;
+its config spec builds the same family as its constructor; its VC bound is
+the documented formula; each row's log-density is the row's alone; and its
+row blocks join into one draw.  Every comparison is bit for bit within one
+process, but for the AR rounding that ``same_values`` names."""
+
+import math
+
+import numpy as np
+import pytest
+
+from twostage.mde import vc_bound
+from twostage.models import GaussianAR, GaussianIID, HiddenMarkov, make_family
+from twostage.rand import rng_for
+
+E = math.e
+HMM2 = {"kind": "hmm", "M": 2, "a0": 0.05, "emission_means": [-1.0, 2.0],
+        "emission_stds": [0.7, 1.1]}
+HMM3 = {"kind": "hmm", "M": 3, "a0": 0.0, "emission_means": [-2.0, 0.0, 2.0],
+        "emission_stds": [0.5, 1.0, 1.5]}
+HMM2D = {"kind": "hmm", "M": 2, "a0": 0.05,
+         "emission_means": [[-1.0, 0.0], [1.0, 2.0]],
+         "emission_stds": [[1.0, 1.0], [0.5, 0.5]]}
+
+# (id, spec, direct construction, a valid theta, the key written out, V_n)
+CASES = [
+    ("iid", {"kind": "gaussian-iid"}, GaussianIID, (0.3, 1.4),
+     ("gaussian-iid", 1), lambda n: 12 * math.log2(12 * E)),
+    *((f"ar{p}", {"kind": "gaussian-ar", "p": p}, lambda p=p: GaussianAR(p=p),
+       theta, ("gaussian-ar", 1, p), lambda n, p=p: (4 * p + 4) * math.log2(8 * E))
+      for p, theta in ((1, (0.5,)), (2, (0.3, -0.2)), (3, (0.2, -0.1, 0.05)))),
+    ("hmm2", HMM2, lambda: HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 2.0],
+                                        emission_stds=[0.7, 1.1]),
+     (0.8, 0.2, 0.3, 0.7), ("hmm", 1, 2, 0.05, (-1.0, 2.0), (0.7, 1.1)),
+     lambda n: 16 * math.log2(4 * E * n)),
+    ("hmm3-a0-zero", HMM3,
+     lambda: HiddenMarkov(M=3, a0=0.0, emission_means=[-2.0, 0.0, 2.0],
+                          emission_stds=[0.5, 1.0, 1.5]),
+     (0.6, 0.3, 0.1, 0.2, 0.5, 0.3, 0.1, 0.1, 0.8),
+     ("hmm", 1, 3, 0.0, (-2.0, 0.0, 2.0), (0.5, 1.0, 1.5)),
+     lambda n: 36 * math.log2(4 * E * n)),
+    ("hmm2-2d", HMM2D,
+     lambda: HiddenMarkov(M=2, a0=0.05, emission_means=[[-1.0, 0.0], [1.0, 2.0]],
+                          emission_stds=[[1.0, 1.0], [0.5, 0.5]]),
+     (0.9, 0.1, 0.2, 0.8),
+     ("hmm", 2, 2, 0.05, (-1.0, 0.0, 1.0, 2.0), (1.0, 1.0, 0.5, 0.5)),
+     lambda n: 16 * math.log2(4 * E * n)),
+]
+
+
+def cases(*columns):
+    """The CASES columns named, one pytest param per family."""
+    names = ("spec", "build", "theta", "key", "vc")
+    return pytest.mark.parametrize(
+        ",".join(columns),
+        [pytest.param(*(c[1 + names.index(k)] for k in columns), id=c[0])
+         for c in CASES])
+
+
+def nudged(value):
+    """The value with its first entry moved to the next float up, or an
+    integer one up."""
+    if isinstance(value, int):
+        return value + 1
+    arr = np.array(value, dtype=float)
+    arr.flat[0] = np.nextafter(arr.flat[0], math.inf)
+    return arr.tolist() if arr.ndim else float(arr)
+
+
+@cases("build")
+def test_equal_families_built_apart_share_key_and_hash(build):
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and a.key == b.key and hash(a) == hash(b)
+    assert len({a: 0, b: 1}) == 1
+
+
+@cases("build", "key")
+def test_key_is_tag_dim_and_each_field(build, key):
+    assert build().key == key
+
+
+@cases("spec")
+def test_changing_any_one_field_changes_the_key(spec):
+    # M is the row count of the emission arrays, so it cannot change alone;
+    # the written-out keys cover it
+    base = make_family(spec)
+    fields = [f for f in spec if f not in ("kind", "M")]
+    assert sorted(fields) == sorted(set(base.fields) - {"M"})
+    for f in fields:
+        other = make_family({**spec, f: nudged(spec[f])})
+        assert other.key != base.key and other != base, f
+
+
+@cases("spec", "build")
+def test_spec_builds_the_constructed_family(spec, build):
+    fam = make_family(spec)
+    assert type(fam) is type(build()) and fam == build() and fam.key == build().key
+
+
+@cases("build", "vc")
+def test_vc_bound_is_the_documented_formula(build, vc):
+    fam = build()
+    for n in (1, 2, 8, 64, 1000):
+        assert vc_bound(fam, n) == fam.vc_bound(n)
+        assert vc_bound(fam, n) == pytest.approx(vc(n), rel=1e-13)
+    with pytest.raises(ValueError):
+        vc_bound(fam, 0)
+
+
+def same_values(fam, got, want) -> bool:
+    """Bit for bit, except that AR rows may differ in the last bits: LAPACK
+    solves the stationary head of one row by another kernel than that of
+    several, so its rounding depends on the batch size."""
+    if isinstance(fam, GaussianAR):
+        return np.allclose(got, want, rtol=1e-13, atol=0.0)
+    return got.tobytes() == want.tobytes()
+
+
+@cases("build", "theta")
+def test_row_log_density_ignores_the_other_rows(build, theta):
+    fam = build()
+    for n in (1, 2, 5):
+        X = fam.sample_paths(theta, n, 12, rng_for(41, n))
+        X[::3] *= 5.0           # rows far out in the tails beside typical ones
+        batch = fam.log_density_batch(theta, X)
+        assert batch.shape == (12,) and np.all(np.isfinite(batch))
+        alone = np.concatenate([fam.log_density_batch(theta, X[j:j + 1])
+                                for j in range(12)])
+        assert same_values(fam, alone, batch)
+        assert same_values(fam, fam.log_density_batch(theta, X[::-1]), batch[::-1])
+
+
+@cases("build", "theta")
+def test_chunks_join_into_one_draw(build, theta):
+    fam = build()
+    for count in (1, 50, 51, 237):
+        whole = fam.sample_paths(theta, 4, count, rng_for(43, count))
+        chunks = list(fam.sample_chunks(theta, 4, count, rng_for(43, count)))
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()

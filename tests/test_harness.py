@@ -31,6 +31,11 @@ def tiny_raw(**kw):
     return raw
 
 
+# a JSON string or null for a numeric scheme field raised a TypeError that
+# named no field (a null r is inf); the name of each in the "need ..." message
+NEED_NAMES = {"lam": "lambda", "eta": "eta", "r": "r", "c_delta": "c_delta",
+              "rho_max": "rho_max", "n_candidates": "n_candidates"}
+NON_NUMBERS = [(f, v) for f in NEED_NAMES for v in ("1", None) if (f, v) != ("r", None)]
 # fields that passed build_config and then failed the run with a traceback
 BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               ("n_candidates", -1), ("n_candidates", 0), ("rho_max", 0.0),
@@ -47,7 +52,7 @@ BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               # each of these ran on a value coerced to an integer or a float
               ("code_seed", 1.5), ("code_seed", True), ("database_seed", 2.5),
               ("lam", True), ("eta", True), ("r", True), ("c_delta", True),
-              ("rho_max", True)]
+              ("rho_max", True), *NON_NUMBERS]
 BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
            # each of these was silently coerced: a JSON integer that is not
            # a bool, a JSON boolean, a list, a list of lists
@@ -90,6 +95,8 @@ NAMED_KEYS = [   # (key, the changes to tiny_raw)
     ("p", {"family": AR1 | {"p": 2.7}, "theta0": [0.5, 0.1]}),
     ("p", {"family": AR1 | {"p": True}, "theta0": [0.5]}),
     ("M", {"family": HMM2 | {"M": 2.9}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    ("a0", {"family": HMM2 | {"a0": "0.05"}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    ("a0", {"family": HMM2 | {"a0": True}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
 ]
 NAMED = [pytest.param(k, c, id=f"{k}={c[k] if k in c else c['family'][k]}")
          for k, c in NAMED_KEYS]
@@ -142,6 +149,11 @@ class TestConfig:
     def test_unrunnable_field_rejected(self, where, field, value):
         with pytest.raises(ConfigError):
             build_config(bad_raw(where, field, value))
+
+    @pytest.mark.parametrize("field,value", NON_NUMBERS)
+    def test_non_number_is_named(self, field, value):
+        with pytest.raises(ConfigError, match=rf"need .*\b{NEED_NAMES[field]}\b"):
+            build_config(bad_raw("scheme", field, value))
 
     @pytest.mark.parametrize("key,changes", NAMED)
     def test_unread_or_coerced_key_is_named(self, key, changes):
@@ -295,6 +307,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--config", str(tmp_path / "cfg.json"),
                       "--out", str(tmp_path / "no" / "o.csv")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["identify", "redundancy"])
+    def test_out_is_a_directory_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, command):
+        # refused before the config loads, not by an IsADirectoryError after
+        # every trial has run
+        def never(*args, **kwargs):
+            raise AssertionError("called before the --out check")
+        for name in ("load_config", "run_identification_experiment",
+                     "run_redundancy_experiment"):
+            monkeypatch.setattr(cli, name, never)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(tmp_path / "cfg.json"),
+                      "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
 

@@ -327,6 +327,12 @@ class TestMisc:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SchemeConfig(n=0, lam=1.0)
+        # the tolerance schedule needs n >= 2: n = 1 built, then every
+        # identify, encode and decode raised
+        for n in (1, 2.0, True):
+            with pytest.raises(ValueError, match=r"integer n >= 2"):
+                SchemeConfig(n=n, lam=1.0)
+        assert SchemeConfig(n=2, lam=1.0).n == 2
         with pytest.raises(ValueError):
             SchemeConfig(n=4, lam=0.0)
         with pytest.raises(ValueError):
