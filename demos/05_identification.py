@@ -30,7 +30,8 @@ for blocks in (8, 32, 128):
           f"d_n(theta0, theta~) = {d.value:.4f} "
           f"<= 4U+3/n = {4 * u[i0] + 3 / n:.4f}")
 
-print("\nVC complexity term V_n per family (drives the tolerance schedule):")
+print("\nVC complexity term V_n per family"
+      " (the redundancy rate's scale is sqrt(V_n ln n / n)):")
 from twostage.models import GaussianAR, HiddenMarkov
 hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1, 1], emission_stds=[1, 1])
 for fam, nn in ((gauss, 8), (GaussianAR(p=2), 8), (hmm, 8)):

@@ -29,7 +29,7 @@ history, current = sample_scene(gauss, theta0, config, seed=33)
 
 enc = encode_block(config, db, history, current)
 print(f"\nencoder: theta~ = {tuple(np.round(enc.theta_tilde, 3))}")
-print(f"waiting tolerance = {waiting_tolerance(config, gauss):.3f}, "
+print(f"waiting tolerance = {waiting_tolerance(config):.3f}, "
       f"waiting time T = {enc.waiting_time}")
 print(f"theta^ = theta(T) = {tuple(np.round(enc.theta_hat, 3))}")
 print(f"stream = {enc.stream()}  ({enc.total_bits} bits = "

@@ -10,7 +10,7 @@ from .models import (GaussianAR, GaussianIID, HiddenMarkov,
                      InvalidParameterError, SampleBlock, SourceFamily,
                      make_family)
 from .scheme import (Database, EncodedBlock, MalformedStreamError,
-                     SchemeConfig, decode_block, delta_schedule, encode_block,
-                     gap_length, identify, waiting_time)
+                     SchemeConfig, decode_block, encode_block, gap_length,
+                     identify, waiting_time)
 
 __version__ = "0.1.0"

@@ -122,7 +122,6 @@ def build_config(raw: dict) -> ExperimentConfig:
         fam = cfg.family()
         fam.validate(cfg.theta0)
         sc = cfg.scheme_config(cfg.n_grid[0])
-        scheme.waiting_tolerance(sc, fam)
         scheme.candidate_set(sc, db := cfg.database(fam))
         for i in range(1, len(db.planted) + 2):   # every planted point, one draw
             fam.validate(db.point(i))
@@ -161,7 +160,7 @@ def _run_grid(cfg: ExperimentConfig, out_path: str, header: list[str],
             sc = dataclasses.replace(sc, code_seed=derive_seed(seed, 7))
         scene = scheme.sample_scene(family, np.asarray(cfg.theta0), sc, seed)
         return {"kind": "trial", "n": n, "trial": trial, "x_value": xs[n],
-                "seed": seed, "tol": scheme.waiting_tolerance(sc, family),
+                "seed": seed, "tol": scheme.waiting_tolerance(sc),
                 **trial_row(family, db, sc, candidates, scene, seed)}
 
     rows = [run(n, t) for n in cfg.n_grid for t in range(cfg.trials)]

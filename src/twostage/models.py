@@ -347,10 +347,10 @@ class HiddenMarkov(SourceFamily):
             means = means[:, None]
         if stds.ndim == 1:
             stds = stds[:, None]
-        if means.shape[0] != M or stds.shape != means.shape:
+        if means.ndim != 2 or means.shape[0] != M or stds.shape != means.shape:
             raise ValueError("emission arrays must have shape (M,) or (M, d)")
-        if np.any(stds <= 0):
-            raise ValueError("emission stds must be positive")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds) & (stds > 0))):
+            raise ValueError("emission means must be finite, stds finite and positive")
         self.emission_means = means
         self.emission_stds = stds
         self.letter_dim = means.shape[1]
@@ -433,8 +433,8 @@ class HiddenMarkov(SourceFamily):
 
 def make_family(spec: dict) -> SourceFamily:
     """Build a family from a config mapping of its tag and its fields (see
-    harness docs); a key that the kind does not read, a p or M that is no
-    integer, or an a0 that is no number, is an error."""
+    harness docs); a missing or unread field, a p or M that is no integer,
+    or an a0 or emission entry that is no number, is an error."""
     kind = spec.get("kind")
     cls = next((c for c in (GaussianIID, GaussianAR, HiddenMarkov) if c.tag == kind), None)
     if cls is None:
@@ -442,9 +442,16 @@ def make_family(spec: dict) -> SourceFamily:
     unknown = sorted(set(spec) - {"kind", *cls.fields})
     if unknown:
         raise ValueError(f"unknown {kind} field(s): " + ", ".join(unknown))
+    missing = [f for f in cls.fields if f not in spec]
+    if missing:
+        raise ValueError(f"{kind} family needs field(s): " + ", ".join(missing))
     for name in ("p", "M"):
         if name in spec and type(spec[name]) is not int:   # nor a bool
             raise ValueError(f"family field {name} must be an integer")
     if "a0" in spec and type(spec["a0"]) not in (int, float):
         raise ValueError("family field a0 must be a number")
+    for name in ("emission_means", "emission_stds"):
+        if name in spec and any(type(x) not in (int, float)
+                                for x in np.ravel(np.array(spec[name], dtype=object))):
+            raise ValueError(f"family field {name} must hold numbers only")
     return cls(*(spec[f] for f in cls.fields))

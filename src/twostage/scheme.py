@@ -23,7 +23,7 @@ from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
 # bench/spans.py wraps variational_mc under this module's name too
 from .distances import exceeds, variational_mc  # noqa: F401
 from .ecvq import Codebook, ecvq_design, ecvq_decode_index, ecvq_encode
-from .mde import CandidateSet, mde_estimate, vc_bound
+from .mde import CandidateSet, mde_estimate
 from .models import SampleBlock, SourceFamily
 from .rand import TAG_DATABASE, TAG_DISTANCE, TAG_MDE, TAG_SAMPLE, TAG_TRAINING, rng_for
 from .rand import derive_seed
@@ -41,7 +41,6 @@ class SchemeConfig:
     lam: float
     eta: float = 1.0
     r: float = math.inf             # mixing exponent; inf for i.i.d.
-    delta_mode: str = "practical"   # "practical" | "paper"
     c_delta: float = 1.0
     database_seed: int = 0
     code_seed: int = 0
@@ -85,8 +84,6 @@ class SchemeConfig:
         failed = [name for name, ok in checks.items() if not ok]
         if failed:
             raise ValueError("need " + ", ".join(failed))
-        if self.delta_mode not in ("practical", "paper"):
-            raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
 
 
 def gap_length(config: SchemeConfig) -> int:
@@ -160,28 +157,11 @@ class DecodedBlock:
     bits_consumed: int
 
 
-def delta_schedule(n: int, V_n: float, mode: str = "practical",
-                   c_delta: float = 1.0) -> float:
-    """Tolerance schedule delta_n; the waiting-time tolerance is sqrt(n)*delta_n.
-
-    "paper" evaluates sqrt(2048 (V_n + 1) ln n)/n + 6/n^(3/2) (asymptotic
-    constants, vacuous at desk scale); "practical" is c * sqrt(ln n / n).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 for the schedule")
-    if mode == "paper":
-        return float(np.sqrt(2048.0 * (V_n + 1.0) * np.log(n)) / n
-                     + 6.0 / n ** 1.5)
-    if mode == "practical":
-        return float(c_delta * np.sqrt(np.log(n) / n))
-    raise ValueError(f"unknown delta mode {mode!r}")
-
-
-def waiting_tolerance(config: SchemeConfig, family: SourceFamily) -> float:
-    V_n = vc_bound(family, config.n)
-    return math.sqrt(config.n) * delta_schedule(config.n, V_n,
-                                                config.delta_mode,
-                                                config.c_delta)
+def waiting_tolerance(config: SchemeConfig) -> float:
+    """sqrt(n) delta_n, delta_n = c_delta sqrt(ln n / n).  The paper's delta_n
+    keeps this >= 2 >= d_n for n < 231,075, so it is not offered (README)."""
+    n = config.n
+    return math.sqrt(n) * float(config.c_delta * np.sqrt(np.log(n) / n))
 
 
 def waiting_time(db: Database, theta_tilde, tol: float, n: int,
@@ -253,7 +233,7 @@ def identify(config: SchemeConfig, db: Database, history,
         candidates = candidate_set(config, db)
     theta_tilde = mde_estimate(family, Z, candidates, config.mde_mc,
                                derive_seed(config.database_seed, TAG_MDE))
-    T = waiting_time(db, theta_tilde, waiting_tolerance(config, family),
+    T = waiting_time(db, theta_tilde, waiting_tolerance(config),
                      config.n, config.distance_mc, config.code_seed,
                      config.i_max)
     return T, theta_tilde, db.point(book_index(T))
@@ -289,7 +269,7 @@ def decode_block(config: SchemeConfig, db: Database,
             raise MalformedStreamError(
                 f"waiting time {T} exceeds i_max={config.i_max}")
         theta_hat = db.point(book_index(T))
-        radius = float("nan") if T is None else waiting_tolerance(config, family)
+        radius = float("nan") if T is None else waiting_tolerance(config)
         book = provision_codebook(config, family, theta_hat, book_index(T))
         cw = ecvq_decode_index(book, reader)
     except TruncatedStreamError as exc:

@@ -2,9 +2,11 @@
 is the tag, the letter dimension and each constructor field, so equal
 families share cache entries and families that differ in any field do not;
 its config spec builds the same family as its constructor; its VC bound is
-the documented formula; each row's log-density is the row's alone; and its
-row blocks join into one draw.  Every comparison is bit for bit within one
-process, but for the AR rounding that ``same_values`` names."""
+the documented formula; each row's log-density is the row's alone; its
+``log_density_bounds`` values lie within their bound of the exact kernel's;
+its prior draws validate; and its row blocks join into one draw.  Every
+comparison is bit for bit within one process, but for the AR rounding that
+``same_values`` names."""
 
 import math
 
@@ -23,6 +25,12 @@ HMM3 = {"kind": "hmm", "M": 3, "a0": 0.0, "emission_means": [-2.0, 0.0, 2.0],
 HMM2D = {"kind": "hmm", "M": 2, "a0": 0.05,
          "emission_means": [[-1.0, 0.0], [1.0, 2.0]],
          "emission_stds": [[1.0, 1.0], [0.5, 0.5]]}
+
+# one override for each prior key a family reads
+PRIORS = {"gaussian-iid": ({"m_loc": 3.0}, {"m_scale": 0.5}, {"log_sigma_loc": -1.0},
+                           {"log_sigma_scale": 0.2}),
+          "gaussian-ar": ({"low": -0.5}, {"high": 0.5}),
+          "hmm": ({"concentration": 0.3},)}
 
 # (id, spec, direct construction, a valid theta, the key written out, V_n)
 CASES = [
@@ -140,3 +148,32 @@ def test_chunks_join_into_one_draw(build, theta):
         whole = fam.sample_paths(theta, 4, count, rng_for(43, count))
         chunks = list(fam.sample_chunks(theta, 4, count, rng_for(43, count)))
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
+@cases("build", "theta")
+def test_log_density_bounds_hold_the_exact_values(build, theta):
+    # MDE orders two candidates on a block by these values only where their
+    # bounds cannot overlap, so a bound that undercounts changes its tables
+    fam = build()
+    thetas = [fam.prior_draw(rng_for(47, k)) for k in range(6)]
+    for n in (1, 3, 8, 32):
+        X = fam.sample_paths(theta, n, 300, rng_for(47, n))
+        X = np.concatenate((X, 5.0 * X))    # and blocks far out in the tails
+        vals, bound = fam.log_density_bounds(thetas, X)
+        exact = np.stack([fam.log_density_batch(t, X) for t in thetas])
+        assert vals.shape == (6, 600) and bound.shape == (600,)
+        assert np.all(np.isfinite(exact)) and np.all(bound >= 0)
+        assert np.all(np.abs(vals - exact) <= bound)
+
+
+@cases("build")
+def test_prior_draws_validate(build):
+    fam = build()
+    default = fam.prior_draw(rng_for(53, 0))
+    for prior in (None, *PRIORS[fam.tag]):
+        rng = rng_for(53, 0)
+        draws = [fam.prior_draw(rng, prior) for _ in range(50)]
+        for theta in draws:
+            assert fam.validate(theta).tobytes() == theta.tobytes()
+        # each override is read: it moves the first draw
+        assert (prior is None) == (draws[0].tobytes() == default.tobytes()), prior

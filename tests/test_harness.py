@@ -97,9 +97,33 @@ NAMED_KEYS = [   # (key, the changes to tiny_raw)
     ("M", {"family": HMM2 | {"M": 2.9}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
     ("a0", {"family": HMM2 | {"a0": "0.05"}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
     ("a0", {"family": HMM2 | {"a0": True}, "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    # emission entries must be JSON numbers: float() reads "-1" and true,
+    # a null becomes NaN, and a ragged list fails without a name
+    ("emission_means", {"family": HMM2 | {"emission_means": ["-1", "1"]},
+                        "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    ("emission_stds", {"family": HMM2 | {"emission_stds": [True, "1.0"]},
+                       "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    ("emission_stds", {"family": HMM2 | {"emission_stds": [True, 1.0]},
+                       "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    ("emission_stds", {"family": HMM2 | {"emission_stds": [1.0, None]},
+                       "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    ("emission_means", {"family": HMM2 | {"emission_means": [[-1.0], [1.0, 0.0]]},
+                        "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    # a missing family field
+    ("p", {"family": {"kind": "gaussian-ar"}, "theta0": [0.5]}),
+    ("emission_stds", {"family": {k: v for k, v in HMM2.items() if k != "emission_stds"},
+                       "theta0": [0.8, 0.2, 0.3, 0.7]}),
+    # the paper's tolerance schedule is not offered
+    ("delta_mode", {"scheme": tiny_raw()["scheme"] | {"delta_mode": "paper"}}),
 ]
-NAMED = [pytest.param(k, c, id=f"{k}={c[k] if k in c else c['family'][k]}")
-         for k, c in NAMED_KEYS]
+
+
+def named_id(key, changes) -> str:
+    where = (changes, changes.get("family", {}), changes.get("scheme", {}))
+    return f"{key}=" + next((str(d[key]) for d in where if key in d), "missing")
+
+
+NAMED = [pytest.param(k, c, id=named_id(k, c)) for k, c in NAMED_KEYS]
 
 
 class TestConfig:
@@ -140,7 +164,7 @@ class TestConfig:
             build_config(tiny_raw(theta0=[0.0, -1.0]))
 
     def test_block_length_one_rejected(self):
-        # the tolerance schedule needs n >= 2; n_grid is increasing, so
+        # the tolerance rule needs n >= 2; n_grid is increasing, so
         # checking its first entry covers the grid
         with pytest.raises(ConfigError, match="semantic"):
             build_config(tiny_raw(n_grid=[1, 4]))
@@ -159,6 +183,15 @@ class TestConfig:
     def test_unread_or_coerced_key_is_named(self, key, changes):
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             build_config(tiny_raw(**changes))
+
+    @pytest.mark.parametrize("family,missing", [
+        ({"kind": "gaussian-ar"}, "p"),
+        ({"kind": "hmm", "M": 2}, "a0, emission_means, emission_stds")])
+    def test_missing_family_field_is_named(self, family, missing):
+        # the kind and every missing field, not a bare KeyError's 'p'
+        with pytest.raises(ConfigError,
+                           match=rf"{family['kind']} family needs field\(s\): {missing}$"):
+            build_config(tiny_raw(family=family))
 
     @pytest.mark.parametrize("family,theta0,prior,key", [
         ({"kind": "gaussian-iid"}, [0.0, 1.0], {"m_scal": 0.001}, "m_scal"),
@@ -326,6 +359,16 @@ class TestCli:
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,changes", NAMED)
+    def test_unread_or_coerced_key_exit_two(self, tmp_path, capsys, key, changes):
+        p = tmp_path / "named.json"
+        p.write_text(json.dumps(tiny_raw(**changes)))
+        out = tmp_path / "o.csv"
+        rc = cli.main(["identify", "--config", str(p), "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where,field,value", BAD_CONFIGS)
     def test_unrunnable_field_exit_two(self, tmp_path, capsys, where, field, value):
         # the redundancy runner reaches every field; each raised there or
@@ -359,11 +402,11 @@ class TestCli:
             rows = list(csv.DictReader(csv_bytes.decode().splitlines()[1:]))
             return [r["tol"] for r in rows if r["kind"] == "trial"]
 
-        # the seed and the tolerance schedule each reach the CSV
+        # the seed and the tolerance's c_delta each reach the CSV
         default = identify("default")
         assert identify("seed", seed=78) != default
-        paper = tiny_raw()["scheme"] | {"delta_mode": "paper"}
-        assert tol(identify("paper", scheme=paper)) != tol(default)
+        half = tiny_raw()["scheme"] | {"c_delta": 0.5}
+        assert tol(identify("c_delta", scheme=half)) != tol(default)
 
 
 # Hypothesis over the fields a config can get wrong: mostly runnable configs

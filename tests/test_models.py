@@ -141,6 +141,21 @@ class TestHiddenMarkov:
         with pytest.raises(InvalidParameterError, match="a0"):
             hmm2.validate([0.99, 0.01, 0.3, 0.7])
 
+    @pytest.mark.parametrize("means,stds", [
+        ([math.nan, 2.0], [0.7, 1.1]), ([-1.0, math.inf], [0.7, 1.1]),
+        ([-1.0, 2.0], [0.7, math.nan]), ([-1.0, 2.0], [math.inf, 1.1]),
+        ([-1.0, 2.0], [0.7, 0.0]), ([-1.0, 2.0], [-0.7, 1.1])])
+    def test_emissions_finite_with_positive_stds(self, means, stds):
+        # NaN fails every comparison, so stds > 0 alone lets a NaN std
+        # through, and every path drawn from the family is then NaN
+        with pytest.raises(ValueError, match="emission means must be finite"):
+            HiddenMarkov(M=2, a0=0.05, emission_means=means, emission_stds=stds)
+
+    def test_scalar_emissions_are_refused(self):
+        # a scalar has no row axis: its shape is checked before it is indexed
+        with pytest.raises(ValueError, match=r"shape \(M,\) or \(M, d\)"):
+            HiddenMarkov(M=1, a0=0.0, emission_means=0.5, emission_stds=1.0)
+
     def test_stationary_start(self, hmm2):
         theta = [0.8, 0.2, 0.3, 0.7]
         X = hmm2.sample_paths(theta, 20, 8000, rng_for(13, 0))

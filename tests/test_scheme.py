@@ -16,8 +16,8 @@ from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.rand import TAG_DISTANCE, derive_seed, rng_for
 from twostage.scheme import (Database, MalformedStreamError, SchemeConfig,
                              book_index, candidate_set, clear_codebook_cache,
-                             decode_block, delta_schedule, encode_block,
-                             extract_z, gap_length, identify,
+                             decode_block, encode_block, extract_z,
+                             gap_length, identify,
                              provision_codebook, sample_scene, waiting_time,
                              waiting_tolerance)
 
@@ -118,27 +118,17 @@ class TestDatabase:
             ar.validate(db.point(i))  # raises if unstable
 
 
-class TestDeltaSchedule:
-    def test_paper_mode_value(self):
-        got = delta_schedule(100, 60.46, mode="paper")
-        want = math.sqrt(2048 * 61.46 * math.log(100)) / 100 + 6 / 100 ** 1.5
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got == pytest.approx(7.62, abs=0.01)
-
-    def test_practical_mode_value(self):
-        assert delta_schedule(100, 60.0, mode="practical") == \
-            pytest.approx(math.sqrt(math.log(100) / 100), rel=1e-12)
-        assert delta_schedule(100, 0.0, c_delta=0.5) == \
-            pytest.approx(0.5 * math.sqrt(math.log(100) / 100), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            delta_schedule(1, 10.0)
-        with pytest.raises(ValueError):
-            delta_schedule(10, 10.0, mode="exact")
-
-
 class TestWaitingTime:
+    @pytest.mark.parametrize("n,c_delta,want", [
+        (100, 1.0, 2.145966026289347), (100, 0.5, 1.0729830131446736),
+        (8, 0.8, 1.1536215092807065), (2, 0.0, 0.0)])
+    def test_tolerance_is_sqrt_n_delta_n(self, n, c_delta, want):
+        # sqrt(n) * c_delta sqrt(ln n / n), to the bit of the floats the
+        # seeded CSVs hold in their tol column
+        tol = waiting_tolerance(SchemeConfig(n=n, lam=1.0, c_delta=c_delta))
+        assert tol == want
+        assert tol == pytest.approx(c_delta * math.sqrt(math.log(n)), rel=1e-12)
+
     def test_immediate_hit_when_tolerance_saturates(self):
         # d_n is at most 2, so tol >= 2 stops at the first index
         db = Database(family=GAUSS, seed=1)
@@ -235,7 +225,7 @@ class TestRoundTrip:
         assert enc.b == 0
         assert 1 + len(enc.s1) == 2
         dec = decode_block(cfg, db, enc.stream())
-        assert dec.radius == pytest.approx(waiting_tolerance(cfg, GAUSS))
+        assert dec.radius == pytest.approx(waiting_tolerance(cfg))
 
     def test_exhausted_search_sets_flag(self):
         # candidate set is a single far-off anchor, so no database point can
@@ -327,16 +317,16 @@ class TestMisc:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SchemeConfig(n=0, lam=1.0)
-        # the tolerance schedule needs n >= 2: n = 1 built, then every
-        # identify, encode and decode raised
+        # the tolerance rule needs n >= 2: at n = 1 it is 0
         for n in (1, 2.0, True):
             with pytest.raises(ValueError, match=r"integer n >= 2"):
                 SchemeConfig(n=n, lam=1.0)
         assert SchemeConfig(n=2, lam=1.0).n == 2
         with pytest.raises(ValueError):
             SchemeConfig(n=4, lam=0.0)
-        with pytest.raises(ValueError):
-            SchemeConfig(n=4, lam=1.0, delta_mode="loose")
+        # the tolerance has one rule; the paper's schedule is not offered
+        with pytest.raises(TypeError, match="delta_mode"):
+            SchemeConfig(n=4, lam=1.0, delta_mode="practical")
 
 
 class TestCodebookCacheKey:
