@@ -50,10 +50,11 @@ def variational_mc(family: SourceFamily, theta, theta_prime, n: int,
 def exceeds(family: SourceFamily, theta, theta_prime, n: int,
             num_samples: int, seed: int, tol: float) -> bool:
     """``not variational_mc(...).value <= tol`` (so a NaN tol is exceeded),
-    drawing only the blocks it needs: the statistic is built one
-    ``sample_chunks`` block at a time, and a prefix whose sum proves the mean
-    above tol ends the draw.  Raises where ``variational_mc`` raises, unless
-    a prefix decides before the rows whose statistic is NaN."""
+    drawing only the rows it needs: a ``draws_by_row`` family's rows are drawn
+    and scored in blocks of 50, 50, 100, 200, ... rows, and a prefix whose sum
+    proves the mean above tol ends the draw; any other family's are drawn at
+    once.  Raises where ``variational_mc`` raises, unless a prefix decides
+    before the rows whose statistic is NaN."""
     if n < 1 or num_samples < 1:
         raise ValueError("n and num_samples must be >= 1")
     if np.array_equal(theta, theta_prime):
@@ -75,11 +76,13 @@ def exceeds(family: SourceFamily, theta, theta_prime, n: int,
     # the bar is never passed.
     bar = N * tol * (1.0 + 4.0 * N * 2.0 ** -53)
     stat = np.empty(N)
+    rng = rng_for(seed, TAG_DISTANCE)
     done, prefix = 0, 0.0
-    for x in family.sample_chunks(theta, n, N, rng_for(seed, TAG_DISTANCE)):
-        chunk = _statistic(family, theta, theta_prime, x,
-                           out=stat[done:done + len(x)])
-        done += len(x)
+    while done < N:
+        rows = min(max(done, 50), N - done) if family.draws_by_row else N
+        x = family.sample_paths(theta, n, rows, rng)
+        chunk = _statistic(family, theta, theta_prime, x, out=stat[done:done + rows])
+        done += rows
         if done < N:
             prefix += np.add.reduce(chunk)
             if prefix > bar:

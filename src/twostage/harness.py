@@ -102,6 +102,11 @@ def build_config(raw: dict) -> ExperimentConfig:
     if wrong:
         raise ConfigError("config field invalid: wrong JSON type for "
                           + ", ".join(wrong))
+    # n is no scheme key: each block length of n_grid sets it
+    known = {f.name for f in dataclasses.fields(scheme.SchemeConfig)} - {"n"}
+    unknown = sorted(set(raw.get("scheme", {})) - known)
+    if unknown:
+        raise ConfigError("config has unknown scheme key(s): " + ", ".join(unknown))
     try:
         cfg = ExperimentConfig(
             family_spec=raw["family"], theta0=tuple(raw["theta0"]),

@@ -59,6 +59,7 @@ class SourceFamily:
     tag: str
     fields: tuple = ()           # the constructor's arguments and config fields
     letter_dim: int = 1          # d; letters live in R^d
+    draws_by_row: bool = False   # sample_paths calls on one rng continue one draw
 
     @property
     def key(self) -> tuple:
@@ -83,13 +84,6 @@ class SourceFamily:
         """Stationary paths, shape (count, n) or (count, n, d)."""
         raise NotImplementedError
 
-    def sample_chunks(self, theta, n: int, count: int,
-                      rng: np.random.Generator):
-        """Consecutive row blocks of ``sample_paths(theta, n, count, rng)``,
-        which they join into bit for bit, each drawn when asked for.  Here
-        one block: a family whose draw is not row by row keeps it whole."""
-        yield self.sample_paths(theta, n, count, rng)
-
     def log_density_batch(self, theta, blocks: np.ndarray) -> np.ndarray:
         """log p_theta^n(x^n) for each row of ``blocks``."""
         raise NotImplementedError
@@ -113,11 +107,15 @@ class SourceFamily:
     @staticmethod
     def _prior_values(prior: dict | None, **defaults) -> list:
         """The prior's value for each key, or else its default; a key that
-        the family does not read raises ValueError naming it."""
+        the family does not read, or a value that is no int or float (a
+        bool included), raises ValueError naming it."""
         prior = prior or {}
         unknown = sorted(str(k) for k in prior if k not in defaults)
         if unknown:
             raise ValueError("prior has unknown key(s): " + ", ".join(unknown))
+        wrong = sorted(k for k, v in prior.items() if type(v) not in (int, float))
+        if wrong:
+            raise ValueError("prior value(s) must be numbers: " + ", ".join(wrong))
         return [prior.get(k, v) for k, v in defaults.items()]
 
 
@@ -125,6 +123,7 @@ class GaussianIID(SourceFamily):
     """All Gaussian i.i.d. processes, theta = (mean, std), std > 0."""
 
     tag = "gaussian-iid"
+    draws_by_row = True          # the normals fill row by row
 
     def validate(self, theta) -> np.ndarray:
         t = as_theta(theta)
@@ -144,15 +143,6 @@ class GaussianIID(SourceFamily):
         x *= s
         x += m
         return x
-
-    def sample_chunks(self, theta, n, count, rng):
-        """Blocks of 50, 50, 100, 200, ... rows: the normals fill row by row,
-        so consecutive draws continue one draw's stream."""
-        done = 0
-        while done < count:
-            rows = min(max(done, 50), count - done)
-            yield self.sample_paths(theta, n, rows, rng)
-            done += rows
 
     def log_density_batch(self, theta, blocks):
         m, s = self.validate(theta)

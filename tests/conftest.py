@@ -21,6 +21,13 @@ def bitstring(bits) -> BitString:
     return BitString(int(s or "0", 2), len(s))
 
 
+def exceeds_blocks(N: int) -> list:
+    """The row counts of ``distances.exceeds``' draws of N rows from a
+    ``draws_by_row`` family: 50, 50, 100, 200, ..., the last cut at N."""
+    cuts = [c for c in (50, 100, 200, 400, 800) if c < N]
+    return np.diff([0, *cuts, N]).tolist()
+
+
 def rho_n(rho_max: float, x, xhat) -> float:
     """The distortion of one block against one codevector, letter by letter:
     the per-letter average of min(base distance, rho_max), where the base

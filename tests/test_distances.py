@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from twostage import distances
-from twostage.distances import DistanceEstimate, exceeds, variational_mc
+from conftest import exceeds_blocks
+from twostage.distances import (DistanceEstimate, _statistic, exceeds,
+                                variational_mc)
 from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
                              InvalidParameterError)
 from twostage.rand import TAG_DISTANCE, rng_for
@@ -158,8 +159,9 @@ def test_exceeds_decides_as_the_estimate():
 
 
 def test_chunked_statistic_equals_one_shot():
-    # each block's statistic, a short array through NumPy's dispatched
-    # expm1, equals its rows of the one-shot statistic bit for bit
+    # the statistic of each block that exceeds draws, a short array through
+    # NumPy's dispatched expm1, equals its rows of the one-shot statistic bit
+    # for bit
     rng = rng_for(2030, 0)
     for N in (1, 51, 101, 400, 1000):
         for n in (1, 4, 17):
@@ -167,33 +169,51 @@ def test_chunked_statistic_equals_one_shot():
             theta_prime = (theta[0] + 0.2 * rng.normal(), theta[1])
             seed = int(rng.integers(2**31))
             x = GAUSS.sample_paths(theta, n, N, rng_for(seed, TAG_DISTANCE))
-            whole = distances._statistic(GAUSS, theta, theta_prime, x)
-            chunks = GAUSS.sample_chunks(theta, n, N, rng_for(seed, TAG_DISTANCE))
-            got = np.concatenate([distances._statistic(GAUSS, theta, theta_prime, c)
-                                  for c in chunks])
+            whole = _statistic(GAUSS, theta, theta_prime, x)
+            draw = rng_for(seed, TAG_DISTANCE)
+            got = np.concatenate([
+                _statistic(GAUSS, theta, theta_prime, GAUSS.sample_paths(theta, n, c, draw))
+                for c in exceeds_blocks(N)])
             assert got.tobytes() == whole.tobytes(), (N, n)
 
 
-class CountingIID(GaussianIID):
-    """Gaussian i.i.d. that counts the rows it draws."""
+def recording(family):
+    """``family``, keeping the row count of each of its ``sample_paths``
+    calls in its ``calls`` list."""
+    draw, family.calls = family.sample_paths, []
 
-    rows = 0
+    def sample_paths(theta, n, count, rng):
+        family.calls.append(count)
+        return draw(theta, n, count, rng)
 
-    def sample_paths(self, theta, n, count, rng):
-        self.rows += count
-        return super().sample_paths(theta, n, count, rng)
+    family.sample_paths = sample_paths
+    return family
 
 
 def test_exceeds_draws_only_the_deciding_rows():
     # the prefix must prove the mean of all N rows above tol, so a far pair
     # (a statistic of 2 on every row) stops at the first block boundary past
     # N tol / 2 rows; tol >= 2, or a pair within tol, needs every row
-    for theta_prime, tol, rows in (((40.0, 1.0), 0.1, 50), ((40.0, 1.0), 0.5, 200),
-                                   ((40.0, 1.0), 2.0, 400),
-                                   ((0.0, 1.0 + 1e-9), 0.5, 400)):
-        family = CountingIID()
+    for theta_prime, tol, calls in (((40.0, 1.0), 0.1, [50]),
+                                    ((40.0, 1.0), 0.5, [50, 50, 100]),
+                                    ((40.0, 1.0), 2.0, [50, 50, 100, 200]),
+                                    ((0.0, 1.0 + 1e-9), 0.5, [50, 50, 100, 200])):
+        family = recording(GaussianIID())
         decided = exceeds(family, (0.0, 1.0), theta_prime, 4, 400, 3, tol)
-        assert decided is (rows < 400) and family.rows == rows
+        assert decided is (sum(calls) < 400) and family.calls == calls
+    # the AR head and the HMM states are drawn column by column, so a draw's
+    # first rows are no smaller draw: all N rows in one call, even where a
+    # prefix would decide (these pairs are about 1.0 and 1.7 apart)
+    for build, theta, theta_prime in (
+            (lambda: GaussianAR(p=2), (0.3, -0.2), (-0.6, 0.3)),
+            (lambda: HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 2.0],
+                                  emission_stds=[0.7, 1.1]),
+             (0.9, 0.1, 0.1, 0.9), (0.1, 0.9, 0.9, 0.1))):
+        assert not build().draws_by_row
+        for tol in (0.1, 2.0):
+            family = recording(build())
+            decided = exceeds(family, theta, theta_prime, 4, 400, 3, tol)
+            assert decided is (tol < 1.0) and family.calls == [400]
 
 
 class NaNAfter(GaussianIID):

@@ -4,14 +4,16 @@ families share cache entries and families that differ in any field do not;
 its config spec builds the same family as its constructor; its VC bound is
 the documented formula; each row's log-density is the row's alone; its
 ``log_density_bounds`` values lie within their bound of the exact kernel's;
-its prior draws validate; and its row blocks join into one draw.  Every
-comparison is bit for bit within one process, but for the AR rounding that
-``same_values`` names."""
+its prior draws validate; and its draws join into one draw where it
+declares ``draws_by_row``.  Every comparison is bit for bit within one
+process, but for the AR rounding that ``same_values`` names.  Hypothesis
+draws the inputs of the last two, derandomized."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twostage.mde import vc_bound
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov, make_family
@@ -65,6 +67,10 @@ def cases(*columns):
         ",".join(columns),
         [pytest.param(*(c[1 + names.index(k)] for k in columns), id=c[0])
          for c in CASES])
+
+
+# 20 examples per family keep each property under half a second
+DRAWN = settings(max_examples=20, deadline=None, derandomize=True)
 
 
 def nudged(value):
@@ -127,27 +133,41 @@ def same_values(fam, got, want) -> bool:
     return got.tobytes() == want.tobytes()
 
 
-@cases("build", "theta")
-def test_row_log_density_ignores_the_other_rows(build, theta):
+@cases("build")
+@DRAWN
+@given(k=st.integers(0, 999), n=st.integers(1, 8), rows=st.integers(1, 16))
+def test_row_log_density_ignores_the_other_rows(build, k, n, rows):
     fam = build()
-    for n in (1, 2, 5):
-        X = fam.sample_paths(theta, n, 12, rng_for(41, n))
-        X[::3] *= 5.0           # rows far out in the tails beside typical ones
-        batch = fam.log_density_batch(theta, X)
-        assert batch.shape == (12,) and np.all(np.isfinite(batch))
-        alone = np.concatenate([fam.log_density_batch(theta, X[j:j + 1])
-                                for j in range(12)])
-        assert same_values(fam, alone, batch)
-        assert same_values(fam, fam.log_density_batch(theta, X[::-1]), batch[::-1])
+    theta = fam.prior_draw(rng_for(41, k))
+    X = fam.sample_paths(theta, n, rows, rng_for(41, n))
+    X[::3] *= 5.0           # rows far out in the tails beside typical ones
+    batch = fam.log_density_batch(theta, X)
+    assert batch.shape == (rows,) and np.all(np.isfinite(batch))
+    alone = np.concatenate([fam.log_density_batch(theta, X[j:j + 1])
+                            for j in range(rows)])
+    assert same_values(fam, alone, batch)
+    assert same_values(fam, fam.log_density_batch(theta, X[::-1]), batch[::-1])
 
 
-@cases("build", "theta")
-def test_chunks_join_into_one_draw(build, theta):
+@cases("build")
+@DRAWN
+@given(k=st.integers(0, 999), n=st.integers(1, 33),
+       counts=st.lists(st.integers(1, 80), min_size=1, max_size=4))
+def test_chunks_join_into_one_draw(build, k, n, counts):
+    # distances.exceeds draws a draws_by_row family's rows a block at a time
+    # and any other's whole, and sums the blocks' statistic against a bar set
+    # for prefixes of the one-shot draw
     fam = build()
-    for count in (1, 50, 51, 237):
-        whole = fam.sample_paths(theta, 4, count, rng_for(43, count))
-        chunks = list(fam.sample_chunks(theta, 4, count, rng_for(43, count)))
-        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    theta, other = fam.prior_draw(rng_for(43, k)), fam.prior_draw(rng_for(44, k))
+    rng = rng_for(43, n)
+    blocks = counts if fam.draws_by_row else [sum(counts)]
+    parts = [fam.sample_paths(theta, n, c, rng) for c in blocks]
+    whole = fam.sample_paths(theta, n, sum(counts), rng_for(43, n))
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    if len(parts) > 1:          # each block scores as its rows of the whole
+        for t in (theta, other):
+            got = np.concatenate([fam.log_density_batch(t, x) for x in parts])
+            assert got.tobytes() == fam.log_density_batch(t, whole).tobytes()
 
 
 @cases("build", "theta")

@@ -115,11 +115,19 @@ NAMED_KEYS = [   # (key, the changes to tiny_raw)
                        "theta0": [0.8, 0.2, 0.3, 0.7]}),
     # the paper's tolerance schedule is not offered
     ("delta_mode", {"scheme": tiny_raw()["scheme"] | {"delta_mode": "paper"}}),
+    # prior values must be JSON numbers: a true ran as 1, and a string failed
+    # without naming its key
+    ("m_scale", {"scheme": tiny_raw()["scheme"] | {"prior": {"m_scale": True}}}),
+    ("m_loc", {"scheme": tiny_raw()["scheme"] | {"prior": {"m_loc": "3"}}}),
+    ("concentration", {"family": HMM2, "theta0": [0.8, 0.2, 0.3, 0.7],
+                       "plant": [[0.8, 0.2, 0.3, 0.7]],
+                       "scheme": tiny_raw()["scheme"] | {"prior": {"concentration": True}}}),
 ]
 
 
 def named_id(key, changes) -> str:
-    where = (changes, changes.get("family", {}), changes.get("scheme", {}))
+    scheme = changes.get("scheme", {})
+    where = (changes, changes.get("family", {}), scheme, scheme.get("prior", {}))
     return f"{key}=" + next((str(d[key]) for d in where if key in d), "missing")
 
 
@@ -202,6 +210,13 @@ class TestConfig:
         raw = tiny_raw(family=family, theta0=theta0, plant=[theta0])
         raw["scheme"]["prior"] = prior
         with pytest.raises(ConfigError, match=rf"unknown key\(s\): {key}$"):
+            build_config(raw)
+
+    def test_every_unknown_scheme_key_is_named(self):
+        # SchemeConfig's own TypeError named only the first
+        raw = tiny_raw(scheme=tiny_raw()["scheme"] | {"lamda": 0.5, "delta_mode": "paper"})
+        with pytest.raises(ConfigError,
+                           match=r"unknown scheme key\(s\): delta_mode, lamda$"):
             build_config(raw)
 
     def test_anchors_alone_are_candidates(self):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import exceeds_blocks
+from twostage.distances import exceeds
 from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
                              InvalidParameterError)
-from twostage.rand import TAG_SAMPLE, rng_for
+from twostage.rand import TAG_DISTANCE, TAG_SAMPLE, rng_for
 
 
 @pytest.fixture
@@ -176,46 +178,64 @@ class TestHiddenMarkov:
 class TestSampleChunks:
     @pytest.mark.parametrize("count", [1, 49, 50, 51, 100, 101, 400, 1000])
     def test_gaussian_chunks_join_into_one_draw(self, gauss, count):
-        # blocks of 50, 50, 100, 200, ... rows, bit for bit the one-shot
-        # draw, and scored row by row as the one-shot batch is at every
-        # block boundary
+        # the blocks of 50, 50, 100, 200, ... rows that distances.exceeds
+        # draws one after another on one generator are bit for bit the
+        # one-shot draw, and score row by row as the one-shot batch does
+        assert gauss.draws_by_row
         theta, other = (0.3, 1.7), (-0.2, 0.9)
         for n in (1, 4, 33):
             whole = gauss.sample_paths(theta, n, count, rng_for(5, n))
-            chunks = list(gauss.sample_chunks(theta, n, count, rng_for(5, n)))
-            sizes = [len(c) for c in chunks]
-            full = [50, 50, 100, 200, 400, 800]
-            assert sizes[:-1] == full[:len(sizes) - 1]
-            assert 1 <= sizes[-1] <= full[len(sizes) - 1] and sum(sizes) == count
+            rng = rng_for(5, n)
+            chunks = [gauss.sample_paths(theta, n, c, rng) for c in exceeds_blocks(count)]
             assert np.concatenate(chunks).tobytes() == whole.tobytes()
             for t in (theta, other):
                 batch = gauss.log_density_batch(t, whole)
                 per_chunk = [gauss.log_density_batch(t, c) for c in chunks]
                 assert np.concatenate(per_chunk).tobytes() == batch.tobytes()
 
-    def test_chunks_are_drawn_when_asked(self, gauss):
+    @staticmethod
+    def drawing(family):
+        """``family``, keeping each ``sample_paths`` call's generator
+        position before the call, row count and draw in its ``draws`` list."""
+        draw, family.draws = family.sample_paths, []
+
         def position(rng):
             state = rng.bit_generator.state
             return tuple(state["state"]["counter"]), state["buffer_pos"]
 
-        rng = rng_for(6, 0)
-        chunks = gauss.sample_chunks((0.0, 1.0), 3, 400, rng)
-        assert position(rng) == position(rng_for(6, 0))
-        assert len(next(chunks)) == 50
-        after_first = position(rng)
-        ref = rng_for(6, 0)
-        ref.standard_normal((50, 3))
-        assert after_first == position(ref)      # nothing drawn ahead
-        next(chunks)
-        assert position(rng) != after_first
+        def sample_paths(theta, n, count, rng):
+            before = position(rng)
+            x = draw(theta, n, count, rng)
+            family.draws.append((before, count, x, position(rng)))
+            return x
+
+        family.sample_paths, family.position = sample_paths, position
+        return family
+
+    def test_chunks_are_drawn_when_asked(self, gauss):
+        # a far pair is decided by exceeds' first block: the generator starts
+        # untouched, and 50 rows, drawn once, leave it where a plain draw of
+        # 50 rows does, so nothing is drawn ahead
+        family = self.drawing(gauss)
+        assert exceeds(family, (0.0, 1.0), (40.0, 1.0), 3, 400, 6, 0.1)
+        [(before, count, x, after)] = family.draws
+        ref = rng_for(6, TAG_DISTANCE)
+        assert before == family.position(ref) and count == 50
+        assert x.tobytes() == ref.standard_normal((50, 3)).tobytes()
+        assert after == family.position(ref)
 
     def test_ar_and_hmm_draw_one_block(self, hmm2):
-        for family, theta in ((GaussianAR(p=2), (0.3, -0.2)),
-                              (hmm2, (0.8, 0.2, 0.3, 0.7))):
-            whole = family.sample_paths(theta, 6, 400, rng_for(7, 0))
-            chunks = list(family.sample_chunks(theta, 6, 400, rng_for(7, 0)))
-            assert len(chunks) == 1
-            assert chunks[0].tobytes() == whole.tobytes()
+        # exceeds draws an AR or HMM probe's N rows in one sample_paths call,
+        # the one-shot draw bit for bit
+        for family, theta, theta_prime in (
+                (GaussianAR(p=2), (0.3, -0.2), (-0.6, 0.3)),
+                (hmm2, (0.8, 0.2, 0.3, 0.7), (0.2, 0.8, 0.7, 0.3))):
+            assert not family.draws_by_row
+            whole = family.sample_paths(theta, 6, 400, rng_for(7, TAG_DISTANCE))
+            family = self.drawing(family)
+            exceeds(family, theta, theta_prime, 6, 400, 7, 0.1)
+            [(_, count, x, _)] = family.draws
+            assert count == 400 and x.tobytes() == whole.tobytes()
 
 
 # SHA-256 of log_density_batch over the seeded corpus below, recorded with
