@@ -99,6 +99,11 @@ def build_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError("config has unknown key(s): " + ", ".join(unknown))
     wrong = [k for k, t in TOP_TYPES.items() if k in raw and not _typed(raw[k], *t)]
+    if not wrong:   # each parameter vector is a list of JSON numbers
+        vectors = {"theta0": [raw.get("theta0", [])], "plant": raw.get("plant", []),
+                   "anchors": raw.get("scheme", {}).get("anchors", [])}
+        wrong = [k for k, v in vectors.items() if type(v) is not list or not all(
+            type(t) is list and models.leaves_typed(t, (int, float)) for t in v)]
     if wrong:
         raise ConfigError("config field invalid: wrong JSON type for "
                           + ", ".join(wrong))

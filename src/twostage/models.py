@@ -46,18 +46,18 @@ class SampleBlock:
             raise ValueError(f"block claims n={self.n} but holds {v.shape[0]}")
 
 
-def as_theta(theta) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if arr.ndim != 1:
-        raise InvalidParameterError("parameter vector must be 1-D")
-    return arr
+def leaves_typed(value, types) -> bool:
+    """Whether each leaf of a JSON value (itself unless a list; a ragged
+    list's rows count as leaves) has one of ``types`` exactly: true is no int."""
+    return all(type(x) in types for x in np.ravel(np.array(value, dtype=object)))
 
 
 class SourceFamily:
     """Interface shared by the three concrete families."""
 
     tag: str
-    fields: tuple = ()           # the constructor's arguments and config fields
+    size: int                    # k: theta has k coordinates
+    fields: dict = {}            # constructor arguments = config fields: JSON leaf types
     letter_dim: int = 1          # d; letters live in R^d
     draws_by_row: bool = False   # sample_paths calls on one rng continue one draw
 
@@ -77,7 +77,21 @@ class SourceFamily:
         return hash(self.key)
 
     def validate(self, theta) -> np.ndarray:
-        raise NotImplementedError
+        """theta as a 1-D float array of ``size`` finite coordinates inside
+        the family's region, else InvalidParameterError: the family's
+        ``_region_error(t, coords)`` says why the finite t (also as the list
+        ``coords``) lies outside its region, or returns None."""
+        t = np.atleast_1d(np.asarray(theta, dtype=float))
+        if t.ndim != 1:
+            raise InvalidParameterError("parameter vector must be 1-D")
+        if t.shape[0] != self.size:
+            raise InvalidParameterError(f"{self.tag} needs {self.size} coords, got {len(t)}")
+        coords = t.tolist()
+        if not all(map(math.isfinite, coords)):
+            raise InvalidParameterError("non-finite parameter")
+        if why := self._region_error(t, coords):
+            raise InvalidParameterError(why)
+        return t
 
     def sample_paths(self, theta, n: int, count: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -123,19 +137,11 @@ class GaussianIID(SourceFamily):
     """All Gaussian i.i.d. processes, theta = (mean, std), std > 0."""
 
     tag = "gaussian-iid"
+    size = 2
     draws_by_row = True          # the normals fill row by row
 
-    def validate(self, theta) -> np.ndarray:
-        t = as_theta(theta)
-        if t.shape[0] != 2:
-            raise InvalidParameterError(
-                f"gaussian-iid needs (m, sigma), got {t.shape[0]} coords")
-        m, s = t.tolist()
-        if not (math.isfinite(m) and math.isfinite(s)):
-            raise InvalidParameterError("non-finite parameter")
-        if s <= 0:
-            raise InvalidParameterError(f"sigma must be > 0, got {s}")
-        return t
+    def _region_error(self, t, coords):
+        return f"sigma must be > 0, got {coords[1]}" if coords[1] <= 0 else None
 
     def sample_paths(self, theta, n, count, rng):
         m, s = self.validate(theta)
@@ -231,27 +237,19 @@ class GaussianAR(SourceFamily):
     """
 
     tag = "gaussian-ar"
-    fields = ("p",)
+    fields = {"p": (int,)}
 
     def __init__(self, p: int):
-        if p < 1:
+        if not (np.ndim(p) == 0 and p >= 1):
             raise ValueError("AR order p must be >= 1")
-        self.p = p
+        self.p = self.size = p
 
-    def validate(self, theta) -> np.ndarray:
-        t = as_theta(theta)
-        if t.shape[0] != self.p:
-            raise InvalidParameterError(
-                f"AR({self.p}) needs {self.p} coefficients, got {t.shape[0]}")
-        if not np.all(np.isfinite(t)):
-            raise InvalidParameterError("non-finite parameter")
+    def _region_error(self, t, coords):
         # roots of A(z) = 1 + a_1 z + ... + a_p z^p, highest power first
         roots = np.roots(np.concatenate((t[::-1], [1.0])))
         if roots.size and np.min(np.abs(roots)) <= 1.0:
-            raise InvalidParameterError(
-                f"AR polynomial has a root inside the unit circle "
-                f"(min |root| = {np.min(np.abs(roots)):.6f})")
-        return t
+            return (f"AR polynomial has a root inside the unit circle "
+                    f"(min |root| = {np.min(np.abs(roots)):.6f})")
 
     def _head_cholesky(self, a: np.ndarray, q: int) -> np.ndarray:
         """Lower Cholesky factor of the covariance of the first q letters, from
@@ -322,14 +320,15 @@ class HiddenMarkov(SourceFamily):
     entries > a0 and unit row sums."""
 
     tag = "hmm"
-    fields = ("M", "a0", "emission_means", "emission_stds")
+    fields = {"M": (int,), "a0": (int, float),
+              "emission_means": (int, float), "emission_stds": (int, float)}
 
     def __init__(self, M: int, a0: float, emission_means, emission_stds):
-        if M < 1:
+        if not (np.ndim(M) == 0 and M >= 1):
             raise ValueError("M must be >= 1")
-        if not 0 <= a0 < 1.0 / M:
+        if not (np.ndim(a0) == 0 and 0 <= a0 < 1.0 / M):
             raise ValueError("need 0 <= a0 < 1/M for a nonempty parameter set")
-        self.M = M
+        self.M, self.size = M, M * M
         self.a0 = float(a0)
         means = np.asarray(emission_means, dtype=float)
         stds = np.asarray(emission_stds, dtype=float)
@@ -345,22 +344,13 @@ class HiddenMarkov(SourceFamily):
         self.emission_stds = stds
         self.letter_dim = means.shape[1]
 
-    def validate(self, theta) -> np.ndarray:
-        t = as_theta(theta)
-        if t.shape[0] != self.M * self.M:
-            raise InvalidParameterError(
-                f"hmm needs {self.M * self.M} transition entries, got {t.shape[0]}")
+    def _region_error(self, t, coords):
         A = t.reshape(self.M, self.M)
-        if not np.all(np.isfinite(A)):
-            raise InvalidParameterError("non-finite parameter")
         if np.any(A <= self.a0 - 1e-12):
-            raise InvalidParameterError(
-                f"all transition probabilities must exceed a0={self.a0}")
+            return f"all transition probabilities must exceed a0={self.a0}"
         rowsums = A.sum(axis=1)
         if np.any(np.abs(rowsums - 1.0) > 1e-8):
-            raise InvalidParameterError(
-                f"transition rows must sum to 1, got {rowsums}")
-        return t
+            return f"transition rows must sum to 1, got {rowsums}"
 
     def chain(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """(A, pi): the validated transition matrix and its stationary
@@ -423,8 +413,8 @@ class HiddenMarkov(SourceFamily):
 
 def make_family(spec: dict) -> SourceFamily:
     """Build a family from a config mapping of its tag and its fields (see
-    harness docs); a missing or unread field, a p or M that is no integer,
-    or an a0 or emission entry that is no number, is an error."""
+    harness docs); a missing or unread field, or a field with a leaf that
+    is not of the field's JSON types, is an error."""
     kind = spec.get("kind")
     cls = next((c for c in (GaussianIID, GaussianAR, HiddenMarkov) if c.tag == kind), None)
     if cls is None:
@@ -435,13 +425,7 @@ def make_family(spec: dict) -> SourceFamily:
     missing = [f for f in cls.fields if f not in spec]
     if missing:
         raise ValueError(f"{kind} family needs field(s): " + ", ".join(missing))
-    for name in ("p", "M"):
-        if name in spec and type(spec[name]) is not int:   # nor a bool
-            raise ValueError(f"family field {name} must be an integer")
-    if "a0" in spec and type(spec["a0"]) not in (int, float):
-        raise ValueError("family field a0 must be a number")
-    for name in ("emission_means", "emission_stds"):
-        if name in spec and any(type(x) not in (int, float)
-                                for x in np.ravel(np.array(spec[name], dtype=object))):
-            raise ValueError(f"family field {name} must hold numbers only")
+    wrong = [f for f, types in cls.fields.items() if not leaves_typed(spec[f], types)]
+    if wrong:
+        raise ValueError(f"{kind} field(s) of the wrong JSON type: " + ", ".join(wrong))
     return cls(*(spec[f] for f in cls.fields))

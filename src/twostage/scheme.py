@@ -80,6 +80,7 @@ class SchemeConfig:
             "integer design_restarts >= 1": whole(self.design_restarts) >= 1,
             "integer max_initial_size >= 1": whole(self.max_initial_size) >= 1,
             "integer l_cap >= 0": self.l_cap is None or whole(self.l_cap) >= 0,
+            "prior a dict or None": self.prior is None or type(self.prior) is dict,
         }
         failed = [name for name, ok in checks.items() if not ok]
         if failed:
@@ -97,11 +98,9 @@ def gap_length(config: SchemeConfig) -> int:
 
 
 def extract_z(config: SchemeConfig, history: np.ndarray) -> np.ndarray:
-    """The n estimation blocks of the memory, shape (n, n, ...)."""
+    """The n estimation blocks of the memory, shape (n, n, ...); a memory
+    of any other length fails the reshape."""
     n, l_n = config.n, gap_length(config)
-    if history.shape[0] != n * (n + l_n):
-        raise ValueError(f"history has {history.shape[0]} letters, "
-                         f"need {n * (n + l_n)}")
     return np.ascontiguousarray(
         history.reshape(n, n + l_n, *history.shape[1:])[:, :n])
 
@@ -219,16 +218,26 @@ def candidate_set(config: SchemeConfig, db: Database) -> CandidateSet:
     return CandidateSet.build(db.family, cands)
 
 
+def _letters(family: SourceFamily, x, length: int, name: str) -> np.ndarray:
+    """``x`` as an array of ``length`` finite letters of the family's
+    dimension: shape (length,) for scalar letters, else (length, d)."""
+    x = np.asarray(x)
+    d = family.letter_dim
+    if x.shape != ((length,) if d == 1 else (length, d)):
+        raise ValueError(f"{name} must hold {length} letters in R^{d}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 def identify(config: SchemeConfig, db: Database, history,
              candidates: CandidateSet | None = None):
     """First stage: the MDE estimate theta_tilde from the memory's
     estimation blocks, then the waiting-time search for it in the database.
     Returns (T, theta_tilde, theta_hat); T is None for the b=1 flag."""
     family = db.family
-    hist = np.asarray(history)
-    if not np.all(np.isfinite(hist)):
-        raise ValueError("history must be finite")
-    Z = extract_z(config, hist)
+    m = config.n * (config.n + gap_length(config))
+    Z = extract_z(config, _letters(family, history, m, "history"))
     if candidates is None:
         candidates = candidate_set(config, db)
     theta_tilde = mde_estimate(family, Z, candidates, config.mde_mc,
@@ -242,11 +251,7 @@ def identify(config: SchemeConfig, db: Database, history,
 def encode_block(config: SchemeConfig, db: Database, history, current,
                  candidates: CandidateSet | None = None) -> EncodedBlock:
     """Full first+second stage encoding of one n-block given its memory."""
-    cur = np.asarray(current)
-    if cur.shape[0] != config.n:
-        raise ValueError(f"current block must have n={config.n} letters")
-    if not np.all(np.isfinite(cur)):
-        raise ValueError("current block must be finite")
+    cur = _letters(db.family, current, config.n, "current block")
     T, theta_tilde, theta_hat = identify(config, db, history, candidates)
     book = provision_codebook(config, db.family, theta_hat, book_index(T))
     cw_idx, s2 = ecvq_encode(book, cur)

@@ -4,19 +4,22 @@ families share cache entries and families that differ in any field do not;
 its config spec builds the same family as its constructor; its VC bound is
 the documented formula; each row's log-density is the row's alone; its
 ``log_density_bounds`` values lie within their bound of the exact kernel's;
-its prior draws validate; and its draws join into one draw where it
+its prior draws validate; ``validate`` refuses a theta of the wrong size,
+shape or a non-finite coordinate; and its draws join into one draw where it
 declares ``draws_by_row``.  Every comparison is bit for bit within one
 process, but for the AR rounding that ``same_values`` names.  Hypothesis
-draws the inputs of the last two, derandomized."""
+draws the inputs of the last three, derandomized."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twostage.mde import vc_bound
-from twostage.models import GaussianAR, GaussianIID, HiddenMarkov, make_family
+from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
+                             InvalidParameterError, make_family)
 from twostage.rand import rng_for
 
 E = math.e
@@ -197,3 +200,27 @@ def test_prior_draws_validate(build):
             assert fam.validate(theta).tobytes() == theta.tobytes()
         # each override is read: it moves the first draw
         assert (prior is None) == (draws[0].tobytes() == default.tobytes()), prior
+
+
+@cases("build")
+@DRAWN
+@given(k=st.integers(0, 999))
+def test_validate_refuses_size_shape_and_non_finite(build, k):
+    fam = build()
+    theta = fam.prior_draw(rng_for(59, k))
+    got = fam.validate(theta.tolist())
+    assert got.dtype == np.float64 and got.shape == (fam.size,)
+    assert got.tobytes() == theta.tobytes()
+    for wrong in (theta[:-1], np.append(theta, theta[0])):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{re.escape(fam.tag)} needs {fam.size} coords, "
+                                 rf"got {len(wrong)}$"):
+            fam.validate(wrong)
+    for i in range(fam.size):
+        for v in (math.nan, math.inf, -math.inf):
+            bad = theta.copy()
+            bad[i] = v
+            with pytest.raises(InvalidParameterError, match="^non-finite parameter$"):
+                fam.validate(bad)
+    with pytest.raises(InvalidParameterError, match="^parameter vector must be 1-D$"):
+        fam.validate(theta[None, :])

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -122,6 +123,11 @@ NAMED_KEYS = [   # (key, the changes to tiny_raw)
     ("concentration", {"family": HMM2, "theta0": [0.8, 0.2, 0.3, 0.7],
                        "plant": [[0.8, 0.2, 0.3, 0.7]],
                        "scheme": tiny_raw()["scheme"] | {"prior": {"concentration": True}}}),
+    # parameter vectors must hold JSON numbers: each ran on 1.0 or 0.0
+    ("theta0", {"theta0": [0.0, True]}),
+    ("theta0", {"theta0": ["0", 1.0]}),
+    ("plant", {"plant": [[0.0, True]]}),
+    ("anchors", {"scheme": tiny_raw()["scheme"] | {"anchors": [[True, 1.0]]}}),
 ]
 
 
@@ -211,6 +217,24 @@ class TestConfig:
         raw["scheme"]["prior"] = prior
         with pytest.raises(ConfigError, match=rf"unknown key\(s\): {key}$"):
             build_config(raw)
+
+    @pytest.mark.parametrize("prior", [["m_loc"], True, 3, "m_loc", []], ids=repr)
+    def test_prior_that_is_no_object_is_named(self, prior):
+        # a list, bool or number raised an unnamed AttributeError or
+        # TypeError, a string read its characters as keys, and [] ran as
+        # the default prior
+        raw = tiny_raw()
+        raw["scheme"]["prior"] = prior
+        with pytest.raises(ConfigError, match=r"need prior a dict or None$"):
+            build_config(raw)
+
+    def test_null_prior_is_the_default(self):
+        raw = tiny_raw()
+        raw["scheme"]["prior"] = None
+        cfg = build_config(raw)
+        db = cfg.database(cfg.family())
+        assert db.prior is None and np.array_equal(
+            db.point(2), build_config(tiny_raw()).database(cfg.family()).point(2))
 
     def test_every_unknown_scheme_key_is_named(self):
         # SchemeConfig's own TypeError named only the first

@@ -55,8 +55,12 @@ class TestGaussianIID:
         ((0.0, -0.0), "sigma must be > 0, got -0.0"),
         ((0.0, -2.5), "sigma must be > 0, got -2.5"),
         ((0.0, -1e-300), "sigma must be > 0, got -1e-300"),
-        ((1.0,), "gaussian-iid needs (m, sigma), got 1 coords"),
-        ((1.0, 2.0, 3.0), "gaussian-iid needs (m, sigma), got 3 coords"),
+        # every family's size message; the ids are those of the message
+        # that named (m, sigma)
+        pytest.param((1.0,), "gaussian-iid needs 2 coords, got 1",
+                     id="theta11-gaussian-iid needs (m, sigma), got 1 coords"),
+        pytest.param((1.0, 2.0, 3.0), "gaussian-iid needs 2 coords, got 3",
+                     id="theta12-gaussian-iid needs (m, sigma), got 3 coords"),
         ([[0.0, 1.0]], "parameter vector must be 1-D"),
     ])
     def test_invalid_parameter_messages(self, gauss, theta, message):

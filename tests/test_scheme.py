@@ -287,6 +287,37 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             encode_block(cfg, db, hist, cur[:-1])
 
+    def test_current_block_of_vectors_rejected(self):
+        # a (4, K) block of scalar letters against K codevectors of length 4
+        # broadcast, and encoded as codeword 0; any other K failed unnamed
+        cfg = small_config()
+        db = Database(family=GAUSS, seed=cfg.database_seed)
+        hist, cur = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=107)
+        enc = encode_block(cfg, db, hist, cur)
+        K = provision_codebook(cfg, GAUSS, enc.theta_hat,
+                               book_index(enc.waiting_time)).codevectors.shape[0]
+        for k in (K, K + 1):
+            with pytest.raises(ValueError, match=r"current block must hold 4 letters in R\^1"):
+                encode_block(cfg, db, hist, np.repeat(cur[:, None], k, axis=1))
+
+    def test_letters_of_the_wrong_dimension_rejected(self):
+        # a 2-d-letter HMM took a memory of (4, 1) letters, broadcast against
+        # its (M, 2) emission arrays, and emitted a stream
+        fam = HiddenMarkov(M=2, a0=0.05, emission_means=[[-1.0, 0.0], [1.0, 2.0]],
+                           emission_stds=[[1.0, 1.0], [0.5, 0.5]])
+        cfg = small_config(n=2)
+        db = Database(family=fam, seed=cfg.database_seed)
+        hist, cur = sample_scene(fam, (0.9, 0.1, 0.2, 0.8), cfg, seed=110)
+        assert hist.shape == (4, 2) and cur.shape == (2, 2)
+        for bad in (hist[:, :1], hist[:, 0], np.concatenate((hist, hist), axis=1)):
+            with pytest.raises(ValueError, match=r"history must hold 4 letters in R\^2"):
+                identify(cfg, db, bad)
+            with pytest.raises(ValueError, match="history"):
+                encode_block(cfg, db, bad, cur)
+        with pytest.raises(ValueError, match=r"current block must hold 2 letters in R\^2"):
+            encode_block(cfg, db, hist, cur[:, :1])
+        assert identify(cfg, db, hist)[0] == encode_block(cfg, db, hist, cur).waiting_time
+
 
 class TestMisc:
     def test_candidate_set_includes_anchors(self):
