@@ -11,46 +11,43 @@ import csv
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import distances, ecvq, mde, models, scheme
+from .models import COUNT, INTEGER, POINTS, ConfigError, Need, declarations
 from .rand import TAG_TRIAL, derive_seed
 
 CSV_SCHEMA = "twostage-csv v1"
 
 
-class ConfigError(ValueError):
-    """Experiment config failed to parse or validate."""
-
-
 @dataclass
 class ExperimentConfig:
-    family_spec: dict
-    theta0: tuple
-    n_grid: tuple
-    trials: int
-    seed: int = 0
-    scheme: dict = field(default_factory=dict)
-    eval_blocks: int = 2000
-    oracle_train_blocks: int = 2048
-    identify_mc: int = 4000
-    plant: tuple = ()               # parameters pinned at indices 1, 2, ...
-    per_trial_code_seed: bool = False  # fresh codebook training per trial
+    family_spec: dict = Need("object", "family an object").field()
+    theta0: tuple = Need("number", "{} a list of numbers", depth=1).field()
+    n_grid: tuple = Need("integer", "{} non-empty and strictly increasing",
+                         lambda v: list(v) == sorted(set(v)) != [], depth=1).field()
+    trials: int = COUNT.field()
+    seed: int = INTEGER.field(0)
+    scheme: dict = Need("object", "scheme an object").field({})
+    eval_blocks: int = COUNT.field(2000)
+    oracle_train_blocks: int = COUNT.field(2048)
+    identify_mc: int = COUNT.field(4000)
+    plant: tuple = POINTS.field(())          # parameters pinned at indices 1, 2, ...
+    # fresh codebook training per trial
+    per_trial_code_seed: bool = Need("boolean", "{} true or false").field(False)
+
+    def __post_init__(self):    # JSON lists as tuples, and a scheme of its own
+        self.theta0, self.n_grid = tuple(self.theta0), tuple(self.n_grid)
+        self.plant, self.scheme = tuple(map(tuple, self.plant)), dict(self.scheme)
 
     def family(self) -> models.SourceFamily:
         return models.make_family(self.family_spec)
 
     def scheme_config(self, n: int) -> scheme.SchemeConfig:
-        kw = dict(self.scheme)
-        kw.setdefault("database_seed", self.seed)
-        kw.setdefault("code_seed", self.seed + 1)
-        if "r" in kw and kw["r"] is None:
-            kw["r"] = math.inf
-        if "anchors" in kw:
-            kw["anchors"] = tuple(tuple(a) for a in kw["anchors"])
-        return scheme.SchemeConfig(n=n, **kw)
+        return scheme.SchemeConfig(**{"database_seed": self.seed, "code_seed": self.seed + 1,
+                                      **self.scheme, "n": n})
 
     def database(self, family) -> scheme.Database:
         sc = self.scheme_config(self.n_grid[0])
@@ -71,68 +68,35 @@ def load_config(path: str) -> ExperimentConfig:
     return build_config(raw)
 
 
-# top-level fields taken as they are, or else the ExperimentConfig default
-OPTIONAL = ("seed", "eval_blocks", "oracle_train_blocks", "identify_mc",
-            "per_trial_code_seed")
-# the JSON type of each top-level field and of its entries, checked before
-# any conversion (a JSON true is no integer here)
-TOP_TYPES = {
-    **dict.fromkeys(("trials", "seed", "eval_blocks", "oracle_train_blocks",
-                     "identify_mc"), (int, None)),
-    "per_trial_code_seed": (bool, None),
-    "theta0": (list, None), "n_grid": (list, int), "plant": (list, list),
-    "scheme": (dict, None),
-}
-
-
-def _typed(value, kind, entry) -> bool:
-    return type(value) is kind and (
-        entry is None or all(type(v) is entry for v in value))
+# a config's keys: the version and each ExperimentConfig field (family_spec's is
+# "family"); a scheme's: each SchemeConfig field but n, which n_grid sets
+TOP = {"schema_version": Need("integer", "schema_version 1", lambda v: v == 1),
+       **{"family" if k == "family_spec" else k: v
+          for k, v in declarations(ExperimentConfig).items()}}
+SCHEME = {k: v for k, v in declarations(scheme.SchemeConfig).items() if k != "n"}
 
 
 def build_config(raw: dict) -> ExperimentConfig:
     if type(raw) is not dict:
         raise ConfigError("config must be a JSON object")
-    if raw.get("schema_version") != 1:
-        raise ConfigError("config must declare schema_version: 1")
-    unknown = sorted(set(raw) - {"schema_version", "family", *TOP_TYPES})
-    if unknown:
-        raise ConfigError("config has unknown key(s): " + ", ".join(unknown))
-    wrong = [k for k, t in TOP_TYPES.items() if k in raw and not _typed(raw[k], *t)]
-    if not wrong:   # each parameter vector is a list of JSON numbers
-        vectors = {"theta0": [raw.get("theta0", [])], "plant": raw.get("plant", []),
-                   "anchors": raw.get("scheme", {}).get("anchors", [])}
-        wrong = [k for k, v in vectors.items() if type(v) is not list or not all(
-            type(t) is list and models.leaves_typed(t, (int, float)) for t in v)]
-    if wrong:
-        raise ConfigError("config field invalid: wrong JSON type for "
-                          + ", ".join(wrong))
-    # n is no scheme key: each block length of n_grid sets it
-    known = {f.name for f in dataclasses.fields(scheme.SchemeConfig)} - {"n"}
-    unknown = sorted(set(raw.get("scheme", {})) - known)
-    if unknown:
-        raise ConfigError("config has unknown scheme key(s): " + ", ".join(unknown))
-    try:
-        cfg = ExperimentConfig(
-            family_spec=raw["family"], theta0=tuple(raw["theta0"]),
-            n_grid=tuple(raw["n_grid"]), trials=raw["trials"],
-            scheme=dict(raw.get("scheme", {})),
-            plant=tuple(tuple(t) for t in raw.get("plant", ())),
-            **{k: raw[k] for k in OPTIONAL if k in raw})
-    except KeyError as exc:
-        raise ConfigError(f"config is missing required key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field invalid: {exc}") from exc
-    for name in ("trials", "eval_blocks", "oracle_train_blocks", "identify_mc"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    if list(cfg.n_grid) != sorted(set(cfg.n_grid)) or len(cfg.n_grid) == 0:
-        raise ConfigError("n_grid must be non-empty and strictly increasing")
+    family, sch = raw.get("family"), raw.get("scheme")
+    cls, family_needs = models.family_spec(family)
+    parts = [("", raw, TOP, {})]   # a part that is no object fails in the part above it
+    if isinstance(family, dict):
+        parts.append(("family", family, family_needs, {}))
+    if isinstance(sch, dict):
+        parts.append(("scheme", sch, SCHEME, scheme.SchemeConfig.config_rules))
+        if cls and isinstance(sch.get("prior"), dict):   # a prior's keys are its family's
+            parts.append(("scheme.prior", sch["prior"], cls.prior_keys, cls.prior_rules))
+    models.check(*parts)
+    cfg = ExperimentConfig(family_spec=family, **{
+        k: v for k, v in raw.items() if k not in ("schema_version", "family")})
     try:
         fam = cfg.family()
         fam.validate(cfg.theta0)
         sc = cfg.scheme_config(cfg.n_grid[0])
         scheme.candidate_set(sc, db := cfg.database(fam))
+        scheme.gap_length(cfg.scheme_config(cfg.n_grid[-1]))   # the longest gap
         for i in range(1, len(db.planted) + 2):   # every planted point, one draw
             fam.validate(db.point(i))
     except Exception as exc:

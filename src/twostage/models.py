@@ -19,9 +19,12 @@ Gaussian i.i.d. path never loads it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,86 @@ class InvalidParameterError(ValueError):
     """Parameter vector lies outside the family's valid region."""
 
 
-@dataclass(frozen=True)
+class ConfigError(ValueError):
+    """Config values of the wrong JSON type or outside their domain."""
+
+
+JSON_TYPES = {   # NumPy's numbers count; a bool, or an int beyond the float range, is no number
+    "integer": lambda v: type(v) is int or isinstance(v, np.integer),
+    "number": lambda v: type(v) is float or (isinstance(v, numbers.Real) and not isinstance(
+        v, bool) and not (isinstance(v, int) and abs(v) > sys.float_info.max)),
+    "boolean": lambda v: isinstance(v, bool), "string": lambda v: isinstance(v, str),
+    "object": lambda v: isinstance(v, dict)}
+
+
+class Need(NamedTuple):
+    """A config field's declaration: its leaves' JSON type, ``depth`` lists
+    deep (None: at any depth), whether it may be null, its default (none if
+    it is required) and its domain, as ``words`` ("{}" stands for its name)
+    and as the test ``ok`` of a well-typed value, which fails NaN."""
+
+    kind: str
+    words: str
+    ok: object = lambda v: True
+    depth: int | None = 0
+    null: bool = False
+    default: object = dataclasses.MISSING   # none: the field is required
+
+    def holds(self, v) -> bool:   # a ragged list's rows are leaves, and fail
+        if v is None:
+            return self.null
+        if self.depth == 0:
+            return JSON_TYPES[self.kind](v) and self.ok(v)
+        a = np.array(v, dtype=object)
+        return ((self.depth in (None, a.ndim) or a.size == 0 and a.ndim < self.depth)
+                and all(map(JSON_TYPES[self.kind], a.flat)) and self.ok(v))
+
+    def field(self, default=dataclasses.MISSING) -> dataclasses.Field:
+        """A dataclass field declared by this Need, with its default."""
+        fresh = {"default_factory": dict} if default == {} else {"default": default}
+        return dataclasses.field(**fresh, metadata={"need": self._replace(default=default)})
+
+
+# the domains that several fields share
+INTEGER = Need("integer", "integer {}")
+COUNT = Need("integer", "integer {} >= 1", lambda v: v >= 1)
+NATURAL = Need("integer", "integer {} >= 0", lambda v: v >= 0)
+POSITIVE = Need("number", "{} > 0", lambda v: v > 0)
+NONNEGATIVE = Need("number", "{} >= 0", lambda v: v >= 0)
+FINITE = Need("number", "finite {}", lambda v: abs(v) < math.inf)
+FINITE_POSITIVE = Need("number", "finite {} > 0", lambda v: 0 < v < math.inf)
+POINTS = Need("number", "{} a list of lists of numbers", depth=2)
+
+
+@functools.cache
+def declarations(cls) -> dict:
+    """A dataclass's field declarations, by name."""
+    return {f.name: f.metadata["need"] for f in dataclasses.fields(cls)}
+
+
+def check(*parts) -> list[dict]:
+    """Check each (path, mapping, needs, rules) part: ``needs`` maps keys to
+    Needs, ``rules`` maps tuples of keys to (words, test), tried once those
+    keys hold.  One ConfigError names every unknown key and every failing or
+    missing field by its path; else each mapping comes back with its defaults."""
+    fails, out = [], []
+    for path, value, needs, rules in parts:
+        at = path and path + "."
+        out.append(full := {k: d.default for k, d in needs.items()} | value)
+        if unknown := sorted(map(str, value.keys() - needs.keys())):
+            fails.append(f"{path or 'config'}: unknown key(s): " + ", ".join(unknown))
+        # a missing required field holds no JSON type, so it fails too
+        bad = [k for k, d in needs.items() if not d.holds(full[k])]
+        fails += [f"{at}{k}: need {needs[k].words.format(k)}" for k in bad]
+        fails += [f"{', '.join(at + k for k in keys)}: need {words}"
+                  for keys, (words, test) in rules.items()
+                  if not {*keys} & {*bad} and not test(*map(full.get, keys))]
+    if fails:
+        raise ConfigError("; ".join(fails))
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
 class SampleBlock:
     """A length-n sample path segment (letters are scalars or R^d points)."""
 
@@ -46,20 +128,23 @@ class SampleBlock:
             raise ValueError(f"block claims n={self.n} but holds {v.shape[0]}")
 
 
-def leaves_typed(value, types) -> bool:
-    """Whether each leaf of a JSON value (itself unless a list; a ragged
-    list's rows count as leaves) has one of ``types`` exactly: true is no int."""
-    return all(type(x) in types for x in np.ravel(np.array(value, dtype=object)))
-
-
 class SourceFamily:
     """Interface shared by the three concrete families."""
 
     tag: str
     size: int                    # k: theta has k coordinates
-    fields: dict = {}            # constructor arguments = config fields: JSON leaf types
+    fields: dict = {}            # constructor arguments = config fields: their Needs
+    prior_rules: dict = {}       # rules across prior keys, as ``check`` reads them
     letter_dim: int = 1          # d; letters live in R^d
     draws_by_row: bool = False   # sample_paths calls on one rng continue one draw
+
+    def __init__(self, *args, **values):    # each field, by position or by name, checked
+        given = dict(zip(self.fields, args))
+        if len(args) > len(self.fields) or given.keys() & values.keys():
+            raise TypeError(f"{type(self).__name__}() takes its fields {(*self.fields,)} once")
+        values |= given
+        check(("", values, self.fields, {}))
+        vars(self).update(values)
 
     @property
     def key(self) -> tuple:
@@ -118,20 +203,6 @@ class SourceFamily:
         """One draw from the database prior W (positive continuous density)."""
         raise NotImplementedError
 
-    @staticmethod
-    def _prior_values(prior: dict | None, **defaults) -> list:
-        """The prior's value for each key, or else its default; a key that
-        the family does not read, or a value that is no int or float (a
-        bool included), raises ValueError naming it."""
-        prior = prior or {}
-        unknown = sorted(str(k) for k in prior if k not in defaults)
-        if unknown:
-            raise ValueError("prior has unknown key(s): " + ", ".join(unknown))
-        wrong = sorted(k for k, v in prior.items() if type(v) not in (int, float))
-        if wrong:
-            raise ValueError("prior value(s) must be numbers: " + ", ".join(wrong))
-        return [prior.get(k, v) for k, v in defaults.items()]
-
 
 class GaussianIID(SourceFamily):
     """All Gaussian i.i.d. processes, theta = (mean, std), std > 0."""
@@ -139,6 +210,15 @@ class GaussianIID(SourceFamily):
     tag = "gaussian-iid"
     size = 2
     draws_by_row = True          # the normals fill row by row
+    # NumPy's normal draws lie within 13.8 scales of their mean (the ziggurat's tail takes
+    # the log of a 53-bit uniform): 40 scales of room keep sigma = exp(draw) finite and > 0
+    prior_keys = {
+        **dict.fromkeys(("m_loc", "log_sigma_loc"), FINITE._replace(default=0.0)),
+        "m_scale": Need("number", "finite {} >= 0", lambda v: 0 <= v < math.inf, default=10.0),
+        "log_sigma_scale": NONNEGATIVE._replace(default=1.0)}
+    prior_rules = {("log_sigma_loc", "log_sigma_scale"): (
+        "|log_sigma_loc| + 40 log_sigma_scale < 709.78",
+        lambda loc, scale: 40 * scale < math.log(sys.float_info.max) - abs(loc))}
 
     def _region_error(self, t, coords):
         return f"sigma must be > 0, got {coords[1]}" if coords[1] <= 0 else None
@@ -193,18 +273,9 @@ class GaussianIID(SourceFamily):
         return float(12.0 * np.log2(12.0 * np.e))
 
     def prior_draw(self, rng, prior=None):
-        m_loc, m_scale, loc, scale = self._prior_values(
-            prior, m_loc=0.0, m_scale=10.0, log_sigma_loc=0.0, log_sigma_scale=1.0)
-        # NumPy's normal draws lie within 13.8 scales of their mean (the
-        # ziggurat's tail takes the log of a 53-bit uniform); with 40 scales
-        # of room, sigma = exp(draw) neither overflows nor underflows to 0
-        if not (math.isfinite(m_loc) and 0 <= m_scale < math.inf and scale >= 0
-                and abs(loc) + 40.0 * scale < math.log(np.finfo(float).max)):
-            raise ValueError("gaussian-iid prior needs finite m_loc, finite "
-                             "m_scale >= 0, log_sigma_scale >= 0 and "
-                             "|log_sigma_loc| + 40 log_sigma_scale < 709.78")
-        m = rng.normal(m_loc, m_scale)
-        s = float(np.exp(rng.normal(loc, scale)))
+        (p,) = check(("prior", prior or {}, self.prior_keys, self.prior_rules))
+        m = rng.normal(p["m_loc"], p["m_scale"])
+        s = float(np.exp(rng.normal(p["log_sigma_loc"], p["log_sigma_scale"])))
         return np.array([m, s])
 
 
@@ -237,12 +308,11 @@ class GaussianAR(SourceFamily):
     """
 
     tag = "gaussian-ar"
-    fields = {"p": (int,)}
-
-    def __init__(self, p: int):
-        if not (np.ndim(p) == 0 and p >= 1):
-            raise ValueError("AR order p must be >= 1")
-        self.p = self.size = p
+    fields = {"p": COUNT}
+    size = property(lambda self: self.p)
+    prior_keys = {"low": FINITE._replace(default=-1.5), "high": FINITE._replace(default=1.5)}
+    prior_rules = {("low", "high"): ("low < high, high - low finite",
+                                     lambda low, high: 0 < high - low < math.inf)}
 
     def _region_error(self, t, coords):
         # roots of A(z) = 1 + a_1 z + ... + a_p z^p, highest power first
@@ -304,9 +374,9 @@ class GaussianAR(SourceFamily):
         return float((4.0 * self.p + 4.0) * np.log2(8.0 * np.e))
 
     def prior_draw(self, rng, prior=None):
-        lo, hi = self._prior_values(prior, low=-1.5, high=1.5)
+        (p,) = check(("prior", prior or {}, self.prior_keys, self.prior_rules))
         for _ in range(10_000):      # a prior with no stable mass fails
-            cand = rng.uniform(lo, hi, size=self.p)
+            cand = rng.uniform(p["low"], p["high"], size=self.p)
             try:
                 return self.validate(cand)
             except InvalidParameterError:
@@ -320,29 +390,22 @@ class HiddenMarkov(SourceFamily):
     entries > a0 and unit row sums."""
 
     tag = "hmm"
-    fields = {"M": (int,), "a0": (int, float),
-              "emission_means": (int, float), "emission_stds": (int, float)}
+    fields = {"M": COUNT, "a0": NONNEGATIVE, **dict.fromkeys(
+        ("emission_means", "emission_stds"), Need("number", "{} numbers", depth=None))}
+    prior_keys = {"concentration": FINITE_POSITIVE._replace(default=1.0)}
 
     def __init__(self, M: int, a0: float, emission_means, emission_stds):
-        if not (np.ndim(M) == 0 and M >= 1):
-            raise ValueError("M must be >= 1")
-        if not (np.ndim(a0) == 0 and 0 <= a0 < 1.0 / M):
+        super().__init__(M, a0, emission_means, emission_stds)
+        if not a0 < 1.0 / M:
             raise ValueError("need 0 <= a0 < 1/M for a nonempty parameter set")
-        self.M, self.size = M, M * M
-        self.a0 = float(a0)
-        means = np.asarray(emission_means, dtype=float)
-        stds = np.asarray(emission_stds, dtype=float)
-        if means.ndim == 1:
-            means = means[:, None]
-        if stds.ndim == 1:
-            stds = stds[:, None]
+        self.size, self.a0 = M * M, float(a0)
+        means, stds = (np.asarray(a, dtype=float) for a in (emission_means, emission_stds))
+        means, stds = (a[:, None] if a.ndim == 1 else a for a in (means, stds))
         if means.ndim != 2 or means.shape[0] != M or stds.shape != means.shape:
             raise ValueError("emission arrays must have shape (M,) or (M, d)")
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds) & (stds > 0))):
             raise ValueError("emission means must be finite, stds finite and positive")
-        self.emission_means = means
-        self.emission_stds = stds
-        self.letter_dim = means.shape[1]
+        self.emission_means, self.emission_stds, self.letter_dim = means, stds, means.shape[1]
 
     def _region_error(self, t, coords):
         A = t.reshape(self.M, self.M)
@@ -403,29 +466,26 @@ class HiddenMarkov(SourceFamily):
         return float(4.0 * self.M * self.M * np.log2(4.0 * np.e * n))
 
     def prior_draw(self, rng, prior=None):
-        (conc,) = self._prior_values(prior, concentration=1.0)
+        (p,) = check(("prior", prior or {}, self.prior_keys, self.prior_rules))
         for _ in range(10_000):      # as for GaussianAR
-            A = rng.dirichlet(np.full(self.M, conc), size=self.M)
+            A = rng.dirichlet(np.full(self.M, p["concentration"]), size=self.M)
             if np.all(A > self.a0):
                 return A.reshape(-1)
         raise ValueError("no transition matrix above a0 in 10,000 prior draws")
 
 
+FAMILIES = {c.tag: c for c in (GaussianIID, GaussianAR, HiddenMarkov)}
+KIND = Need("string", "kind " + ", ".join(FAMILIES), FAMILIES.__contains__)
+
+
+def family_spec(spec) -> tuple[type | None, dict]:
+    """The class that a spec's kind names (or None), and the spec's declarations."""
+    cls = FAMILIES.get(str(spec.get("kind"))) if isinstance(spec, dict) else None
+    return cls, {"kind": KIND, **getattr(cls, "fields", {})}
+
+
 def make_family(spec: dict) -> SourceFamily:
-    """Build a family from a config mapping of its tag and its fields (see
-    harness docs); a missing or unread field, or a field with a leaf that
-    is not of the field's JSON types, is an error."""
-    kind = spec.get("kind")
-    cls = next((c for c in (GaussianIID, GaussianAR, HiddenMarkov) if c.tag == kind), None)
-    if cls is None:
-        raise ValueError(f"unknown family kind: {kind!r}")
-    unknown = sorted(set(spec) - {"kind", *cls.fields})
-    if unknown:
-        raise ValueError(f"unknown {kind} field(s): " + ", ".join(unknown))
-    missing = [f for f in cls.fields if f not in spec]
-    if missing:
-        raise ValueError(f"{kind} family needs field(s): " + ", ".join(missing))
-    wrong = [f for f, types in cls.fields.items() if not leaves_typed(spec[f], types)]
-    if wrong:
-        raise ValueError(f"{kind} field(s) of the wrong JSON type: " + ", ".join(wrong))
-    return cls(*(spec[f] for f in cls.fields))
+    """Build a family from a config mapping of its kind and its fields."""
+    cls, needs = family_spec(spec)
+    check(("family", spec, needs, {}))
+    return cls(**{f: spec[f] for f in cls.fields})

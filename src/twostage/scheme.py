@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,8 @@ from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
 from .distances import exceeds, variational_mc  # noqa: F401
 from .ecvq import Codebook, ecvq_design, ecvq_decode_index, ecvq_encode
 from .mde import CandidateSet, mde_estimate
-from .models import SampleBlock, SourceFamily
+from .models import (COUNT, FINITE_POSITIVE, INTEGER, NATURAL, NONNEGATIVE, POINTS, POSITIVE,
+                     Need, SampleBlock, SourceFamily, check, declarations)
 from .rand import TAG_DATABASE, TAG_DISTANCE, TAG_MDE, TAG_SAMPLE, TAG_TRAINING, rng_for
 from .rand import derive_seed
 
@@ -37,64 +38,48 @@ class MalformedStreamError(ValueError):
 class SchemeConfig:
     """Everything both ends need; nothing else may influence the bitstream."""
 
-    n: int
-    lam: float
-    eta: float = 1.0
-    r: float = math.inf             # mixing exponent; inf for i.i.d.
-    c_delta: float = 1.0
-    database_seed: int = 0
-    code_seed: int = 0
-    i_max: int = 10_000
-    n_candidates: int = 64
-    anchors: tuple = ()             # extra MDE candidates, tuples of coords
-    prior: dict | None = None       # family prior overrides for the database
-    rho_max: float = 1.0
-    distance_mc: int = 400          # samples per waiting-time distance probe
-    mde_mc: int = 2000              # samples per model-side set probability
-    train_blocks: int = 256         # codebook training budget
-    design_restarts: int = 1
-    max_initial_size: int = 256     # initial book size: min(this, 2^n)
-    l_cap: int | None = None        # desk-scale clamp on the gap length
+    n: int = Need("integer", "integer n >= 2", lambda v: v >= 2).field()
+    lam: float = Need("number", "lambda > 0", lambda v: v > 0).field()
+    eta: float = POSITIVE.field(1.0)
+    r: float = POSITIVE._replace(null=True).field(math.inf)  # mixing exponent; null: inf
+    c_delta: float = NONNEGATIVE.field(1.0)
+    database_seed: int = INTEGER.field(0)
+    code_seed: int = INTEGER.field(0)
+    i_max: int = COUNT.field(10_000)
+    n_candidates: int = NATURAL.field(64)
+    anchors: tuple = POINTS.field(())         # extra MDE candidates
+    # family prior overrides for the database: the family declares their keys
+    prior: dict | None = Need("object", "prior a dict or None", null=True).field(None)
+    rho_max: float = FINITE_POSITIVE.field(1.0)
+    distance_mc: int = COUNT.field(400)       # samples per waiting-time distance probe
+    mde_mc: int = COUNT.field(2000)           # samples per model-side set probability
+    train_blocks: int = COUNT.field(256)      # codebook training budget
+    design_restarts: int = COUNT.field(1)
+    max_initial_size: int = COUNT.field(256)  # initial book size: min(this, 2^n)
+    l_cap: int | None = NATURAL._replace(null=True).field(None)  # clamps the gap length
+    config_rules = {("n_candidates", "anchors"): (
+        "at least one MDE candidate (n_candidates or anchors)", lambda k, a: k + len(a) >= 1)}
 
     def __post_init__(self):
-        def whole(v):   # a non-integer, or a bool, becomes NaN
-            return v if type(v) is int or isinstance(v, np.integer) else math.nan
-
-        def real(v):    # anything but a real number, or a bool, becomes NaN
-            return v if isinstance(v, numbers.Real) and type(v) is not bool else math.nan
-
-        checks = {   # written so that NaN fails every check
-            "integer n >= 2": whole(self.n) >= 2,
-            "integer i_max >= 1": whole(self.i_max) >= 1,
-            "lambda > 0": real(self.lam) > 0, "eta > 0": real(self.eta) > 0,
-            "r > 0": real(self.r) > 0, "c_delta >= 0": real(self.c_delta) >= 0,
-            "integer database_seed": whole(self.database_seed) == self.database_seed,
-            "integer code_seed": whole(self.code_seed) == self.code_seed,
-            "integer n_candidates >= 0": whole(self.n_candidates) >= 0,
-            "at least one MDE candidate (n_candidates or anchors)":
-                whole(self.n_candidates) + len(self.anchors) >= 1,
-            "finite rho_max > 0": 0 < real(self.rho_max) < math.inf,
-            "integer distance_mc >= 1": whole(self.distance_mc) >= 1,
-            "integer mde_mc >= 1": whole(self.mde_mc) >= 1,
-            "integer train_blocks >= 1": whole(self.train_blocks) >= 1,
-            "integer design_restarts >= 1": whole(self.design_restarts) >= 1,
-            "integer max_initial_size >= 1": whole(self.max_initial_size) >= 1,
-            "integer l_cap >= 0": self.l_cap is None or whole(self.l_cap) >= 0,
-            "prior a dict or None": self.prior is None or type(self.prior) is dict,
-        }
-        failed = [name for name, ok in checks.items() if not ok]
-        if failed:
-            raise ValueError("need " + ", ".join(failed))
+        check(("", vars(self), declarations(SchemeConfig), self.config_rules))
+        object.__setattr__(self, "r", math.inf if self.r is None else self.r)
+        object.__setattr__(self, "anchors", tuple(map(tuple, self.anchors)))
 
 
 def gap_length(config: SchemeConfig) -> int:
-    """l_n = ceil(n^((2+eta)/r)), zero when r = inf.  The memory
-    X^0_{-m+1}, m = n (n + l_n), tiles into n estimation blocks of length n,
-    each followed by a gap of length l_n."""
+    """l_n = ceil(n^((2+eta)/r)), at most l_cap, zero when r = inf.  The
+    memory X^0_{-m+1}, m = n (n + l_n), tiles into n estimation blocks of
+    length n, each followed by a gap of length l_n."""
     if math.isinf(config.r):
         return 0
-    l_n = math.ceil(config.n ** ((2.0 + config.eta) / config.r))
-    return l_n if config.l_cap is None else min(l_n, int(config.l_cap))
+    e, cap = (2.0 + config.eta) / config.r, math.inf if config.l_cap is None else config.l_cap
+    # in logs first: n^e may lie beyond the float range, where only l_cap bounds it
+    if e * math.log(config.n) < math.log(min(cap + 1, sys.float_info.max)):
+        return min(math.ceil(config.n ** e), cap)
+    if cap < sys.float_info.max:
+        return cap
+    raise ValueError(f"gap length n^((2+eta)/r) overflows at n = {config.n}: "
+                     "lower eta, raise r or set l_cap")
 
 
 def extract_z(config: SchemeConfig, history: np.ndarray) -> np.ndarray:
@@ -219,12 +204,14 @@ def candidate_set(config: SchemeConfig, db: Database) -> CandidateSet:
 
 
 def _letters(family: SourceFamily, x, length: int, name: str) -> np.ndarray:
-    """``x`` as an array of ``length`` finite letters of the family's
+    """``x`` as an array of ``length`` finite real letters of the family's
     dimension: shape (length,) for scalar letters, else (length, d)."""
     x = np.asarray(x)
     d = family.letter_dim
     if x.shape != ((length,) if d == 1 else (length, d)):
         raise ValueError(f"{name} must hold {length} letters in R^{d}, got shape {x.shape}")
+    if x.dtype.kind not in "iuf":   # real numbers, as in a config: no bool
+        raise ValueError(f"{name} must hold real numbers, got dtype {x.dtype}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
     return x

@@ -5,10 +5,11 @@ its config spec builds the same family as its constructor; its VC bound is
 the documented formula; each row's log-density is the row's alone; its
 ``log_density_bounds`` values lie within their bound of the exact kernel's;
 its prior draws validate; ``validate`` refuses a theta of the wrong size,
-shape or a non-finite coordinate; and its draws join into one draw where it
-declares ``draws_by_row``.  Every comparison is bit for bit within one
-process, but for the AR rounding that ``same_values`` names.  Hypothesis
-draws the inputs of the last three, derandomized."""
+shape or a non-finite coordinate, and names why a finite theta lies outside
+the family's region; and its draws join into one draw where it declares
+``draws_by_row``.  Every comparison is bit for bit within one process, but
+for the AR rounding that ``same_values`` names.  Hypothesis draws the inputs
+of the last four, derandomized."""
 
 import math
 import re
@@ -36,6 +37,22 @@ PRIORS = {"gaussian-iid": ({"m_loc": 3.0}, {"m_scale": 0.5}, {"log_sigma_loc": -
                            {"log_sigma_scale": 0.2}),
           "gaussian-ar": ({"low": -0.5}, {"high": 0.5}),
           "hmm": ({"concentration": 0.3},)}
+
+# thetas outside each family's region, built from a valid theta t and a draw
+# u in [0, 1), each with the start of the message that says why: a sigma of
+# at most 0; a last AR coefficient of modulus above 1, so that the roots'
+# product, of modulus 1 / |a_p|, puts a root inside the unit circle; an HMM
+# entry below a0 (beyond the region's 1e-12 slack), and a row scaled to sum
+# above 1
+OUTSIDE = {
+    "gaussian-iid": lambda fam, t, u: [((t[0], -u * t[1]), "sigma must be > 0, got ")],
+    "gaussian-ar": lambda fam, t, u: [
+        ((*t[:-1], (1.01 + u) * (-1) ** int(4 * u)),
+         "AR polynomial has a root inside the unit circle")],
+    "hmm": lambda fam, t, u: [
+        ((fam.a0 - 1e-9 - u, *t[1:]), f"all transition probabilities must exceed a0={fam.a0}"),
+        ((*(t[:fam.M] * (1.0 + 1e-6 + u)), *t[fam.M:]), "transition rows must sum to 1")],
+}
 
 # (id, spec, direct construction, a valid theta, the key written out, V_n)
 CASES = [
@@ -224,3 +241,20 @@ def test_validate_refuses_size_shape_and_non_finite(build, k):
                 fam.validate(bad)
     with pytest.raises(InvalidParameterError, match="^parameter vector must be 1-D$"):
         fam.validate(theta[None, :])
+
+
+@cases("build")
+@DRAWN
+@given(k=st.integers(0, 999), u=st.floats(0.0, 1.0, exclude_max=True),
+       i=st.integers(0, 8), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_validate_names_why_theta_lies_outside(build, k, u, i, bad):
+    # and a non-finite coordinate is named first, wherever the others lie
+    fam = build()
+    theta = fam.prior_draw(rng_for(61, k))
+    for outside, why in OUTSIDE[fam.tag](fam, theta, u):
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(why)):
+            fam.validate(outside)
+        outside = np.array(outside)
+        outside[i % fam.size] = bad
+        with pytest.raises(InvalidParameterError, match="^non-finite parameter$"):
+            fam.validate(outside)

@@ -1,15 +1,17 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twostage import cli
-from twostage.harness import (ConfigError, build_config, load_config,
+from twostage.harness import (SCHEME, TOP, ConfigError, build_config, load_config,
                               run_identification_experiment,
                               run_redundancy_experiment)
+from twostage.models import FAMILIES, family_spec
 from twostage.scheme import clear_codebook_cache
 
 
@@ -32,6 +34,15 @@ def tiny_raw(**kw):
     return raw
 
 
+AR1 = {"kind": "gaussian-ar", "p": 1}
+HMM2 = {"kind": "hmm", "M": 2, "a0": 0.05, "emission_means": [1.0, -1.0],
+        "emission_stds": [1.0, 1.0]}
+HMM2_THETA = [0.8, 0.2, 0.3, 0.7]
+# the prior keys of the AR and HMM families: a prior with one of them runs on
+# that family, with a theta0 and an anchor of its size
+PRIOR_FAMILIES = {"low": (AR1, [0.5], [-0.5]), "high": (AR1, [0.5], [-0.5]),
+                  "concentration": (HMM2, HMM2_THETA, [0.2, 0.8, 0.7, 0.3])}
+
 # a JSON string or null for a numeric scheme field raised a TypeError that
 # named no field (a null r is inf); the name of each in the "need ..." message
 NEED_NAMES = {"lam": "lambda", "eta": "eta", "r": "r", "c_delta": "c_delta",
@@ -53,7 +64,12 @@ BAD_SCHEME = [("c_delta", -1.0), ("mde_mc", 0), ("distance_mc", 0),
               # each of these ran on a value coerced to an integer or a float
               ("code_seed", 1.5), ("code_seed", True), ("database_seed", 2.5),
               ("lam", True), ("eta", True), ("r", True), ("c_delta", True),
-              ("rho_max", True), *NON_NUMBERS]
+              ("rho_max", True), *NON_NUMBERS,
+              # AR and HMM priors: low > high and a concentration of -1 read
+              # "high - low < 0" and "alpha < 0", an infinite range raised an
+              # OverflowError, and a concentration of 0 ran 10,000 futile draws
+              ("prior", {"low": 2.0, "high": 1.0}), ("prior", {"low": -1e308, "high": 1e308}),
+              ("prior", {"concentration": -1.0}), ("prior", {"concentration": 0.0})]
 BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
            # each of these was silently coerced: a JSON integer that is not
            # a bool, a JSON boolean, a list, a list of lists
@@ -76,6 +92,10 @@ def bad_raw(where, field, value):
         raw[field] = value
     else:
         raw["scheme"].update({field: value, **NEEDS.get(field, {})})
+        if field == "prior" and (keys := [k for k in value if k in PRIOR_FAMILIES]):
+            family, theta0, anchor = PRIOR_FAMILIES[keys[0]]
+            raw.update(family=family, theta0=theta0, plant=[theta0])
+            raw["scheme"]["anchors"] = [anchor]
     return raw
 
 
@@ -83,9 +103,6 @@ BAD_CONFIGS = [pytest.param("scheme", f, v, id=f"{f}={v}") for f, v in BAD_SCHEM
     [pytest.param("top", f, v, id=f"{f}={v}") for f, v in BAD_TOP]
 
 # keys that used to load without effect, or coerced: the error names each
-AR1 = {"kind": "gaussian-ar", "p": 1}
-HMM2 = {"kind": "hmm", "M": 2, "a0": 0.05, "emission_means": [1.0, -1.0],
-        "emission_stds": [1.0, 1.0]}
 NAMED_KEYS = [   # (key, the changes to tiny_raw)
     ("eval_block", {"eval_block": 10}),
     ("mixing_c", {"family": AR1 | {"mixing_c": 5.0}, "theta0": [0.5]}),
@@ -202,9 +219,11 @@ class TestConfig:
         ({"kind": "gaussian-ar"}, "p"),
         ({"kind": "hmm", "M": 2}, "a0, emission_means, emission_stds")])
     def test_missing_family_field_is_named(self, family, missing):
-        # the kind and every missing field, not a bare KeyError's 'p'
-        with pytest.raises(ConfigError,
-                           match=rf"{family['kind']} family needs field\(s\): {missing}$"):
+        # every missing field by its path, not a bare KeyError's 'p'
+        need = {"p": "integer p >= 1", "a0": "a0 >= 0", "emission_means": "emission_means numbers",
+                "emission_stds": "emission_stds numbers"}
+        message = "; ".join(f"family.{f}: need {need[f]}" for f in missing.split(", "))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_config(tiny_raw(family=family))
 
     @pytest.mark.parametrize("family,theta0,prior,key", [
@@ -217,6 +236,19 @@ class TestConfig:
         raw["scheme"]["prior"] = prior
         with pytest.raises(ConfigError, match=rf"unknown key\(s\): {key}$"):
             build_config(raw)
+
+    @pytest.mark.parametrize("prior,message", [pytest.param(p, m, id=repr(p)) for p, m in [
+        ({"low": 2.0, "high": 1.0},
+         "scheme.prior.low, scheme.prior.high: need low < high, high - low finite"),
+        ({"low": -1e308, "high": 1e308},
+         "scheme.prior.low, scheme.prior.high: need low < high, high - low finite"),
+        ({"concentration": -1.0}, "scheme.prior.concentration: need finite concentration > 0"),
+        ({"concentration": 0.0}, "scheme.prior.concentration: need finite concentration > 0")]])
+    def test_prior_domain_is_named(self, prior, message):
+        # each read as an unnamed NumPy error, or (a concentration of 0) ran
+        # 10,000 futile draws first
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_config(bad_raw("scheme", "prior", prior))
 
     @pytest.mark.parametrize("prior", [["m_loc"], True, 3, "m_loc", []], ids=repr)
     def test_prior_that_is_no_object_is_named(self, prior):
@@ -239,9 +271,36 @@ class TestConfig:
     def test_every_unknown_scheme_key_is_named(self):
         # SchemeConfig's own TypeError named only the first
         raw = tiny_raw(scheme=tiny_raw()["scheme"] | {"lamda": 0.5, "delta_mode": "paper"})
-        with pytest.raises(ConfigError,
-                           match=r"unknown scheme key\(s\): delta_mode, lamda$"):
+        with pytest.raises(ConfigError, match=r"^scheme: unknown key\(s\): delta_mode, lamda$"):
             build_config(raw)
+
+    @pytest.mark.parametrize("eta", [math.inf, 1e308, 2000])
+    def test_overflowing_gap_length_is_named(self, tmp_path, eta):
+        # n^((2+eta)/r) overflowed a float and the run ended in an
+        # OverflowError; an l_cap clamps it, and the config runs
+        raw = tiny_raw(n_grid=[4], trials=1)
+        raw["scheme"].update(eta=eta, r=2.0)
+        with pytest.raises(ConfigError, match=r"^config semantic error: gap length "
+                                              r"n\^\(\(2\+eta\)/r\) overflows at n = 4: "):
+            build_config(raw)
+        raw["scheme"]["l_cap"] = 3
+        p, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        p.write_text(json.dumps(raw))
+        assert build_config(raw).scheme_config(4).l_cap == 3
+        assert cli.main(["identify", "--config", str(p), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("field", ["lam", "eta", "r", "c_delta", "rho_max"])
+    def test_integer_beyond_the_float_range_is_named(self, tmp_path, field):
+        # a 401-digit JSON integer passed every number domain and the run
+        # ended in an OverflowError
+        raw = tiny_raw()
+        raw["scheme"][field] = 10 ** 400
+        with pytest.raises(ConfigError, match=rf"^scheme.{field}: need "):
+            build_config(raw)
+        p, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        p.write_text(json.dumps(raw))
+        assert cli.main(["redundancy", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_anchors_alone_are_candidates(self):
         raw = tiny_raw()
@@ -448,46 +507,122 @@ class TestCli:
         assert tol(identify("c_delta", scheme=half)) != tol(default)
 
 
-# Hypothesis over the fields a config can get wrong: mostly runnable configs
-# with up to two fields drawn from odd values (non-integers, non-finite,
-# wrong types), so that both outcomes are common.
-ODD = st.sampled_from([None, True, 2.5, 3.0, math.nan, math.inf, -1, "2", [1]])
-INTEGER = st.one_of(st.integers(0, 5), ODD)
-FIELDS = {
-    **{f: INTEGER for f in ("i_max", "n_candidates", "distance_mc", "mde_mc",
-                            "train_blocks", "design_restarts",
-                            "max_initial_size", "l_cap")},
-    "rho_max": st.one_of(st.floats(allow_nan=True, allow_infinity=True), ODD),
-    "prior": st.one_of(ODD, st.dictionaries(
-        st.sampled_from(["m_loc", "m_scale", "log_sigma_loc",
-                         "log_sigma_scale", "low", "high", "concentration"]),
-        st.one_of(st.floats(-3.0, 3.0), ODD), max_size=2)),
-    "r": st.sampled_from([None, 2.0, 0.5]),
-}
-FAMILIES = [
-    ({"kind": "gaussian-iid"}, [0.0, 1.0]),
-    ({"kind": "gaussian-ar", "p": 1}, [0.5]),
-    ({"kind": "hmm", "M": 2, "a0": 0.05, "emission_means": [1.0, -1.0],
-      "emission_stds": [1.0, 1.0]}, [0.8, 0.2, 0.3, 0.7]),
+# The declared config fields, each with the family whose config it is part
+# of: the top level and the scheme under gaussian-iid, and each family's own
+# fields and prior keys under that family.
+BASES = {"gaussian-iid": ({"kind": "gaussian-iid"}, [0.0, 1.0]),
+         "gaussian-ar": (AR1, [0.5]), "hmm": (HMM2, HMM2_THETA)}
+DECLARED = [("", key, "gaussian-iid") for key in TOP] + \
+    [("scheme", key, "gaussian-iid") for key in SCHEME] + \
+    [(where, key, tag) for tag, cls in FAMILIES.items()
+     for where, keys in (("family", family_spec({"kind": tag})[1]),
+                         ("scheme.prior", cls.prior_keys))
+     for key in keys]
+
+
+def base_raw(tag: str) -> dict:
+    """A runnable one-trial config of family ``tag``, its prior empty."""
+    family, theta0 = BASES[tag]
+    raw = tiny_raw(family=dict(family), theta0=theta0, plant=[theta0], n_grid=[4],
+                   trials=1)
+    raw["scheme"]["prior"] = {}
+    return raw
+
+
+def declaration(where: str, key: str, tag: str):
+    return {"": TOP, "scheme": SCHEME, "family": family_spec({"kind": tag})[1],
+            "scheme.prior": FAMILIES[tag].prior_keys}[where][key]
+
+
+# a leaf of each JSON type; an integer is also a number
+LEAVES = {"null": None, "boolean": True, "integer": 3, "number": 2.5, "string": "2",
+          "object": {}, "array": [1.0]}
+# values of each type to try against a declared domain
+DOMAIN_TRIES = {"integer": [-1, 0, 1, 2, 7], "string": ["laplace", ""],
+                "number": [math.nan, math.inf, -math.inf, -1.0, -0.0, 1e-300, 1e308,
+                           10 ** 400]}
+
+
+def unfit_values(need) -> list:
+    """Values that break ``need``: a leaf of another JSON type (inside its
+    list, for a list), an empty list one level too deep, and each value of
+    its type outside its domain."""
+    same = {"integer": {"integer"}, "number": {"integer", "number"}}.get(need.kind, {need.kind})
+    other = [v for t, v in LEAVES.items() if t not in same and not (t == "null" and need.null)]
+    if need.depth == 0:
+        return other + [v for v in DOMAIN_TRIES.get(need.kind, []) if not need.holds(v)]
+    leaf = LEAVES[need.kind]
+    nest = (lambda v: [[leaf, v]]) if need.depth == 2 else (lambda v: [leaf, v])
+    deep = {1: [[[]]], 2: [[[[]]]]}.get(need.depth, [])
+    return [nest(v) for v in other] + deep + [v for v in ([6, 4], [], [4, 4]) if not need.ok(v)]
+
+
+@pytest.mark.parametrize("where,key,tag", [
+    pytest.param(*d, id=f"{d[2]}:{d[0] + '.' if d[0] else ''}{d[1]}") for d in DECLARED])
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_declared_field_names_its_path(tmp_path, where, key, tag, data):
+    # a leaf of another JSON type, or a value outside the declared domain,
+    # is refused by its path, by the API and by both commands
+    value = data.draw(st.sampled_from(unfit_values(declaration(where, key, tag))))
+    raw = base_raw(tag)
+    parent = raw if where == "" else raw["scheme"] if where == "scheme" else \
+        raw["family"] if where == "family" else raw["scheme"]["prior"]
+    parent[key] = value
+    path = f"{where}.{key}" if where else key
+    with pytest.raises(ConfigError, match=rf"(^|; ){re.escape(path)}: need "):
+        build_config(raw)
+    p, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    p.write_text(json.dumps(raw))
+    for command in ("identify", "redundancy"):
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+# Hypothesis over the declared scheme fields: mostly runnable configs with up
+# to two fields drawn from small values of their JSON type (two in three) or
+# from odd ones (another type, non-finite, negative), so that both outcomes
+# are common.
+# Small numbers stay finite and at least 0.5 where positive, which keeps the
+# gap length of a finite r small; an infinite eta makes it overflow, which
+# the config refuses unless l_cap clamps it.
+ODD = st.sampled_from([None, True, 2.5, 3.0, math.nan, math.inf, -1, "2", [1], {}])
+NUMBER = st.sampled_from([0.5, 1.0, 2.5, 0.0, -1.0])
+FLOATS = st.floats(-1.0, 1.0)
+PRIOR_KEYS = sorted({k for c in FAMILIES.values() for k in c.prior_keys})
+
+
+def drawn(need):
+    """Small values of the declared field's JSON type, or odd ones."""
+    if need.kind == "object":       # the prior: keys of any family's prior
+        typed = st.dictionaries(st.sampled_from(PRIOR_KEYS), st.one_of(NUMBER, ODD), max_size=2)
+    elif need.depth == 2:           # the anchors
+        typed = st.lists(st.lists(st.one_of(FLOATS, ODD), max_size=3), max_size=2)
+    else:
+        typed = st.integers(0, 5) if need.kind == "integer" else NUMBER
+    return st.one_of(typed, typed, ODD)
+
+
+FIELDS = {k: drawn(need) for k, need in SCHEME.items()}
+FAMILY_CONFIGS = [
+    ({"kind": "gaussian-iid"}, [0.0, 1.0]), (AR1, [0.5]), (HMM2, HMM2_THETA),
     ({"kind": "gaussian-ar", "p": 2}, [0.5]),
-    ({"kind": "hmm", "M": 2, "a0": 0.6, "emission_means": [1.0, -1.0],
-      "emission_stds": [1.0, 1.0]}, [0.8, 0.2, 0.3, 0.7]),
-    ({"kind": "laplace"}, [0.0, 1.0]),
+    ({**HMM2, "a0": 0.6}, HMM2_THETA), ({"kind": "laplace"}, [0.0, 1.0]),
 ]
-PLANT = st.lists(st.one_of(st.lists(st.floats(-1.0, 1.0), max_size=4),
-                           st.lists(st.one_of(st.floats(-1.0, 1.0), ODD),
-                                    max_size=4), ODD), max_size=3)
+PLANT = st.lists(st.one_of(st.lists(FLOATS, max_size=4),
+                           st.lists(st.one_of(FLOATS, ODD), max_size=4), ODD), max_size=3)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(family=st.sampled_from(FAMILIES[:3] * 2 + FAMILIES[3:]),
+@given(family=st.sampled_from(FAMILY_CONFIGS[:3] * 3 + FAMILY_CONFIGS[3:]),
        fields=st.lists(st.sampled_from(sorted(FIELDS)).flatmap(
            lambda f: st.tuples(st.just(f), FIELDS[f])), max_size=2),
-       plant=st.one_of(st.none(), st.none(), PLANT),
+       plant=st.one_of(st.none(), st.none(), st.none(), PLANT),
        command=st.sampled_from(["redundancy", "identify"]))
 def test_config_either_rejected_or_runs(tmp_path, family, fields, plant, command):
-    raw = tiny_raw(family=family[0], theta0=family[1], n_grid=[4], trials=1)
+    raw = tiny_raw(family=family[0], theta0=family[1], plant=[family[1]], n_grid=[4], trials=1)
     raw["scheme"].update(fields)
     if plant is not None:
         raw["plant"] = plant

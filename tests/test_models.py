@@ -98,11 +98,6 @@ class TestGaussianAR:
         se = v_first * math.sqrt(2.0 / 6000)
         assert abs(v_first - v_last) < 6 * se
 
-    def test_unstable_rejected(self):
-        ar = GaussianAR(p=1)
-        with pytest.raises(InvalidParameterError, match="unit circle"):
-            ar.validate([-1.2])
-
     def test_log_density_matches_mvn(self):
         # full covariance route as an independent oracle at small n
         from scipy.stats import multivariate_normal
@@ -141,12 +136,6 @@ class TestHiddenMarkov:
                 brute = hmm_brute_force(hmm, theta, x)
                 assert abs(fwd - brute) < 1e-10
 
-    def test_invalid_rows(self, hmm2):
-        with pytest.raises(InvalidParameterError, match="sum to 1"):
-            hmm2.validate([0.8, 0.3, 0.3, 0.7])
-        with pytest.raises(InvalidParameterError, match="a0"):
-            hmm2.validate([0.99, 0.01, 0.3, 0.7])
-
     @pytest.mark.parametrize("means,stds", [
         ([math.nan, 2.0], [0.7, 1.1]), ([-1.0, math.inf], [0.7, 1.1]),
         ([-1.0, 2.0], [0.7, math.nan]), ([-1.0, 2.0], [math.inf, 1.1]),
@@ -177,6 +166,22 @@ class TestHiddenMarkov:
         assert X.shape == (3, 4, 2)
         ld = hmm.log_density_batch(theta, X)
         assert ld.shape == (3,) and np.all(np.isfinite(ld))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussianIID(5), lambda: GaussianAR(2, 3), lambda: GaussianAR(2, p=3),
+    lambda: HiddenMarkov(2, 0.05, [-1.0, 1.0], [1.0, 1.0], 7)],
+    ids=["iid-extra", "ar-extra", "ar-twice", "hmm-extra"])
+def test_extra_or_repeated_field_is_a_type_error(make):
+    # an extra positional argument was dropped, and one given twice kept
+    # the positional value
+    with pytest.raises(TypeError, match=r"\(\) takes "):
+        make()
+
+
+def test_fields_by_position(hmm2):
+    assert GaussianAR(2) == GaussianAR(p=2)
+    assert HiddenMarkov(2, 0.05, [-1.0, 2.0], [0.7, 1.1]) == hmm2
 
 
 class TestSampleChunks:

@@ -71,6 +71,13 @@ class TestMemoryLayout:
         cfg = SchemeConfig(n=16, lam=1.0, eta=1.0, r=1.0, l_cap=10)
         assert gap_length(cfg) == 10
 
+    @pytest.mark.parametrize("eta", [math.inf, 1e308, 2000.0])
+    def test_cap_of_a_gap_beyond_the_float_range(self, eta):
+        # n^((2+eta)/r) overflowed a float before l_cap clamped it
+        assert gap_length(SchemeConfig(n=4, lam=1.0, eta=eta, r=2.0, l_cap=10)) == 10
+        with pytest.raises(ValueError, match=r"^gap length .* overflows at n = 4: "):
+            gap_length(SchemeConfig(n=4, lam=1.0, eta=eta, r=2.0))
+
     def test_extract_z_tiles(self):
         for cfg, d in ((SchemeConfig(n=3, lam=1.0, eta=1.0, r=3.0), ()),
                        (SchemeConfig(n=4, lam=1.0, eta=1.0, r=2.0), (2,))):
@@ -317,6 +324,24 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=r"current block must hold 2 letters in R\^2"):
             encode_block(cfg, db, hist, cur[:, :1])
         assert identify(cfg, db, hist)[0] == encode_block(cfg, db, hist, cur).waiting_time
+
+    @pytest.mark.parametrize("letter,dtype", [(True, "bool"), ("a", "<U1"), (None, "object")])
+    def test_letters_that_are_no_real_numbers_rejected(self, letter, dtype):
+        # bool letters were read as 0 and 1: [True] * 4 encoded codeword 1, and
+        # a bool memory got a waiting time; a string or None failed unnamed in
+        # np.isfinite
+        cfg = small_config()
+        db = Database(family=GAUSS, seed=cfg.database_seed)
+        hist, cur = sample_scene(GAUSS, (0.0, 1.0), cfg, seed=107)
+        bad_hist, bad_cur = [letter] * len(hist), [letter] * len(cur)
+        history = rf"^history must hold real numbers, got dtype {dtype}$"
+        with pytest.raises(ValueError, match=history):
+            identify(cfg, db, bad_hist)
+        with pytest.raises(ValueError, match=history):
+            encode_block(cfg, db, bad_hist, cur)
+        with pytest.raises(ValueError,
+                           match=rf"^current block must hold real numbers, got dtype {dtype}$"):
+            encode_block(cfg, db, hist, bad_cur)
 
 
 class TestMisc:
