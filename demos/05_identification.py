@@ -10,7 +10,7 @@ truth is controlled by 4*U + 3/n, which the script audits directly.
 import numpy as np
 
 from twostage.distances import variational_mc
-from twostage.mde import CandidateSet, mde_estimate, u_statistic_all, vc_bound
+from twostage.mde import CandidateSet, mde_estimate, u_statistic_all
 from twostage.models import GaussianIID
 from twostage.rand import rng_for
 
@@ -35,4 +35,4 @@ print("\nVC complexity term V_n per family"
 from twostage.models import GaussianAR, HiddenMarkov
 hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1, 1], emission_stds=[1, 1])
 for fam, nn in ((gauss, 8), (GaussianAR(p=2), 8), (hmm, 8)):
-    print(f"  {fam.tag:<14s} V_{nn} = {vc_bound(fam, nn):.2f}")
+    print(f"  {fam.tag:<14s} V_{nn} = {fam.vc_bound(nn):.2f}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distances, ecvq, mde, models, scheme
+from . import distances, ecvq, models, scheme
 from .models import COUNT, INTEGER, POINTS, ConfigError, Need, declarations
 from .rand import TAG_TRIAL, derive_seed
 
@@ -80,10 +80,10 @@ def build_config(raw: dict) -> ExperimentConfig:
     if type(raw) is not dict:
         raise ConfigError("config must be a JSON object")
     family, sch = raw.get("family"), raw.get("scheme")
-    cls, family_needs = models.family_spec(family)
+    cls, family_needs, family_rules = models.family_spec(family)
     parts = [("", raw, TOP, {})]   # a part that is no object fails in the part above it
     if isinstance(family, dict):
-        parts.append(("family", family, family_needs, {}))
+        parts.append(("family", family, family_needs, family_rules))
     if isinstance(sch, dict):
         parts.append(("scheme", sch, SCHEME, scheme.SchemeConfig.config_rules))
         if cls and isinstance(sch.get("prior"), dict):   # a prior's keys are its family's
@@ -122,7 +122,7 @@ def _run_grid(cfg: ExperimentConfig, out_path: str, header: list[str],
     db = cfg.database(family)
     per_n, xs = {}, {}
     for n in cfg.n_grid:
-        sc, V = cfg.scheme_config(n), mde.vc_bound(family, n)
+        sc, V = cfg.scheme_config(n), family.vc_bound(n)
         xs[n] = math.sqrt(V * math.log(n) / n)    # the redundancy rate's scale
         per_n[n] = (sc, scheme.candidate_set(sc, db))
 

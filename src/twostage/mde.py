@@ -1,5 +1,4 @@
-"""Yatracos classes, empirical suprema, the minimum-distance estimator, and
-VC-bound calculators.
+"""Yatracos classes, empirical suprema and the minimum-distance estimator.
 
 The supremum defining the U statistic runs over the finite Yatracos class
 induced by ordered pairs of a candidate list: A_ab is the set of blocks whose
@@ -140,11 +139,3 @@ def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,
     u = u_statistic_all(family, blocks, candidates, mc_budget, seed)
     winner = int(np.flatnonzero(u < u.min() + 1.0 / n)[0])
     return np.asarray(candidates.thetas[winner])
-
-
-def vc_bound(family: SourceFamily, n: int) -> float:
-    """VC-dimension bound of the n-block Yatracos class: the family's own
-    ``vc_bound`` (base-2 logs)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return family.vc_bound(n)

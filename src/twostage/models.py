@@ -77,8 +77,9 @@ class Need(NamedTuple):
 
 # the domains that several fields share
 INTEGER = Need("integer", "integer {}")
-COUNT = Need("integer", "integer {} >= 1", lambda v: v >= 1)
-NATURAL = Need("integer", "integer {} >= 0", lambda v: v >= 0)
+# NumPy indexes by int64: a count of 2^63 or more sizes no array
+COUNT = Need("integer", "integer 1 <= {} < 2^63", lambda v: 1 <= v < 2 ** 63)
+NATURAL = Need("integer", "integer 0 <= {} < 2^63", lambda v: 0 <= v < 2 ** 63)
 POSITIVE = Need("number", "{} > 0", lambda v: v > 0)
 NONNEGATIVE = Need("number", "{} >= 0", lambda v: v >= 0)
 FINITE = Need("number", "finite {}", lambda v: abs(v) < math.inf)
@@ -134,7 +135,8 @@ class SourceFamily:
     tag: str
     size: int                    # k: theta has k coordinates
     fields: dict = {}            # constructor arguments = config fields: their Needs
-    prior_rules: dict = {}       # rules across prior keys, as ``check`` reads them
+    field_rules: dict = {}       # rules across fields, as ``check`` reads them
+    prior_rules: dict = {}       # rules across prior keys, likewise
     letter_dim: int = 1          # d; letters live in R^d
     draws_by_row: bool = False   # sample_paths calls on one rng continue one draw
 
@@ -143,8 +145,9 @@ class SourceFamily:
         if len(args) > len(self.fields) or given.keys() & values.keys():
             raise TypeError(f"{type(self).__name__}() takes its fields {(*self.fields,)} once")
         values |= given
-        check(("", values, self.fields, {}))
-        vars(self).update(values)
+        check(("", values, self.fields, self.field_rules))
+        vars(self).update({k: v if self.fields[k].depth == 0 else np.asarray(v, dtype=float)
+                           for k, v in values.items()})    # list fields as float arrays
 
     @property
     def key(self) -> tuple:
@@ -200,8 +203,14 @@ class SourceFamily:
         return vals, np.zeros(vals.shape[1])
 
     def prior_draw(self, rng: np.random.Generator, prior: dict | None = None) -> np.ndarray:
-        """One draw from the database prior W (positive continuous density)."""
-        raise NotImplementedError
+        """One draw from the database prior W (positive continuous density):
+        the first theta among the family's ``_prior_candidate(rng, p)``
+        draws, p the checked prior, each a theta or None for a rejected one."""
+        (p,) = check(("prior", prior or {}, self.prior_keys, self.prior_rules))
+        for _ in range(10_000):      # a prior with no mass in the region fails
+            if (theta := self._prior_candidate(rng, p)) is not None:
+                return theta
+        raise ValueError(f"no {self.tag} parameter in its region in 10,000 prior draws")
 
 
 class GaussianIID(SourceFamily):
@@ -272,8 +281,7 @@ class GaussianIID(SourceFamily):
         """12 log2(12e), whatever n."""
         return float(12.0 * np.log2(12.0 * np.e))
 
-    def prior_draw(self, rng, prior=None):
-        (p,) = check(("prior", prior or {}, self.prior_keys, self.prior_rules))
+    def _prior_candidate(self, rng, p):
         m = rng.normal(p["m_loc"], p["m_scale"])
         s = float(np.exp(rng.normal(p["log_sigma_loc"], p["log_sigma_scale"])))
         return np.array([m, s])
@@ -373,15 +381,9 @@ class GaussianAR(SourceFamily):
         """(4p + 4) log2(8e), whatever n."""
         return float((4.0 * self.p + 4.0) * np.log2(8.0 * np.e))
 
-    def prior_draw(self, rng, prior=None):
-        (p,) = check(("prior", prior or {}, self.prior_keys, self.prior_rules))
-        for _ in range(10_000):      # a prior with no stable mass fails
-            cand = rng.uniform(p["low"], p["high"], size=self.p)
-            try:
-                return self.validate(cand)
-            except InvalidParameterError:
-                continue
-        raise ValueError("no stable AR parameter in 10,000 prior draws")
+    def _prior_candidate(self, rng, p):    # finite, as the prior's range is
+        cand = rng.uniform(p["low"], p["high"], size=self.p)
+        return None if self._region_error(cand, cand.tolist()) else cand
 
 
 class HiddenMarkov(SourceFamily):
@@ -390,22 +392,20 @@ class HiddenMarkov(SourceFamily):
     entries > a0 and unit row sums."""
 
     tag = "hmm"
-    fields = {"M": COUNT, "a0": NONNEGATIVE, **dict.fromkeys(
-        ("emission_means", "emission_stds"), Need("number", "{} numbers", depth=None))}
+    fields = {"M": COUNT, "a0": NONNEGATIVE,   # the emission arrays: FINITE, FINITE_POSITIVE
+              "emission_means": Need("number", "{} finite numbers", lambda v: np.all(
+                  np.abs(np.asarray(v, dtype=float)) < math.inf), depth=None),
+              "emission_stds": Need("number", "{} finite numbers > 0", lambda v: np.all(
+                  (0 < (a := np.asarray(v, dtype=float))) & (a < math.inf)), depth=None)}
+    field_rules = {
+        ("M", "a0"): ("0 <= a0 < 1/M", lambda M, a0: a0 < 1 / M),   # a nonempty region
+        ("M", "emission_means", "emission_stds"): (
+            "emission_means and emission_stds of one shape (M,) or (M, d), d >= 1",
+            lambda M, means, stds: np.shape(means) == np.shape(stds) and
+            np.shape(means)[:1] == (M,) and np.ndim(means) <= 2 and np.size(means) > 0)}
     prior_keys = {"concentration": FINITE_POSITIVE._replace(default=1.0)}
-
-    def __init__(self, M: int, a0: float, emission_means, emission_stds):
-        super().__init__(M, a0, emission_means, emission_stds)
-        if not a0 < 1.0 / M:
-            raise ValueError("need 0 <= a0 < 1/M for a nonempty parameter set")
-        self.size, self.a0 = M * M, float(a0)
-        means, stds = (np.asarray(a, dtype=float) for a in (emission_means, emission_stds))
-        means, stds = (a[:, None] if a.ndim == 1 else a for a in (means, stds))
-        if means.ndim != 2 or means.shape[0] != M or stds.shape != means.shape:
-            raise ValueError("emission arrays must have shape (M,) or (M, d)")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds) & (stds > 0))):
-            raise ValueError("emission means must be finite, stds finite and positive")
-        self.emission_means, self.emission_stds, self.letter_dim = means, stds, means.shape[1]
+    size = property(lambda self: self.M * self.M)
+    letter_dim = property(lambda self: self.emission_means.reshape(self.M, -1).shape[1])
 
     def _region_error(self, t, coords):
         A = t.reshape(self.M, self.M)
@@ -427,10 +427,11 @@ class HiddenMarkov(SourceFamily):
 
     def _emission_logpdf(self, x: np.ndarray) -> np.ndarray:
         """x shape (count, d) -> per-state log densities, shape (count, M)."""
-        z = (x[:, None, :] - self.emission_means) / self.emission_stds
+        means, stds = (a.reshape(self.M, -1) for a in (self.emission_means, self.emission_stds))
+        z = (x[:, None, :] - means) / stds
         return (-0.5 * np.sum(z * z, axis=2)
-                - np.sum(np.log(self.emission_stds), axis=1)[None, :]
-                - 0.5 * self.letter_dim * LOG_2PI)
+                - np.sum(np.log(stds), axis=1)[None, :]
+                - 0.5 * means.shape[1] * LOG_2PI)
 
     def sample_paths(self, theta, n, count, rng):
         A, pi = self.chain(theta)
@@ -442,11 +443,10 @@ class HiddenMarkov(SourceFamily):
         for t in range(1, n):
             rows = cum_A[states[:, t - 1]]
             states[:, t] = (u[:, t][:, None] > rows).sum(axis=1)
-        noise = rng.standard_normal((count, n, self.letter_dim))
-        x = self.emission_means[states] + self.emission_stds[states] * noise
-        if self.letter_dim == 1:
-            return x[:, :, 0]
-        return x
+        means, stds = (a.reshape(self.M, -1) for a in (self.emission_means, self.emission_stds))
+        noise = rng.standard_normal((count, n, means.shape[1]))
+        x = means[states] + stds[states] * noise
+        return x[:, :, 0] if means.shape[1] == 1 else x
 
     def log_density_batch(self, theta, blocks):
         from scipy.special import logsumexp
@@ -465,27 +465,24 @@ class HiddenMarkov(SourceFamily):
         """4 M^2 log2(4en): it grows with n."""
         return float(4.0 * self.M * self.M * np.log2(4.0 * np.e * n))
 
-    def prior_draw(self, rng, prior=None):
-        (p,) = check(("prior", prior or {}, self.prior_keys, self.prior_rules))
-        for _ in range(10_000):      # as for GaussianAR
-            A = rng.dirichlet(np.full(self.M, p["concentration"]), size=self.M)
-            if np.all(A > self.a0):
-                return A.reshape(-1)
-        raise ValueError("no transition matrix above a0 in 10,000 prior draws")
+    def _prior_candidate(self, rng, p):
+        A = rng.dirichlet(np.full(self.M, p["concentration"]), size=self.M)
+        return A.reshape(-1) if np.all(A > self.a0) else None
 
 
 FAMILIES = {c.tag: c for c in (GaussianIID, GaussianAR, HiddenMarkov)}
 KIND = Need("string", "kind " + ", ".join(FAMILIES), FAMILIES.__contains__)
 
 
-def family_spec(spec) -> tuple[type | None, dict]:
-    """The class that a spec's kind names (or None), and the spec's declarations."""
+def family_spec(spec) -> tuple[type | None, dict, dict]:
+    """The class that a spec's kind names (or None), and the spec's
+    declarations and rules."""
     cls = FAMILIES.get(str(spec.get("kind"))) if isinstance(spec, dict) else None
-    return cls, {"kind": KIND, **getattr(cls, "fields", {})}
+    return cls, {"kind": KIND, **getattr(cls, "fields", {})}, getattr(cls, "field_rules", {})
 
 
 def make_family(spec: dict) -> SourceFamily:
     """Build a family from a config mapping of its kind and its fields."""
-    cls, needs = family_spec(spec)
-    check(("family", spec, needs, {}))
+    cls, needs, rules = family_spec(spec)
+    check(("family", spec, needs, rules))
     return cls(**{f: spec[f] for f in cls.fields})

@@ -69,17 +69,18 @@ class SchemeConfig:
 def gap_length(config: SchemeConfig) -> int:
     """l_n = ceil(n^((2+eta)/r)), at most l_cap, zero when r = inf.  The
     memory X^0_{-m+1}, m = n (n + l_n), tiles into n estimation blocks of
-    length n, each followed by a gap of length l_n."""
-    if math.isinf(config.r):
-        return 0
-    e, cap = (2.0 + config.eta) / config.r, math.inf if config.l_cap is None else config.l_cap
-    # in logs first: n^e may lie beyond the float range, where only l_cap bounds it
-    if e * math.log(config.n) < math.log(min(cap + 1, sys.float_info.max)):
-        return min(math.ceil(config.n ** e), cap)
-    if cap < sys.float_info.max:
-        return cap
-    raise ValueError(f"gap length n^((2+eta)/r) overflows at n = {config.n}: "
-                     "lower eta, raise r or set l_cap")
+    length n, each followed by a gap of length l_n; with the current block,
+    a sampled path holds n (n + l_n) + n letters, which NumPy indexes by int64."""
+    n, l_n = config.n, 0
+    if not math.isinf(config.r):
+        e, cap = (2.0 + config.eta) / config.r, math.inf if config.l_cap is None else config.l_cap
+        # in logs first: n^e may lie beyond the float range, where only l_cap bounds it
+        fits = e * math.log(n) < math.log(min(cap + 1, sys.float_info.max))
+        l_n = min(math.ceil(n ** e), cap) if fits else cap
+    if n * (n + l_n) + n >= 2 ** 63:
+        raise ValueError(f"the sampled path of n (n + l_n) + n letters, l_n = {l_n}, "
+                         f"exceeds 2^63 - 1 at n = {n}: lower n or eta, raise r or set l_cap")
+    return l_n
 
 
 def extract_z(config: SchemeConfig, history: np.ndarray) -> np.ndarray:

@@ -233,9 +233,9 @@ def test_criterion_8_identification_trend(tmp_path):
 def test_criterion_9_vc_accounting(vc_deviation_bound):
     hmm = models.HiddenMarkov(M=2, a0=0.05, emission_means=[-1.0, 1.0],
                               emission_stds=[1.0, 1.0])
-    v_g = mde.vc_bound(GAUSS, 8)
-    v_ar = mde.vc_bound(models.GaussianAR(p=2), 8)
-    v_h = mde.vc_bound(hmm, 8)
+    v_g = GAUSS.vc_bound(8)
+    v_ar = models.GaussianAR(p=2).vc_bound(8)
+    v_h = hmm.vc_bound(8)
     ok = abs(v_g - 12 * math.log2(12 * math.e)) < 0.01
     ok &= abs(v_ar - 12 * math.log2(8 * math.e)) < 0.01
     ok &= abs(v_h - 16 * math.log2(32 * math.e)) < 0.01

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twostage.mde import vc_bound
 from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
                              InvalidParameterError, make_family)
 from twostage.rand import rng_for
@@ -138,10 +137,7 @@ def test_spec_builds_the_constructed_family(spec, build):
 def test_vc_bound_is_the_documented_formula(build, vc):
     fam = build()
     for n in (1, 2, 8, 64, 1000):
-        assert vc_bound(fam, n) == fam.vc_bound(n)
-        assert vc_bound(fam, n) == pytest.approx(vc(n), rel=1e-13)
-    with pytest.raises(ValueError):
-        vc_bound(fam, 0)
+        assert fam.vc_bound(n) == pytest.approx(vc(n), rel=1e-13)
 
 
 def same_values(fam, got, want) -> bool:

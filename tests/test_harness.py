@@ -11,8 +11,8 @@ from twostage import cli
 from twostage.harness import (SCHEME, TOP, ConfigError, build_config, load_config,
                               run_identification_experiment,
                               run_redundancy_experiment)
-from twostage.models import FAMILIES, family_spec
-from twostage.scheme import clear_codebook_cache
+from twostage.models import COUNT, FAMILIES, NATURAL, family_spec
+from twostage.scheme import SchemeConfig, clear_codebook_cache
 
 
 def tiny_raw(**kw):
@@ -220,8 +220,9 @@ class TestConfig:
         ({"kind": "hmm", "M": 2}, "a0, emission_means, emission_stds")])
     def test_missing_family_field_is_named(self, family, missing):
         # every missing field by its path, not a bare KeyError's 'p'
-        need = {"p": "integer p >= 1", "a0": "a0 >= 0", "emission_means": "emission_means numbers",
-                "emission_stds": "emission_stds numbers"}
+        need = {"p": "integer 1 <= p < 2^63", "a0": "a0 >= 0",
+                "emission_means": "emission_means finite numbers",
+                "emission_stds": "emission_stds finite numbers > 0"}
         message = "; ".join(f"family.{f}: need {need[f]}" for f in missing.split(", "))
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_config(tiny_raw(family=family))
@@ -274,20 +275,45 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^scheme: unknown key\(s\): delta_mode, lamda$"):
             build_config(raw)
 
-    @pytest.mark.parametrize("eta", [math.inf, 1e308, 2000])
+    @pytest.mark.parametrize("eta", [math.inf, 1e308, 2000, 60])
     def test_overflowing_gap_length_is_named(self, tmp_path, eta):
         # n^((2+eta)/r) overflowed a float and the run ended in an
-        # OverflowError; an l_cap clamps it, and the config runs
+        # OverflowError, or (eta = 60: l_n = 4^31) sized a path beyond
+        # NumPy's index range, a ValueError; an l_cap clamps it, and the
+        # config runs
         raw = tiny_raw(n_grid=[4], trials=1)
         raw["scheme"].update(eta=eta, r=2.0)
-        with pytest.raises(ConfigError, match=r"^config semantic error: gap length "
-                                              r"n\^\(\(2\+eta\)/r\) overflows at n = 4: "):
+        with pytest.raises(ConfigError, match=r"^config semantic error: the sampled path of "
+                                              r".* exceeds 2\^63 - 1 at n = 4: "):
             build_config(raw)
         raw["scheme"]["l_cap"] = 3
         p, out = tmp_path / "cfg.json", tmp_path / "o.csv"
         p.write_text(json.dumps(raw))
         assert build_config(raw).scheme_config(4).l_cap == 3
         assert cli.main(["identify", "--config", str(p), "--out", str(out)]) == 0
+
+    def test_block_length_beyond_the_index_range_is_named(self):
+        # n (n + l_n) + n letters >= 2^63 with no gap at all
+        with pytest.raises(ConfigError, match=r"^config semantic error: the sampled path of "
+                                              r".* exceeds 2\^63 - 1 at n = 4294967296: "):
+            build_config(tiny_raw(n_grid=[4, 2 ** 32]))
+
+    @pytest.mark.parametrize("where,key", [(w, k) for w, needs in (("", TOP), ("scheme", SCHEME))
+                                           for k, need in needs.items()
+                                           if need.ok in (COUNT.ok, NATURAL.ok)])
+    @pytest.mark.parametrize("value", [2 ** 63, 10 ** 400], ids=["2^63", "10^400"])
+    def test_count_beyond_the_index_range_is_named(self, tmp_path, where, key, value):
+        # a count NumPy cannot size an array by passed, and the run ended in
+        # "ValueError: Maximum allowed dimension exceeded"
+        raw = tiny_raw()
+        part(raw, where)[key] = value
+        path = f"{where}.{key}" if where else key
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: need integer .* < 2\^63$"):
+            build_config(raw)
+        p, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        p.write_text(json.dumps(raw))
+        assert cli.main(["redundancy", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["lam", "eta", "r", "c_delta", "rho_max"])
     def test_integer_beyond_the_float_range_is_named(self, tmp_path, field):
@@ -529,6 +555,13 @@ def base_raw(tag: str) -> dict:
     return raw
 
 
+def part(raw: dict, where: str) -> dict:
+    """The mapping of ``raw`` at path ``where``."""
+    for key in filter(None, where.split(".")):
+        raw = raw[key]
+    return raw
+
+
 def declaration(where: str, key: str, tag: str):
     return {"": TOP, "scheme": SCHEME, "family": family_spec({"kind": tag})[1],
             "scheme.prior": FAMILIES[tag].prior_keys}[where][key]
@@ -567,12 +600,54 @@ def test_every_declared_field_names_its_path(tmp_path, where, key, tag, data):
     # is refused by its path, by the API and by both commands
     value = data.draw(st.sampled_from(unfit_values(declaration(where, key, tag))))
     raw = base_raw(tag)
-    parent = raw if where == "" else raw["scheme"] if where == "scheme" else \
-        raw["family"] if where == "family" else raw["scheme"]["prior"]
-    parent[key] = value
+    part(raw, where)[key] = value
     path = f"{where}.{key}" if where else key
     with pytest.raises(ConfigError, match=rf"(^|; ){re.escape(path)}: need "):
         build_config(raw)
+    p, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    p.write_text(json.dumps(raw))
+    for command in ("identify", "redundancy"):
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+# The declared rules across fields, each with the family whose config it is
+# part of and values that break it.
+RULES = [("scheme", keys, "gaussian-iid", words) for keys, (words, _) in
+         SchemeConfig.config_rules.items()] + \
+    [(where, keys, tag, words) for tag, cls in FAMILIES.items()
+     for where, rules in (("family", cls.field_rules), ("scheme.prior", cls.prior_rules))
+     for keys, (words, _) in rules.items()]
+BREAKS = {
+    ("n_candidates", "anchors"): [{"n_candidates": 0, "anchors": []}],
+    ("M", "a0"): [{"a0": 0.5}],
+    # the last: letters in R^0, which ran into an IndexError in the codebook design
+    ("M", "emission_means", "emission_stds"): [
+        {"emission_stds": [1.0]}, {"M": 3}, {"emission_stds": [[1.0], [1.0]]},
+        {"emission_means": [[], []], "emission_stds": [[], []]}],
+    ("log_sigma_loc", "log_sigma_scale"): [{"log_sigma_loc": 708.0, "log_sigma_scale": 1.0}],
+    ("low", "high"): [{"low": 2.0, "high": 1.0}],
+}
+
+
+@pytest.mark.parametrize("where,keys,tag,words,values", [
+    pytest.param(where, keys, tag, words, values, id=f"{tag}:{where}.{'+'.join(keys)}-{i}")
+    for where, keys, tag, words in RULES for i, values in enumerate(BREAKS[keys])])
+def test_every_declared_rule_names_its_paths(tmp_path, where, keys, tag, words, values):
+    # values that pass each field's own domain but break a rule across them
+    # are refused by every path of the rule, by the API and by both commands;
+    # a family's constructor names the fields alone (the HMM's raised a
+    # ValueError that named none)
+    raw = base_raw(tag)
+    part(raw, where).update(values)
+    paths = ", ".join(f"{where}.{k}" for k in keys)
+    with pytest.raises(ConfigError, match=f"^{re.escape(paths)}: need {re.escape(words)}$"):
+        build_config(raw)
+    if where == "family":
+        fields = {k: v for k, v in raw["family"].items() if k != "kind"}
+        with pytest.raises(ValueError, match=f"^{re.escape(', '.join(keys))}: need ") as err:
+            FAMILIES[tag](**fields)
+        assert type(err.value) is ConfigError
     p, out = tmp_path / "cfg.json", tmp_path / "o.csv"
     p.write_text(json.dumps(raw))
     for command in ("identify", "redundancy"):

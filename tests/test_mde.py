@@ -10,7 +10,7 @@ from twostage.distances import variational_mc
 from twostage.mde import (MODEL_FREQ_CACHE_BOUND, CandidateSet,
                           TooFewCandidatesError, _pair_tables,
                           clear_probability_cache, mde_estimate,
-                          u_statistic_all, vc_bound)
+                          u_statistic_all)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.rand import TAG_PROB, rng_for
 
@@ -319,23 +319,23 @@ class TestMDE:
 
 class TestVcBounds:
     def test_gaussian_formula(self):
-        V = vc_bound(GAUSS, 4)
+        V = GAUSS.vc_bound(4)
         assert V == pytest.approx(12 * math.log2(12 * math.e), abs=1e-9)
         assert V == pytest.approx(60.33, abs=0.01)
 
     def test_ar_formula(self):
-        V = vc_bound(GaussianAR(p=2), 4)
+        V = GaussianAR(p=2).vc_bound(4)
         assert V == pytest.approx(12 * math.log2(8 * math.e), abs=1e-9)
         assert V == pytest.approx(53.31, abs=0.01)
 
     def test_hmm_formula_grows_log_n(self):
         hmm = HiddenMarkov(M=2, a0=0.05, emission_means=[-1, 1],
                            emission_stds=[1, 1])
-        V = vc_bound(hmm, 8)
+        V = hmm.vc_bound(8)
         assert V == pytest.approx(16 * math.log2(32 * math.e), abs=1e-9)
         assert V == pytest.approx(103.08, abs=0.01)
-        assert vc_bound(hmm, 16) > V
-        assert vc_bound(GAUSS, 16) == vc_bound(GAUSS, 4)
+        assert hmm.vc_bound(16) > V
+        assert GAUSS.vc_bound(16) == GAUSS.vc_bound(4)
 
     def test_deviation_bound_clamps(self, vc_deviation_bound):
         # 8 * 10^2 * exp(-10*0.01/32) >> 1 -> clamped

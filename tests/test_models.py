@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from conftest import exceeds_blocks
 from twostage.distances import exceeds
-from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
+from twostage.models import (ConfigError, GaussianAR, GaussianIID, HiddenMarkov,
                              InvalidParameterError)
 from twostage.rand import TAG_DISTANCE, TAG_SAMPLE, rng_for
 
@@ -47,21 +47,25 @@ class TestGaussianIID:
         with pytest.raises(InvalidParameterError, match="sigma"):
             gauss.validate((0.0, -1.0))
 
+    # the non-finite messages are the family contract's; the ids are those
+    # the cases had when they stood among them
     @pytest.mark.parametrize("theta,message", [
-        *(((v, 1.0), "non-finite parameter") for v in (math.nan, math.inf, -math.inf)),
-        *(((0.0, v), "non-finite parameter") for v in (math.nan, math.inf, -math.inf)),
-        ((math.nan, -1.0), "non-finite parameter"),
-        ((0.0, 0.0), "sigma must be > 0, got 0.0"),
-        ((0.0, -0.0), "sigma must be > 0, got -0.0"),
-        ((0.0, -2.5), "sigma must be > 0, got -2.5"),
-        ((0.0, -1e-300), "sigma must be > 0, got -1e-300"),
+        pytest.param((0.0, 0.0), "sigma must be > 0, got 0.0",
+                     id="theta7-sigma must be > 0, got 0.0"),
+        pytest.param((0.0, -0.0), "sigma must be > 0, got -0.0",
+                     id="theta8-sigma must be > 0, got -0.0"),
+        pytest.param((0.0, -2.5), "sigma must be > 0, got -2.5",
+                     id="theta9-sigma must be > 0, got -2.5"),
+        pytest.param((0.0, -1e-300), "sigma must be > 0, got -1e-300",
+                     id="theta10-sigma must be > 0, got -1e-300"),
         # every family's size message; the ids are those of the message
         # that named (m, sigma)
         pytest.param((1.0,), "gaussian-iid needs 2 coords, got 1",
                      id="theta11-gaussian-iid needs (m, sigma), got 1 coords"),
         pytest.param((1.0, 2.0, 3.0), "gaussian-iid needs 2 coords, got 3",
                      id="theta12-gaussian-iid needs (m, sigma), got 3 coords"),
-        ([[0.0, 1.0]], "parameter vector must be 1-D"),
+        pytest.param([[0.0, 1.0]], "parameter vector must be 1-D",
+                     id="theta13-parameter vector must be 1-D"),
     ])
     def test_invalid_parameter_messages(self, gauss, theta, message):
         with pytest.raises(InvalidParameterError) as err:
@@ -143,7 +147,9 @@ class TestHiddenMarkov:
     def test_emissions_finite_with_positive_stds(self, means, stds):
         # NaN fails every comparison, so stds > 0 alone lets a NaN std
         # through, and every path drawn from the family is then NaN
-        with pytest.raises(ValueError, match="emission means must be finite"):
+        field = "emission_means" if means != [-1.0, 2.0] else "emission_stds"
+        need = "finite numbers > 0" if field == "emission_stds" else "finite numbers"
+        with pytest.raises(ConfigError, match=f"^{field}: need {field} {need}$"):
             HiddenMarkov(M=2, a0=0.05, emission_means=means, emission_stds=stds)
 
     def test_scalar_emissions_are_refused(self):
@@ -182,6 +188,16 @@ def test_extra_or_repeated_field_is_a_type_error(make):
 def test_fields_by_position(hmm2):
     assert GaussianAR(2) == GaussianAR(p=2)
     assert HiddenMarkov(2, 0.05, [-1.0, 2.0], [0.7, 1.1]) == hmm2
+
+
+@pytest.mark.parametrize("family,prior", [
+    (GaussianAR(p=1), {"low": 1.5, "high": 1.6}),      # every root lies inside
+    # a0 just below 1/M: a row clears it with chance about 1e-4
+    (HiddenMarkov(M=3, a0=0.33, emission_means=[-1.0, 0.0, 1.0],
+                  emission_stds=[1.0, 1.0, 1.0]), None)], ids=["ar", "hmm"])
+def test_prior_with_no_mass_in_the_region_runs_out(family, prior):
+    with pytest.raises(ValueError, match=rf"^no {family.tag} parameter .* 10,000 prior draws$"):
+        family.prior_draw(rng_for(67, 0), prior)
 
 
 class TestSampleChunks:

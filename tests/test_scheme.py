@@ -75,7 +75,7 @@ class TestMemoryLayout:
     def test_cap_of_a_gap_beyond_the_float_range(self, eta):
         # n^((2+eta)/r) overflowed a float before l_cap clamped it
         assert gap_length(SchemeConfig(n=4, lam=1.0, eta=eta, r=2.0, l_cap=10)) == 10
-        with pytest.raises(ValueError, match=r"^gap length .* overflows at n = 4: "):
+        with pytest.raises(ValueError, match=r"^the sampled path .* exceeds 2\^63 - 1 at n = 4: "):
             gap_length(SchemeConfig(n=4, lam=1.0, eta=eta, r=2.0))
 
     def test_extract_z_tiles(self):
