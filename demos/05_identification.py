@@ -10,13 +10,13 @@ truth is controlled by 4*U + 3/n, which the script audits directly.
 import numpy as np
 
 from twostage.distances import variational_mc
-from twostage.mde import CandidateSet, mde_estimate, u_statistic_all
+from twostage.mde import distinct_candidates, mde_estimate, u_statistic_all
 from twostage.models import GaussianIID
 from twostage.rand import rng_for
 
 gauss = GaussianIID()
 theta0 = (0.0, 1.0)
-grid = CandidateSet.build(
+grid = distinct_candidates(
     gauss, [(m, 1.0) for m in np.linspace(-2, 2, 9)] + [(0.0, 1.5)])
 
 n = 8
@@ -25,7 +25,7 @@ for blocks in (8, 32, 128):
     theta_t = mde_estimate(gauss, Z, grid, 3000, seed=22)
     u = u_statistic_all(gauss, Z, grid, 3000, seed=22)
     d = variational_mc(gauss, theta0, theta_t, n, 20_000, seed=23)
-    i0 = grid.thetas.index(theta0)
+    i0 = grid.index(theta0)
     print(f"blocks={blocks:4d}: picked theta~ = {tuple(theta_t)}, "
           f"d_n(theta0, theta~) = {d.value:.4f} "
           f"<= 4U+3/n = {4 * u[i0] + 3 / n:.4f}")

@@ -93,12 +93,11 @@ def build_config(raw: dict) -> ExperimentConfig:
         k: v for k, v in raw.items() if k not in ("schema_version", "family")})
     try:
         fam = cfg.family()
-        fam.validate(cfg.theta0)
-        sc = cfg.scheme_config(cfg.n_grid[0])
-        scheme.candidate_set(sc, db := cfg.database(fam))
+        anchors, db = cfg.scheme_config(cfg.n_grid[0]).anchors, cfg.database(fam)
         scheme.gap_length(cfg.scheme_config(cfg.n_grid[-1]))   # the longest gap
-        for i in range(1, len(db.planted) + 2):   # every planted point, one draw
-            fam.validate(db.point(i))
+        # a checked prior draws only valid points: one draw past the planted ones
+        for theta in (cfg.theta0, *anchors, *map(db.point, range(1, len(db.planted) + 2))):
+            fam.validate(theta)
     except Exception as exc:
         raise ConfigError(f"config semantic error: {exc}") from exc
     return cfg
@@ -112,22 +111,22 @@ def _one_thread(threads) -> None:   # trials run in one loop
 def _run_grid(cfg: ExperimentConfig, out_path: str, header: list[str],
               measure: str, trial_row,
               summary=lambda xs, medians: ([], {})) -> dict:
-    """The grid loop of both experiments: per block length the scheme config,
-    candidates and x value; per trial (in grid order) its seed, code seed and
-    scene, then ``trial_row(family, db, sc, candidates, scene, seed)`` for the
+    """The grid loop of both experiments: the candidates once (no block
+    length changes them), per block length the scheme config and x value;
+    per trial (in grid order) its seed, code seed and scene, then
+    ``trial_row(family, db, sc, candidates, scene, seed)`` for the
     experiment's own columns.  The CSV holds the trial rows, the median of
     column ``measure`` per block length and the rows of
     ``summary(xs, medians)``, which also returns extra summary entries."""
     family = cfg.family()
     db = cfg.database(family)
-    per_n, xs = {}, {}
-    for n in cfg.n_grid:
-        sc, V = cfg.scheme_config(n), family.vc_bound(n)
-        xs[n] = math.sqrt(V * math.log(n) / n)    # the redundancy rate's scale
-        per_n[n] = (sc, scheme.candidate_set(sc, db))
+    per_n = {n: cfg.scheme_config(n) for n in cfg.n_grid}
+    candidates = scheme.candidate_set(per_n[cfg.n_grid[0]], db)
+    xs = {n: math.sqrt(family.vc_bound(n) * math.log(n) / n)   # the redundancy rate's scale
+          for n in cfg.n_grid}
 
     def run(n, trial):
-        sc, candidates = per_n[n]
+        sc = per_n[n]
         seed = derive_seed(cfg.seed, TAG_TRIAL, n, trial)
         if cfg.per_trial_code_seed:
             # the code seed also seeds the waiting-time distance probes

@@ -15,7 +15,6 @@ candidates is compared once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +26,9 @@ class TooFewCandidatesError(ValueError):
     """The estimator needs at least one candidate, the U statistic two."""
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Finite list of valid, distinct parameter vectors, in first-seen order."""
-
-    thetas: tuple
-
-    @classmethod
-    def build(cls, family: SourceFamily, candidates) -> "CandidateSet":
-        return cls(tuple(dict.fromkeys(tuple(family.validate(c)) for c in candidates)))
-
-    def __len__(self) -> int:
-        return len(self.thetas)
+def distinct_candidates(family: SourceFamily, thetas) -> tuple:
+    """Each theta validated, as a tuple; duplicates dropped in first-seen order."""
+    return tuple(dict.fromkeys(tuple(family.validate(t)) for t in thetas))
 
 
 # One entry per block length: the (C, C, C) table stack, C^3 floats.  A run
@@ -54,7 +44,7 @@ def clear_probability_cache() -> None:
     gaussian_bound_coefficients.cache_clear()
 
 
-def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
+def _pair_tables(family, candidates: tuple, block_sets, B: int):
     """F[k, a, b] = fraction of the B blocks of ``block_sets[k]`` where
     candidate a beats candidate b, shape (K, C, C), C >= 2; one workspace
     serves every set.
@@ -75,7 +65,7 @@ def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
     count = np.min_scalar_type(B)    # the narrowest unsigned type to hold B
     out = []
     for X in block_sets:
-        vals, bound = family.log_density_bounds(candidates.thetas, X)
+        vals, bound = family.log_density_bounds(candidates, X)
         srt[...] = vals
         srt.sort(axis=0)
         np.subtract(srt[1:], srt[:-1], out=gap)
@@ -83,7 +73,7 @@ def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
         neither = 0
         if redo.any():
             vals[:, redo] = ex = np.stack([family.log_density_batch(np.asarray(t), X[redo])
-                                           for t in candidates.thetas])
+                                           for t in candidates])
             wins = np.count_nonzero(ex[:, None, :] > ex[None, :, :], axis=2)
             neither = (ex.shape[1] - wins - wins.T)[ia, ib]
         for a in range(C - 1):
@@ -96,7 +86,7 @@ def _pair_tables(family, candidates: CandidateSet, block_sets, B: int):
 
 
 @functools.lru_cache(maxsize=MODEL_FREQ_CACHE_BOUND)
-def _model_tables(family, candidates: CandidateSet, n: int, mc_budget: int,
+def _model_tables(family, candidates: tuple, n: int, mc_budget: int,
                   seed: int) -> np.ndarray:
     """Cached MC estimates of P^n_theta(A_ab) for every candidate theta and
     ordered pair: [i] is the table of candidate i's own ``mc_budget`` blocks,
@@ -104,11 +94,11 @@ def _model_tables(family, candidates: CandidateSet, n: int, mc_budget: int,
     return _pair_tables(family, candidates,
                         (family.sample_paths(t, n, mc_budget,
                                              rng_for(seed + i, TAG_PROB))
-                         for i, t in enumerate(candidates.thetas)),
+                         for i, t in enumerate(candidates)),
                         mc_budget)
 
 
-def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,
+def u_statistic_all(family: SourceFamily, blocks, candidates: tuple,
                     mc_budget: int, seed: int) -> np.ndarray:
     """U_theta for every candidate theta at once (shared empirical side).
 
@@ -126,7 +116,7 @@ def u_statistic_all(family: SourceFamily, blocks, candidates: CandidateSet,
     return np.max(np.abs(model - emp), axis=(1, 2))
 
 
-def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,
+def mde_estimate(family: SourceFamily, blocks, candidates: tuple,
                  mc_budget: int, seed: int) -> np.ndarray:
     """Devroye-Lugosi minimum-distance pick: the first candidate whose U
     statistic (``u_statistic_all``) is within 1/n of the minimum (n = block
@@ -134,8 +124,8 @@ def mde_estimate(family: SourceFamily, blocks, candidates: CandidateSet,
     if len(candidates) == 0:
         raise TooFewCandidatesError("candidate set is empty")
     if len(candidates) == 1:
-        return np.asarray(candidates.thetas[0])
+        return np.asarray(candidates[0])
     n = np.shape(blocks)[1]
     u = u_statistic_all(family, blocks, candidates, mc_budget, seed)
     winner = int(np.flatnonzero(u < u.min() + 1.0 / n)[0])
-    return np.asarray(candidates.thetas[winner])
+    return np.asarray(candidates[winner])

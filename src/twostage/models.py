@@ -140,11 +140,7 @@ class SourceFamily:
     letter_dim: int = 1          # d; letters live in R^d
     draws_by_row: bool = False   # sample_paths calls on one rng continue one draw
 
-    def __init__(self, *args, **values):    # each field, by position or by name, checked
-        given = dict(zip(self.fields, args))
-        if len(args) > len(self.fields) or given.keys() & values.keys():
-            raise TypeError(f"{type(self).__name__}() takes its fields {(*self.fields,)} once")
-        values |= given
+    def __init__(self, **values):    # each field by name, checked
         check(("", values, self.fields, self.field_rules))
         vars(self).update({k: v if self.fields[k].depth == 0 else np.asarray(v, dtype=float)
                            for k, v in values.items()})    # list fields as float arrays
@@ -220,14 +216,18 @@ class GaussianIID(SourceFamily):
     size = 2
     draws_by_row = True          # the normals fill row by row
     # NumPy's normal draws lie within 13.8 scales of their mean (the ziggurat's tail takes
-    # the log of a 53-bit uniform): 40 scales of room keep sigma = exp(draw) finite and > 0
+    # the log of a 53-bit uniform): 40 scales of room keep the mean and
+    # sigma = exp(draw) finite, and sigma > 0
     prior_keys = {
         **dict.fromkeys(("m_loc", "log_sigma_loc"), FINITE._replace(default=0.0)),
         "m_scale": Need("number", "finite {} >= 0", lambda v: 0 <= v < math.inf, default=10.0),
         "log_sigma_scale": NONNEGATIVE._replace(default=1.0)}
-    prior_rules = {("log_sigma_loc", "log_sigma_scale"): (
-        "|log_sigma_loc| + 40 log_sigma_scale < 709.78",
-        lambda loc, scale: 40 * scale < math.log(sys.float_info.max) - abs(loc))}
+    prior_rules = {
+        ("m_loc", "m_scale"): ("|m_loc| + 40 m_scale finite",
+                               lambda loc, scale: abs(loc) + 40 * scale < math.inf),
+        ("log_sigma_loc", "log_sigma_scale"): (
+            "|log_sigma_loc| + 40 log_sigma_scale < 709.78",
+            lambda loc, scale: 40 * scale < math.log(sys.float_info.max) - abs(loc))}
 
     def _region_error(self, t, coords):
         return f"sigma must be > 0, got {coords[1]}" if coords[1] <= 0 else None

@@ -23,7 +23,7 @@ from .bitcode import BitReader, BitString, TruncatedStreamError, elias_encode
 # bench/spans.py wraps variational_mc under this module's name too
 from .distances import exceeds, variational_mc  # noqa: F401
 from .ecvq import Codebook, ecvq_design, ecvq_decode_index, ecvq_encode
-from .mde import CandidateSet, mde_estimate
+from .mde import distinct_candidates, mde_estimate
 from .models import (COUNT, FINITE_POSITIVE, INTEGER, NATURAL, NONNEGATIVE, POINTS, POSITIVE,
                      Need, SampleBlock, SourceFamily, check, declarations)
 from .rand import TAG_DATABASE, TAG_DISTANCE, TAG_MDE, TAG_SAMPLE, TAG_TRAINING, rng_for
@@ -197,11 +197,11 @@ def _book(code_seed, n, lam, rho_max, train_blocks, max_initial_size,
                        restarts=restarts)
 
 
-def candidate_set(config: SchemeConfig, db: Database) -> CandidateSet:
-    """First n_candidates database points followed by the config anchors."""
-    cands = [db.point(i) for i in range(1, config.n_candidates + 1)]
-    cands.extend(np.asarray(a, dtype=float) for a in config.anchors)
-    return CandidateSet.build(db.family, cands)
+def candidate_set(config: SchemeConfig, db: Database) -> tuple:
+    """The MDE candidates (``distinct_candidates``): the first n_candidates
+    database points, then the config anchors."""
+    return distinct_candidates(db.family, [
+        *map(db.point, range(1, config.n_candidates + 1)), *config.anchors])
 
 
 def _letters(family: SourceFamily, x, length: int, name: str) -> np.ndarray:
@@ -219,7 +219,7 @@ def _letters(family: SourceFamily, x, length: int, name: str) -> np.ndarray:
 
 
 def identify(config: SchemeConfig, db: Database, history,
-             candidates: CandidateSet | None = None):
+             candidates: tuple | None = None):
     """First stage: the MDE estimate theta_tilde from the memory's
     estimation blocks, then the waiting-time search for it in the database.
     Returns (T, theta_tilde, theta_hat); T is None for the b=1 flag."""
@@ -237,7 +237,7 @@ def identify(config: SchemeConfig, db: Database, history,
 
 
 def encode_block(config: SchemeConfig, db: Database, history, current,
-                 candidates: CandidateSet | None = None) -> EncodedBlock:
+                 candidates: tuple | None = None) -> EncodedBlock:
     """Full first+second stage encoding of one n-block given its memory."""
     cur = _letters(db.family, current, config.n, "current block")
     T, theta_tilde, theta_hat = identify(config, db, history, candidates)

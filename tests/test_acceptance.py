@@ -73,8 +73,8 @@ def test_criterion_3_model_core(hmm_brute_force):
 def test_criterion_4_mde():
     theta0 = (0.0, 1.0)
     grid_thetas = [(m, 1.0) for m in np.linspace(-2.0, 2.0, 9)] + [(0.0, 1.5)]
-    grid = mde.CandidateSet.build(GAUSS, grid_thetas)
-    i0 = grid.thetas.index(theta0)
+    grid = mde.distinct_candidates(GAUSS, grid_thetas)
+    i0 = grid.index(theta0)
     n = 8
     failures = 0
     for s in range(200):
@@ -87,7 +87,7 @@ def test_criterion_4_mde():
         if d.value > 4 * u[i0] + 3.0 / n + slack:
             failures += 1
     med_err = []
-    mean_grid = [t[0] for t in grid.thetas]
+    mean_grid = [t[0] for t in grid]
     for blocks in (8, 32, 128):
         errs = []
         for s in range(60):
@@ -244,7 +244,7 @@ def test_criterion_9_vc_accounting(vc_deviation_bound):
     ok &= abs(v_g - 60.46) < 0.15 and abs(v_ar - 53.32) < 0.02 \
         and abs(v_h - 103.1) < 0.05
 
-    cands = mde.CandidateSet.build(
+    cands = mde.distinct_candidates(
         GAUSS, [(-1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (0.0, 2.0)])
     C = len(cands)
     off = ~np.eye(C, dtype=bool)

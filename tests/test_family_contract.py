@@ -9,17 +9,20 @@ shape or a non-finite coordinate, and names why a finite theta lies outside
 the family's region; and its draws join into one draw where it declares
 ``draws_by_row``.  Every comparison is bit for bit within one process, but
 for the AR rounding that ``same_values`` names.  Hypothesis draws the inputs
-of the last four, derandomized."""
+of every property but the equality of families built apart, the written-out
+keys, the VC formulas and the bound, derandomized; the bound stays on fixed
+inputs, as drawn HMM cases cost seconds each."""
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twostage.models import (GaussianAR, GaussianIID, HiddenMarkov,
-                             InvalidParameterError, make_family)
+from twostage.models import (ConfigError, GaussianAR, GaussianIID, HiddenMarkov,
+                             InvalidParameterError, check, make_family)
 from twostage.rand import rng_for
 
 E = math.e
@@ -92,13 +95,35 @@ def cases(*columns):
 DRAWN = settings(max_examples=20, deadline=None, derandomize=True)
 
 
+@st.composite
+def specs(draw, kind, like=None):
+    """A family spec of ``kind``: AR with p in 1..8; HMM with M in 1..4,
+    0 <= a0 < 1/M and emission arrays of shape (M,) or (M, d), d <= 3 (the
+    M and shape of the spec ``like``, if given)."""
+    if kind == "gaussian-ar":
+        return {"kind": kind, "p": draw(st.integers(1, 8))}
+    if kind != "hmm":
+        return {"kind": kind}
+    M = like["M"] if like else draw(st.integers(1, 4))
+    shape = np.shape(like["emission_means"]) if like else draw(
+        st.sampled_from([(M,), (M, 1), (M, 2), (M, 3)]))
+
+    def array(entries):
+        flat = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.reshape(flat, shape).tolist()
+
+    return {"kind": kind, "M": M, "a0": draw(st.floats(0.0, 1.0 / M, exclude_max=True)),
+            "emission_means": array(st.floats(-100.0, 100.0)),
+            "emission_stds": array(st.floats(0.01, 100.0))}
+
+
 def nudged(value):
-    """The value with its first entry moved to the next float up, or an
-    integer one up."""
+    """The value with its first entry moved one float toward 0 (up from 0),
+    or an integer one up: inside the field's domain for the drawn specs."""
     if isinstance(value, int):
         return value + 1
     arr = np.array(value, dtype=float)
-    arr.flat[0] = np.nextafter(arr.flat[0], math.inf)
+    arr.flat[0] = np.nextafter(arr.flat[0], -math.inf if arr.flat[0] > 0 else math.inf)
     return arr.tolist() if arr.ndim else float(arr)
 
 
@@ -116,21 +141,35 @@ def test_key_is_tag_dim_and_each_field(build, key):
 
 
 @cases("spec")
-def test_changing_any_one_field_changes_the_key(spec):
-    # M is the row count of the emission arrays, so it cannot change alone;
-    # the written-out keys cover it
-    base = make_family(spec)
-    fields = [f for f in spec if f not in ("kind", "M")]
-    assert sorted(fields) == sorted(set(base.fields) - {"M"})
-    for f in fields:
-        other = make_family({**spec, f: nudged(spec[f])})
-        assert other.key != base.key and other != base, f
+@DRAWN
+@given(data=st.data())
+def test_changing_any_one_field_changes_the_key(spec, data):
+    # the case's spec and a drawn one; a field moved by one float, or set to
+    # that of another drawn spec, changes the key exactly when its value
+    # changes.  M is the row count of the emission arrays, so it cannot
+    # change alone; the written-out keys cover it
+    for s in (spec, data.draw(specs(spec["kind"]))):
+        base = make_family(s)
+        fields = [f for f in s if f not in ("kind", "M")]
+        assert sorted(fields) == sorted(set(base.fields) - {"M"})
+        other = data.draw(specs(s["kind"], like=s))
+        for f in fields:
+            moved = make_family({**s, f: nudged(s[f])})
+            assert moved.key != base.key and moved != base, f
+            changed = make_family({**s, f: other[f]})
+            assert (changed.key == base.key) == (changed == base) == (other[f] == s[f]), f
 
 
 @cases("spec", "build")
-def test_spec_builds_the_constructed_family(spec, build):
+@DRAWN
+@given(data=st.data())
+def test_spec_builds_the_constructed_family(spec, build, data):
     fam = make_family(spec)
     assert type(fam) is type(build()) and fam == build() and fam.key == build().key
+    drawn = data.draw(specs(spec["kind"]))
+    fam = make_family(drawn)
+    direct = type(fam)(**{k: v for k, v in drawn.items() if k != "kind"})
+    assert type(fam) is type(direct) and fam == direct and fam.key == direct.key
 
 
 @cases("build", "vc")
@@ -202,17 +241,49 @@ def test_log_density_bounds_hold_the_exact_values(build, theta):
         assert np.all(np.abs(vals - exact) <= bound)
 
 
+def prior_overrides(fam):
+    """An override of one prior key, drawn from its declared domain, kept to
+    priors whose region has mass: an HMM concentration in [0.1, 100], and for
+    AR both ends of a box inside [-1/(p+1), 1/(p+1)], where sum |a_i| < 1
+    puts every root outside the unit circle."""
+    if isinstance(fam, GaussianAR):
+        edge = 1.0 / (fam.p + 1)
+        return st.fixed_dictionaries(dict.fromkeys(("low", "high"), st.floats(-edge, edge)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    keys = {"m_loc": finite, "m_scale": st.floats(0.0, sys.float_info.max),
+            "log_sigma_loc": finite, "log_sigma_scale": st.floats(0.0, math.inf),
+            "concentration": st.floats(0.1, 100.0)}
+    return st.one_of(*(st.dictionaries(st.just(k), keys[k], min_size=1)
+                       for k in sorted(fam.prior_keys)))
+
+
 @cases("build")
-def test_prior_draws_validate(build):
+@DRAWN
+@given(data=st.data(), k=st.integers(0, 999))
+def test_prior_draws_validate(build, data, k):
+    # an override that breaks a prior rule is refused; any other prior
+    # draws only valid thetas
+    fam = build()
+    prior = data.draw(prior_overrides(fam))
+    try:
+        check(("prior", prior, fam.prior_keys, fam.prior_rules))
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            fam.prior_draw(rng_for(53, k), prior)
+        return
+    rng = rng_for(53, k)
+    for _ in range(10):
+        theta = fam.prior_draw(rng, prior)
+        assert fam.validate(theta).tobytes() == theta.tobytes(), prior
+
+
+@cases("build")
+def test_each_prior_override_is_read(build):
+    # each override moves the first draw
     fam = build()
     default = fam.prior_draw(rng_for(53, 0))
-    for prior in (None, *PRIORS[fam.tag]):
-        rng = rng_for(53, 0)
-        draws = [fam.prior_draw(rng, prior) for _ in range(50)]
-        for theta in draws:
-            assert fam.validate(theta).tobytes() == theta.tobytes()
-        # each override is read: it moves the first draw
-        assert (prior is None) == (draws[0].tobytes() == default.tobytes()), prior
+    for prior in PRIORS[fam.tag]:
+        assert fam.prior_draw(rng_for(53, 0), prior).tobytes() != default.tobytes(), prior
 
 
 @cases("build")

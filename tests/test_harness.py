@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from twostage import cli
+from twostage import cli, scheme
 from twostage.harness import (SCHEME, TOP, ConfigError, build_config, load_config,
                               run_identification_experiment,
                               run_redundancy_experiment)
@@ -81,8 +81,8 @@ BAD_TOP = [("eval_blocks", 0), ("identify_mc", 0), ("oracle_train_blocks", 0),
 
 
 # what a field needs to reach the run: l_cap a finite mixing exponent r; a
-# prior no database candidates (they draw from it while the config builds)
-# and an anchor far from theta0, so that the search draws past index 1
+# prior no database candidates and an anchor far from theta0, so that the
+# search draws from it past index 1
 NEEDS = {"l_cap": {"r": 2.0}, "prior": {"n_candidates": 0, "anchors": [[5.0, 1.0]]}}
 
 
@@ -328,6 +328,18 @@ class TestConfig:
         assert cli.main(["redundancy", "--config", str(p), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_config_check_draws_no_candidates(self, monkeypatch):
+        # the check drew all n_candidates database points, so a count that
+        # passed its domain held it for hours; it draws each planted point
+        # and one prior point
+        drawn, point = [], scheme.Database.point
+        monkeypatch.setattr(scheme.Database, "point",
+                            lambda db, i: drawn.append(i) or point(db, i))
+        raw = tiny_raw(plant=[[0.0, 1.0], [0.5, 2.0]])
+        raw["scheme"]["n_candidates"] = 2 ** 62
+        assert build_config(raw).scheme["n_candidates"] == 2 ** 62
+        assert len(drawn) <= len(raw["plant"]) + 1
+
     def test_anchors_alone_are_candidates(self):
         raw = tiny_raw()
         raw["scheme"].update(n_candidates=0, anchors=[[0.0, 1.0]])
@@ -386,12 +398,16 @@ class TestExperiments:
         runner(cfg, str(tmp_path / "t1.csv"), threads=1)
         assert (tmp_path / "t1.csv").exists()
 
-    def test_experiments_share_the_first_stage(self, tmp_path):
+    def test_experiments_share_the_first_stage(self, tmp_path, monkeypatch):
         # each (n, trial) draws one scene and runs one first stage, whichever
-        # experiment asks
+        # experiment asks; each run builds its candidates once, for every n
         cfg = build_config(tiny_raw())
+        built, candidate_set = [], scheme.candidate_set
+        monkeypatch.setattr(scheme, "candidate_set",
+                            lambda *a: built.append(a[0].n) or candidate_set(*a))
         red = run_redundancy_experiment(cfg, str(tmp_path / "r.csv"))["rows"]
         ide = run_identification_experiment(cfg, str(tmp_path / "i.csv"))["rows"]
+        assert built == [4, 4]
         assert [(r["n"], r["trial"]) for r in red] == \
             [(r["n"], r["trial"]) for r in ide]
         keys = ("seed", "b_flag", "waiting_time", "tol", "x_value")
@@ -625,6 +641,7 @@ BREAKS = {
     ("M", "emission_means", "emission_stds"): [
         {"emission_stds": [1.0]}, {"M": 3}, {"emission_stds": [[1.0], [1.0]]},
         {"emission_means": [[], []], "emission_stds": [[], []]}],
+    ("m_loc", "m_scale"): [{"m_scale": 1e308}],
     ("log_sigma_loc", "log_sigma_scale"): [{"log_sigma_loc": 708.0, "log_sigma_scale": 1.0}],
     ("low", "high"): [{"low": 2.0, "high": 1.0}],
 }

@@ -7,15 +7,14 @@ from scipy.stats import norm
 
 from twostage import mde
 from twostage.distances import variational_mc
-from twostage.mde import (MODEL_FREQ_CACHE_BOUND, CandidateSet,
-                          TooFewCandidatesError, _pair_tables,
-                          clear_probability_cache, mde_estimate,
-                          u_statistic_all)
+from twostage.mde import (MODEL_FREQ_CACHE_BOUND, TooFewCandidatesError,
+                          _pair_tables, clear_probability_cache,
+                          distinct_candidates, mde_estimate, u_statistic_all)
 from twostage.models import GaussianAR, GaussianIID, HiddenMarkov
 from twostage.rand import TAG_PROB, rng_for
 
 GAUSS = GaussianIID()
-PAIR = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0)])
+PAIR = distinct_candidates(GAUSS, [(0.0, 1.0), (1.0, 1.0)])
 
 
 def membership(family, cands, X):
@@ -37,7 +36,7 @@ def shrink_table_cache(monkeypatch, bound: int) -> None:
 
 def exact_logdens(family, cands, X):
     return np.stack([family.log_density_batch(np.asarray(t), X)
-                     for t in cands.thetas])
+                     for t in cands])
 
 
 def exact_table(L):
@@ -52,7 +51,7 @@ def exact_membership(family, cands, X):
 class TestMembership:
     def test_dominance(self):
         # x near theta's mean, theta' mean far away
-        cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (8.0, 1.0)])
+        cands = distinct_candidates(GAUSS, [(0.0, 1.0), (8.0, 1.0)])
         assert membership(GAUSS, cands, [[0.1]])[0, 1] == 1.0
 
     def test_complementary_except_ties(self):
@@ -87,8 +86,8 @@ class TestMembership:
         # N(0,1) and N(1,1) tie on blocks summing to 1, and on blocks of
         # +-1e200 every candidate but the wide one scores -inf (the squares
         # overflow), so no two of them beat each other there
-        cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0), (3.0, 2.0),
-                                           (0.0, 1e100)])
+        cands = distinct_candidates(GAUSS, [(0.0, 1.0), (1.0, 1.0), (3.0, 2.0),
+                                            (0.0, 1e100)])
         X = rng_for(4, 0).normal(size=(400, 2))
         X[:80] = [0.25, 0.75]
         X[80:140] = 1e200
@@ -129,7 +128,7 @@ class TestMembership:
                     if rng.random() < 0.5:
                         m, s = np.round(m, 1), np.exp2(np.round(np.log2(s)))
                     thetas = np.column_stack([m, s])
-                    cands = CandidateSet(tuple(map(tuple, thetas)))
+                    cands = tuple(map(tuple, thetas))
                     src = thetas[rng.integers(C, size=300)]
                     X = src[:, :1] + src[:, 1:] * rng.standard_normal((300, n))
                     X[100:200, n // 2:2 * (n // 2)] = -X[100:200, :n // 2]
@@ -183,7 +182,7 @@ class TestModelTables:
     def reference(family, cands, n, B, seed):
         """(tables, blocks with an exact tie between two candidates)."""
         tables, ties = [], 0
-        for i, t in enumerate(cands.thetas):
+        for i, t in enumerate(cands):
             X = family.sample_paths(t, n, B, rng_for(seed + i, TAG_PROB))
             L = exact_logdens(family, cands, X)
             tables.append(exact_table(L))
@@ -230,7 +229,7 @@ class TestModelTables:
         redone = integer_ties = 0
         seeds = iter(range(700, 10_000, 37))
         for family, thetas, n, B in self.corpus():
-            cands = CandidateSet.build(family, thetas)
+            cands = distinct_candidates(family, thetas)
             assert len(cands) >= 2
             seed = next(seeds)
             want, ties = self.reference(family, cands, n, B, seed)
@@ -248,13 +247,13 @@ class TestModelTables:
 
 class TestUStatistic:
     def test_range(self):
-        cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (1.0, 1.0), (0.0, 2.0)])
+        cands = distinct_candidates(GAUSS, [(0.0, 1.0), (1.0, 1.0), (0.0, 2.0)])
         Z = GAUSS.sample_paths((0.0, 1.0), 4, 32, rng_for(6, 0))
         u = u_statistic_all(GAUSS, Z, cands, 2000, seed=6)[0]
         assert 0.0 <= u <= 1.0
 
     def test_consistency_under_true_parameter(self):
-        cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (2.0, 1.0)])
+        cands = distinct_candidates(GAUSS, [(0.0, 1.0), (2.0, 1.0)])
         Z = GAUSS.sample_paths((0.0, 1.0), 4, 2000, rng_for(7, 0))
         u = u_statistic_all(GAUSS, Z, cands, 20_000, seed=7)[0]
         # MC noise + empirical deviation only
@@ -263,17 +262,17 @@ class TestUStatistic:
     def test_too_few_candidates(self):
         with pytest.raises(TooFewCandidatesError):
             u_statistic_all(GAUSS, np.zeros((2, 3)),
-                            CandidateSet.build(GAUSS, [(0.0, 1.0)]), 100, seed=0)
+                            distinct_candidates(GAUSS, [(0.0, 1.0)]), 100, seed=0)
 
 
 class TestMDE:
     def test_single_candidate(self):
-        cands = CandidateSet.build(GAUSS, [(0.3, 1.2)])
+        cands = distinct_candidates(GAUSS, [(0.3, 1.2)])
         got = mde_estimate(GAUSS, np.zeros((4, 3)), cands, 100, seed=0)
         assert tuple(got) == (0.3, 1.2)
 
     def test_separation(self):
-        cands = CandidateSet.build(GAUSS, [(0.0, 1.0), (9.0, 1.0)])
+        cands = distinct_candidates(GAUSS, [(0.0, 1.0), (9.0, 1.0)])
         Z = GAUSS.sample_paths((0.0, 1.0), 8, 64, rng_for(9, 0))
         got = mde_estimate(GAUSS, Z, cands, 4000, seed=9)
         assert tuple(got) == (0.0, 1.0)
@@ -281,10 +280,10 @@ class TestMDE:
     def test_key_inequality_audit(self):
         # d_n(theta0, theta_tilde) <= 4 U_theta0 + 3/n + statistical slack
         theta0 = (0.0, 1.0)
-        grid = CandidateSet.build(
+        grid = distinct_candidates(
             GAUSS, [(m, 1.0) for m in np.linspace(-2, 2, 9)] + [theta0])
         n = 8
-        i0 = grid.thetas.index(theta0)
+        i0 = grid.index(theta0)
         # blocks, mde_mc, the slack's allowance for the MDE's own Monte Carlo
         # error, and per run the seeds of the blocks, the MDE and d_n; the
         # second case has fewer blocks and a tighter allowance
@@ -304,7 +303,7 @@ class TestMDE:
     def test_error_shrinks_with_blocks(self):
         theta0 = (0.0, 1.0)
         grid_vals = [(m, 1.0) for m in np.linspace(-2.25, 2.25, 10)]
-        grid = CandidateSet.build(GAUSS, grid_vals)
+        grid = distinct_candidates(GAUSS, grid_vals)
         # theta0 sits between grid points; index error measured to nearest
         med_errs = []
         for blocks in (8, 32, 128):
@@ -364,7 +363,7 @@ class TestCacheKeys:
 
     def test_set_probability_keys_on_emissions(self):
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
-        cands = CandidateSet.build(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
+        cands = distinct_candidates(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
         clear_probability_cache()
         fresh = mde._model_tables(far, cands, 3, 2000, 9)
         clear_probability_cache()
@@ -372,8 +371,8 @@ class TestCacheKeys:
         assert np.array_equal(mde._model_tables(far, cands, 3, 2000, 9), fresh)
 
     def test_equal_families_built_apart_share_a_table_stack(self):
-        cands = CandidateSet.build(self._hmm([-3.0, 3.0]),
-                                   [self.THETA, (0.3, 0.7, 0.6, 0.4)])
+        cands = distinct_candidates(self._hmm([-3.0, 3.0]),
+                                    [self.THETA, (0.3, 0.7, 0.6, 0.4)])
         first = mde._model_tables(self._hmm([-3.0, 3.0]), cands, 3, 500, 9)
         hits = mde._model_tables.cache_info().hits
         assert mde._model_tables(self._hmm([-3.0, 3.0]), cands, 3, 500, 9) is first
@@ -384,7 +383,7 @@ class TestCacheKeys:
 
     def test_u_statistic_keys_on_emissions(self):
         near, far = self._hmm([-0.2, 0.2]), self._hmm([-3.0, 3.0])
-        cands = CandidateSet.build(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
+        cands = distinct_candidates(far, [self.THETA, (0.3, 0.7, 0.6, 0.4)])
         Z = far.sample_paths(self.THETA, 3, 40, rng_for(10, 0))
         clear_probability_cache()
         fresh = u_statistic_all(far, Z, cands, 1500, seed=11)
@@ -398,7 +397,7 @@ class TestBoundedCaches:
     def test_pair_frequency_cache_stays_within_bound(self, monkeypatch):
         # one entry per block length; cycling through three lengths with
         # room for two evicts on every call, and U still comes out as cold
-        cands = CandidateSet.build(GAUSS, [(m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0)])
+        cands = distinct_candidates(GAUSS, [(m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0)])
         Zs = {n: GAUSS.sample_paths((0.0, 1.0), n, 32, rng_for(12, n))
               for n in (3, 4, 5)}
         fresh = {}

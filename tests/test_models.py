@@ -43,12 +43,8 @@ class TestGaussianIID:
                        -np.inf, np.inf)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
-    def test_invalid_sigma(self, gauss):
-        with pytest.raises(InvalidParameterError, match="sigma"):
-            gauss.validate((0.0, -1.0))
-
-    # the non-finite messages are the family contract's; the ids are those
-    # the cases had when they stood among them
+    # the non-finite, size and shape messages are the family contract's; the
+    # ids are those the cases had when they stood among them
     @pytest.mark.parametrize("theta,message", [
         pytest.param((0.0, 0.0), "sigma must be > 0, got 0.0",
                      id="theta7-sigma must be > 0, got 0.0"),
@@ -58,14 +54,6 @@ class TestGaussianIID:
                      id="theta9-sigma must be > 0, got -2.5"),
         pytest.param((0.0, -1e-300), "sigma must be > 0, got -1e-300",
                      id="theta10-sigma must be > 0, got -1e-300"),
-        # every family's size message; the ids are those of the message
-        # that named (m, sigma)
-        pytest.param((1.0,), "gaussian-iid needs 2 coords, got 1",
-                     id="theta11-gaussian-iid needs (m, sigma), got 1 coords"),
-        pytest.param((1.0, 2.0, 3.0), "gaussian-iid needs 2 coords, got 3",
-                     id="theta12-gaussian-iid needs (m, sigma), got 3 coords"),
-        pytest.param([[0.0, 1.0]], "parameter vector must be 1-D",
-                     id="theta13-parameter vector must be 1-D"),
     ])
     def test_invalid_parameter_messages(self, gauss, theta, message):
         with pytest.raises(InvalidParameterError) as err:
@@ -183,11 +171,6 @@ def test_extra_or_repeated_field_is_a_type_error(make):
     # the positional value
     with pytest.raises(TypeError, match=r"\(\) takes "):
         make()
-
-
-def test_fields_by_position(hmm2):
-    assert GaussianAR(2) == GaussianAR(p=2)
-    assert HiddenMarkov(2, 0.05, [-1.0, 2.0], [0.7, 1.1]) == hmm2
 
 
 @pytest.mark.parametrize("family,prior", [

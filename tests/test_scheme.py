@@ -349,8 +349,8 @@ class TestMisc:
         cfg = small_config(anchors=((2.5, 1.5),))
         db = Database(family=GAUSS, seed=cfg.database_seed)
         cands = candidate_set(cfg, db)
-        assert (2.5, 1.5) in cands.thetas
-        assert len(cands.thetas) >= cfg.n_candidates
+        assert (2.5, 1.5) in cands
+        assert len(cands) >= cfg.n_candidates
 
     def test_blocking_bound_iid_is_zero(self):
         cfg = SchemeConfig(n=8, lam=1.0)
